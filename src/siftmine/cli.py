@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .condense import DominanceRelation, brute_force_condense, condense
+from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
 from .core import edge_itemize
 from .errors import BoundExceededError, InputError
@@ -33,6 +33,7 @@ from .formats import (
 from .graphs import canonical_code, mine_frequent_graphs_general, mine_frequent_graphs_unique
 from .itemsets import MinSupport, mine_frequent_itemsets
 from .oracle import (
+    brute_force_condense,
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
     frequent_itemsets_bruteforce,

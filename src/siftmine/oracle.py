@@ -4,7 +4,8 @@ Everything here favors obviousness over speed and shares no search logic
 with the miners or selectors it checks: subsequence tests enumerate index
 tuples, graph containment enumerates injective vertex maps, miners
 enumerate candidate patterns from the data and count supports directly,
-and tiling errors are counted cell by cell. Size bounds keep the
+condensation tests every ordered pair of records with dominates(), and
+tiling errors are counted cell by cell. Size bounds keep the
 enumeration honest; exceeding one raises BoundExceededError rather than
 silently taking forever.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .core import GraphDB, LabeledGraph, SequenceDB, TransactionDB, is_unique_labeled
+from .condense import DominanceRelation, _check_kinds, dominates
+from .core import GraphDB, LabeledGraph, PatternRecord, SequenceDB, TransactionDB, is_unique_labeled
 from .errors import BoundExceededError, InputError
 from .tiling import BinaryMatrix, Tile
 
@@ -250,3 +252,16 @@ def exact_selections_bruteforce(
             if err <= budget:
                 out.append((tuple(t.tile_id for t in subset), err))
     return out
+
+
+def brute_force_condense(
+    valid: list[PatternRecord], rel: DominanceRelation, bound: int = 512
+) -> list[PatternRecord]:
+    """Reference implementation: the literal double loop, no shortcuts.
+
+    Used as a test oracle against condense; refuses inputs above bound.
+    """
+    if len(valid) > bound:
+        raise BoundExceededError(f"brute-force condensation over {len(valid)} patterns exceeds bound {bound}")
+    _check_kinds(valid)
+    return [p for p in valid if not any(q is not p and dominates(p, q, rel) for q in valid)]

@@ -37,9 +37,9 @@ from siftmine import (
     subgraph_isomorphic,
     tile_of,
 )
-from siftmine.condense import brute_force_condense
 from siftmine.graphs import canonical_code
 from siftmine.oracle import (
+    brute_force_condense,
     exact_selections_bruteforce,
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
