@@ -4,14 +4,16 @@ Everything here favors obviousness over speed and shares no search logic
 with the miners or selectors it checks: subsequence tests enumerate index
 tuples, graph containment enumerates injective vertex maps, miners
 enumerate candidate patterns from the data and count supports directly,
-condensation tests every ordered pair of records with dominates(), and
-tiling errors are counted cell by cell. Size bounds keep the
-enumeration honest; exceeding one raises BoundExceededError rather than
-silently taking forever.
+condensation tests every ordered pair of records with dominates(), tiling
+errors are counted cell by cell, greedy selection rescores every trial that
+way, and candidate tiles come from row sets and Fraction confidences. Size
+bounds keep the enumeration honest; exceeding one raises BoundExceededError
+rather than silently taking forever.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from .condense import DominanceRelation, _check_kinds, dominates
@@ -216,7 +218,7 @@ def tiling_error_bruteforce(
     mode: str = "coverable",
     candidates: list[Tile] | None = None,
 ) -> int:
-    """Cell-by-cell error count, independent of the set-arithmetic version."""
+    """Cell-by-cell error count, independent of the bitset version."""
     universe = tiles if candidates is None else candidates
     total = 0
     for r in range(1, matrix.n_rows + 1):
@@ -231,6 +233,40 @@ def tiling_error_bruteforce(
                 elif any((r, c) in t.ones for t in universe):
                     total += 1
     return total
+
+
+def greedy_select_bruteforce(
+    matrix: BinaryMatrix,
+    candidates: list[Tile],
+    budget: int,
+    error_mode: str = "coverable",
+) -> tuple[tuple[int, ...], int] | None:
+    """The greedy loop written out literally, scoring every trial cell by cell.
+
+    Each round adds the lowest-id tile with the strictly smallest error;
+    returns (ascending ids, error) once the budget is met, None when a round
+    gains nothing or the tiles run out.
+    """
+    chosen: list[Tile] = []
+    current = tiling_error_bruteforce(matrix, chosen, error_mode, candidates)
+    if current <= budget:
+        return (), current
+    remaining = sorted(candidates, key=lambda t: t.tile_id)
+    while remaining:
+        best_tile = None
+        best_error = current
+        for t in remaining:
+            e = tiling_error_bruteforce(matrix, chosen + [t], error_mode, candidates)
+            if e < best_error:
+                best_tile, best_error = t, e
+        if best_tile is None:
+            return None
+        chosen.append(best_tile)
+        remaining.remove(best_tile)
+        current = best_error
+        if current <= budget:
+            return tuple(sorted(t.tile_id for t in chosen)), current
+    return None
 
 
 def exact_selections_bruteforce(
@@ -252,6 +288,60 @@ def exact_selections_bruteforce(
             if err <= budget:
                 out.append((tuple(t.tile_id for t in subset), err))
     return out
+
+
+def generate_candidates_bruteforce(
+    matrix: BinaryMatrix, tau: float, max_candidates: int | None = None
+) -> list[Tile]:
+    """Candidate tiles from association confidences, on row sets and Fractions.
+
+    Same definition as tiling.generate_candidates: per column i with
+    nonzero support, B_i holds the columns j with conf(i=>j) >= tau, the
+    rows are those with at least as many ones as zeros within B_i;
+    duplicates collapse, order is descending area then column then row
+    sets, ids 1..k, truncated to max_candidates.
+    """
+    if not 0 < tau <= 1:
+        raise InputError("tau must lie in (0, 1]")
+    if max_candidates is not None and max_candidates < 1:
+        raise InputError("max_candidates must be positive")
+    tau_frac = Fraction(str(tau))
+    col_rows = {
+        c: frozenset(r for r in range(1, matrix.n_rows + 1) if matrix.cell(r, c))
+        for c in range(1, matrix.n_cols + 1)
+    }
+    rects: dict[tuple[frozenset[int], frozenset[int]], Tile] = {}
+    for i, support in sorted(col_rows.items()):
+        if not support:
+            continue
+        cols = frozenset(
+            j
+            for j, j_rows in col_rows.items()
+            if j_rows and Fraction(len(support & j_rows), len(support)) >= tau_frac
+        )
+        rows = frozenset(
+            r
+            for r in range(1, matrix.n_rows + 1)
+            if 2 * sum(matrix.cell(r, j) for j in cols) >= len(cols)
+        )
+        if not rows:
+            continue
+        key = (rows, cols)
+        if key in rects:
+            continue
+        ones = frozenset((r, c) for r in rows for c in cols if matrix.cell(r, c))
+        rects[key] = Tile(tile_id=0, row_set=rows, col_set=cols, ones=ones)
+
+    ordered = sorted(
+        rects.values(),
+        key=lambda t: (-len(t.ones), sorted(t.col_set), sorted(t.row_set)),
+    )
+    if max_candidates is not None:
+        ordered = ordered[:max_candidates]
+    return [
+        Tile(tile_id=tid, row_set=t.row_set, col_set=t.col_set, ones=t.ones)
+        for tid, t in enumerate(ordered, start=1)
+    ]
 
 
 def brute_force_condense(

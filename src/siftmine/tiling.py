@@ -13,6 +13,14 @@ Selection comes in two flavors: a greedy loop that keeps adding the tile
 with the largest error decrease (it may fail even when an admissible subset
 exists), and an exact branch-and-bound over all nonempty candidate subsets.
 Both are deterministic, with ties broken by lowest tile id.
+
+Internally cells are bits of a Python int: cell (r, c) is bit
+(r-1)*n_cols + (c-1). A union of rectangles is `|`, zeros inside are
+`(covered & ~data).bit_count()` and ones outside are
+`(target & ~covered).bit_count()`, so scoring a selection costs a few
+word-parallel operations over n_rows*n_cols bits instead of building sets of
+cell tuples. Tiles and matrices keep their frozenset fields; masks are built
+from them once per call.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ from .core import Itemset, TransactionDB, cover_itemset
 from .errors import BoundExceededError, InputError
 
 ERROR_MODES = ("full", "coverable")
+
+
+def _mask_of(flags) -> int:
+    """The int whose bit k is set when flags[k] is truthy."""
+    return int("".join("1" if v else "0" for v in reversed(flags)), 2)
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,11 @@ class BinaryMatrix:
             for c, v in enumerate(row, start=1)
             if v
         )
+
+    @cached_property
+    def _ones_mask(self) -> int:
+        """The ones as a cell mask: bit (r-1)*n_cols + (c-1) is cell (r, c)."""
+        return _mask_of([v for row in self.cells for v in row])
 
 
 @dataclass(frozen=True)
@@ -118,10 +136,42 @@ def area(tiles: list[Tile]) -> int:
     return len(covered)
 
 
-def _validate_tiles(matrix: BinaryMatrix, tiles) -> None:
+def _mask_at(positions, n_bits: int) -> int:
+    """The int with exactly the given bit positions set, all below n_bits."""
+    buf = bytearray((n_bits + 7) // 8)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _tile_masks(matrix: BinaryMatrix, tiles) -> tuple[list[int], list[int]]:
+    """(rectangle masks, ones masks) of the tiles, in order, checked against the matrix."""
+    n_rows, n_cols = matrix.n_rows, matrix.n_cols
+    n_bits = n_rows * n_cols
+    data = matrix._ones_mask
+    rects: list[int] = []
+    ones: list[int] = []
     for t in tiles:
-        if not t.ones <= matrix.ones:
+        if min(t.row_set) < 1 or max(t.row_set) > n_rows or min(t.col_set) < 1 or max(t.col_set) > n_cols:
+            if any(not (1 <= r <= n_rows and 1 <= c <= n_cols) for r, c in t.ones):
+                raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
+            raise InputError(f"tile {t.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
+        mask = _mask_at(((r - 1) * n_cols + c - 1 for r, c in t.ones), n_bits)
+        if mask & ~data:
             raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
+        # One bit per chosen row times the column bits copies them into each
+        # of those rows; col_bits < 2**n_cols, so the copies never carry.
+        col_bits = sum(1 << (c - 1) for c in t.col_set)
+        rects.append(col_bits * _mask_at(((r - 1) * n_cols for r in t.row_set), n_bits))
+        ones.append(mask)
+    return rects, ones
+
+
+def _union(masks) -> int:
+    covered = 0
+    for m in masks:
+        covered |= m
+    return covered
 
 
 def error_terms(
@@ -138,21 +188,17 @@ def error_terms(
     """
     if mode not in ERROR_MODES:
         raise InputError(f"unknown error mode {mode!r}")
-    _validate_tiles(matrix, tiles)
-    covered: set[tuple[int, int]] = set()
-    for t in tiles:
-        covered |= t.rectangle
-    zeros_inside = len(covered - matrix.ones)
+    rects, ones = _tile_masks(matrix, tiles)
+    covered = _union(rects)
+    data = matrix._ones_mask
+    zeros_inside = (covered & ~data).bit_count()
     if mode == "full":
-        ones_outside = len(matrix.ones - covered)
+        target = data
     else:
-        universe = tiles if candidates is None else candidates
-        _validate_tiles(matrix, universe)
-        coverable: set[tuple[int, int]] = set()
-        for t in universe:
-            coverable |= t.ones
-        ones_outside = len(coverable - covered)
-    return ones_outside, zeros_inside
+        if candidates is not None:
+            _, ones = _tile_masks(matrix, candidates)
+        target = _union(ones)
+    return (target & ~covered).bit_count(), zeros_inside
 
 
 def error(
@@ -166,6 +212,16 @@ def error(
     return ones_outside + zeros_inside
 
 
+def _bits(mask: int) -> list[int]:
+    """1-based positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
 def generate_candidates(
     matrix: BinaryMatrix, tau: float, max_candidates: int | None = None
 ) -> list[Tile]:
@@ -177,48 +233,47 @@ def generate_candidates(
     zeros (covering the row helps). Duplicates collapse; the result is sorted
     by descending area with ties on column then row sets, ids assigned 1..k,
     then truncated to max_candidates.
+
+    Rows and columns are int bitsets (bit c-1 of a row for column c, bit r-1
+    of a column for row r), and confidence is compared exactly against
+    Fraction(str(tau)) by integer cross-multiplication.
     """
     if not 0 < tau <= 1:
         raise InputError("tau must lie in (0, 1]")
     if max_candidates is not None and max_candidates < 1:
         raise InputError("max_candidates must be positive")
     tau_frac = Fraction(str(tau))
-    col_rows = {
-        c: frozenset(r for r in range(1, matrix.n_rows + 1) if matrix.cell(r, c))
-        for c in range(1, matrix.n_cols + 1)
-    }
-    rects: dict[tuple[frozenset[int], frozenset[int]], Tile] = {}
-    for i, support in sorted(col_rows.items()):
+    num, den = tau_frac.numerator, tau_frac.denominator
+    row_bits = [_mask_of(row) for row in matrix.cells]
+    col_rows = [_mask_of(col) for col in zip(*matrix.cells)]
+    found: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
+    for support in col_rows:
         if not support:
             continue
-        cols = frozenset(
-            j
-            for j, j_rows in col_rows.items()
-            if j_rows and Fraction(len(support & j_rows), len(support)) >= tau_frac
-        )
-        rows = frozenset(
-            r
-            for r in range(1, matrix.n_rows + 1)
-            if 2 * sum(matrix.cell(r, j) for j in cols) >= len(cols)
-        )
-        if not rows:
-            continue
-        key = (rows, cols)
-        if key in rects:
-            continue
-        ones = frozenset((r, c) for r in rows for c in cols if matrix.cell(r, c))
-        rects[key] = Tile(tile_id=0, row_set=rows, col_set=cols, ones=ones)
+        need = num * support.bit_count()
+        cols = 0
+        for j, j_rows in enumerate(col_rows):
+            if j_rows and (support & j_rows).bit_count() * den >= need:
+                cols |= 1 << j
+        width = cols.bit_count()
+        rows = 0
+        n_ones = 0
+        for r, bits in enumerate(row_bits):
+            inside = (bits & cols).bit_count()
+            if 2 * inside >= width:
+                rows |= 1 << r
+                n_ones += inside
+        if rows and (rows, cols) not in found:
+            found[rows, cols] = (-n_ones, _bits(cols), _bits(rows))
 
-    ordered = sorted(
-        rects.values(),
-        key=lambda t: (-len(t.ones), sorted(t.col_set), sorted(t.row_set)),
-    )
+    ordered = sorted(found.items(), key=lambda kv: kv[1])
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
-    return [
-        Tile(tile_id=tid, row_set=t.row_set, col_set=t.col_set, ones=t.ones)
-        for tid, t in enumerate(ordered, start=1)
-    ]
+    tiles = []
+    for tid, ((_, cols), (_, col_list, row_list)) in enumerate(ordered, start=1):
+        ones = frozenset((r, c) for r in row_list for c in _bits(row_bits[r - 1] & cols))
+        tiles.append(Tile(tile_id=tid, row_set=frozenset(row_list), col_set=frozenset(col_list), ones=ones))
+    return tiles
 
 
 @dataclass(frozen=True)
@@ -253,25 +308,33 @@ def greedy_select(
     """
     if budget < 0:
         raise InputError("error budget must be nonnegative")
-    chosen: list[Tile] = []
-    current = error(matrix, chosen, error_mode, candidates)
+    if error_mode not in ERROR_MODES:
+        raise InputError(f"unknown error mode {error_mode!r}")
+    rects, ones = _tile_masks(matrix, candidates)
+    not_data = ~matrix._ones_mask
+    target = matrix._ones_mask if error_mode == "full" else _union(ones)
+    covered = 0
+    current = target.bit_count()
     if current <= budget:
         return TileSelection((), current)
-    remaining = sorted(candidates, key=lambda t: t.tile_id)
+    remaining = sorted(range(len(candidates)), key=lambda i: candidates[i].tile_id)
+    chosen: list[int] = []
     while remaining:
-        best_tile = None
+        best = None
         best_error = current
-        for t in remaining:
-            e = error(matrix, chosen + [t], error_mode, candidates)
+        for i in remaining:
+            trial = covered | rects[i]
+            e = (trial & not_data).bit_count() + (target & ~trial).bit_count()
             if e < best_error:
-                best_tile, best_error = t, e
-        if best_tile is None:
+                best, best_error = i, e
+        if best is None:
             return None
-        chosen.append(best_tile)
-        remaining.remove(best_tile)
+        chosen.append(candidates[best].tile_id)
+        remaining.remove(best)
+        covered |= rects[best]
         current = best_error
         if current <= budget:
-            return TileSelection(tuple(sorted(t.tile_id for t in chosen)), current)
+            return TileSelection(tuple(sorted(chosen)), current)
     return None
 
 
@@ -295,7 +358,8 @@ def exact_select(
     Pruning uses a sound lower bound: zeros inside can only grow as tiles
     are added, and ones outside can only shrink to what the still-available
     tiles could cover, so a partial selection whose bound beats the budget
-    dies with its whole subtree.
+    dies with its whole subtree. The search keeps an explicit stack, so its
+    depth (one level per candidate) does not touch the recursion limit.
     """
     if budget < 0:
         raise InputError("error budget must be nonnegative")
@@ -307,64 +371,50 @@ def exact_select(
         raise BoundExceededError(
             f"exact selection over {len(candidates)} candidates exceeds bound {bound}"
         )
-    _validate_tiles(matrix, candidates)
-
-    tiles = sorted(candidates, key=lambda t: t.tile_id)
-    n = len(tiles)
-    data = matrix.ones
-    rectangles = [t.rectangle for t in tiles]
-    if error_mode == "full":
-        target = data
-    else:
-        covered: set[tuple[int, int]] = set()
-        for t in tiles:
-            covered |= t.ones
-        target = frozenset(covered)
+    rects, ones = _tile_masks(matrix, candidates)
+    order = sorted(range(len(candidates)), key=lambda i: candidates[i].tile_id)
+    ids = [candidates[i].tile_id for i in order]
+    rects = [rects[i] for i in order]
+    n = len(order)
+    not_data = ~matrix._ones_mask
+    target = matrix._ones_mask if error_mode == "full" else _union(ones)
 
     # Union of rectangles still available from position i on.
-    suffix: list[frozenset[tuple[int, int]]] = [frozenset()] * (n + 1)
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | rectangles[i]
+        suffix[i] = suffix[i + 1] | rects[i]
 
     found: list[TileSelection] = []
     best: TileSelection | None = None
-
-    def admit(chosen_ids: tuple[int, ...], covered: frozenset) -> TileSelection | None:
-        nonlocal best
-        err = len(covered - data) + len(target - covered)
-        if err > budget:
-            return None
-        sel = TileSelection(chosen_ids, err)
-        if best is None or (err, len(sel.tile_ids), sel.tile_ids) < (
-            best.error,
-            len(best.tile_ids),
-            best.tile_ids,
-        ):
-            best = sel
-        return sel
-
-    def walk(i: int, chosen_ids: tuple[int, ...], covered: frozenset) -> bool:
-        nonlocal found
-        lower = len(covered - data) + len(target - (covered | suffix[i]))
+    # Pushing include before exclude pops the exclude branch first.
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
+    while stack:
+        i, chosen_ids, covered = stack.pop()
+        lower = (covered & not_data).bit_count() + (target & ~(covered | suffix[i])).bit_count()
         if lower > budget:
-            return False
+            continue
         if mode == "optimal" and best is not None and lower > best.error:
-            return False
-        if i == n:
-            if not chosen_ids:
-                return False
-            sel = admit(chosen_ids, covered)
-            if sel is None:
-                return False
-            found.append(sel)
-            return mode == "first"
-        if walk(i + 1, chosen_ids, covered):
-            return True
-        return walk(i + 1, chosen_ids + (tiles[i].tile_id,), covered | rectangles[i])
+            continue
+        if i < n:
+            stack.append((i + 1, chosen_ids + (ids[i],), covered | rects[i]))
+            stack.append((i + 1, chosen_ids, covered))
+            continue
+        if not chosen_ids:
+            continue
+        # At a leaf suffix[n] is empty, so the bound is the exact error.
+        sel = TileSelection(chosen_ids, lower)
+        if mode == "optimal":
+            if best is None or (lower, len(chosen_ids), chosen_ids) < (
+                best.error,
+                len(best.tile_ids),
+                best.tile_ids,
+            ):
+                best = sel
+            continue
+        found.append(sel)
+        if mode == "first":
+            break
 
-    walk(0, (), frozenset())
-    if mode == "first":
-        return SelectionResult("ok", (found[0],)) if found else SelectionResult("unsatisfiable", ())
-    if mode == "all":
-        return SelectionResult("ok", tuple(found)) if found else SelectionResult("unsatisfiable", ())
-    return SelectionResult("ok", (best,)) if best is not None else SelectionResult("unsatisfiable", ())
+    if mode == "optimal":
+        found = [best] if best is not None else []
+    return SelectionResult("ok", tuple(found)) if found else SelectionResult("unsatisfiable", ())

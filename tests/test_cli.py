@@ -1,6 +1,14 @@
 """Command line interface, exercised in-process through cli.main."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import siftmine
 
 import siftmine.cli as cli
 from siftmine import (
@@ -318,6 +326,52 @@ class TestTile:
         lines = report.read_text().splitlines()
         assert "method=greedy" in lines and "status=ok" in lines
         assert "selection=1,3 k=2 ones_outside=0 zeros_inside=2 error=2" in lines
+
+
+    def test_exact_search_deeper_than_recursion_limit(self, run, workdir):
+        # 1100 single-cell candidates: one search level per candidate
+        (workdir / "tall.txt").write_text("1\n" * 1100, encoding="utf-8")
+        (workdir / "cells.txt").write_text(
+            "".join(f"rows={r} cols=1\n" for r in range(1, 1101)), encoding="utf-8"
+        )
+        code, out, err = run(
+            "tile", "--matrix", "tall.txt", "--threshold", "2000",
+            "--candidates", "cells.txt", "--method", "first", "--bound", "2000",
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("status=ok k=1 error=1099 selection=1100\n")
+
+    def test_output_independent_of_hash_seed(self, workdir):
+        # three overlapping noisy blocks: seven candidates at tau 0.7
+        rng = random.Random(2024)
+        blocks = [(range(0, 10), range(0, 4)), (range(6, 18), range(3, 7)), (range(14, 24), range(6, 9))]
+        rows = [
+            " ".join(
+                str(int(rng.random() < (0.85 if any(r in br and c in bc for br, bc in blocks) else 0.12)))
+                for c in range(9)
+            )
+            for r in range(24)
+        ]
+        (workdir / "noisy.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        src = str(Path(siftmine.__file__).resolve().parents[1])
+        methods = {
+            "greedy": ("--error-mode", "full"),
+            "optimal": ("--method", "optimal"),
+        }
+        for name, extra in methods.items():
+            seen = []
+            for seed in ("1", "2"):
+                report = workdir / f"{name}-{seed}.out"
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "siftmine.cli", "tile", "--matrix", str(workdir / "noisy.txt"),
+                     "--threshold", "40", "--tau", "0.7", *extra, "--out", str(report)],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert proc.stderr == ""
+                seen.append((proc.returncode, proc.stdout, report.read_bytes()))
+            assert seen[0] == seen[1], name
+            assert "status=ok" in seen[0][1], name
 
 
 class TestVerify:

@@ -4,12 +4,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmine import (
     BinaryMatrix,
     BoundExceededError,
     InputError,
     Itemset,
+    SelectionResult,
     Tile,
     area,
     error,
@@ -19,7 +22,13 @@ from siftmine import (
     greedy_select,
     tile_of,
 )
-from siftmine.oracle import exact_selections_bruteforce, tiling_error_bruteforce
+from siftmine.oracle import (
+    exact_selections_bruteforce,
+    generate_candidates_bruteforce,
+    greedy_select_bruteforce,
+    tiling_error_bruteforce,
+)
+from siftmine.tiling import ERROR_MODES
 
 
 def random_matrix(rng: random.Random, max_side=6) -> BinaryMatrix:
@@ -38,6 +47,75 @@ def random_tiles(rng: random.Random, matrix: BinaryMatrix, count: int) -> list[T
         rect = {(r, c) for r in rs for c in cs}
         tiles.append(Tile(tid, rs, cs, frozenset(rect & matrix.ones)))
     return tiles
+
+
+@st.composite
+def small_matrices(draw, max_side=6):
+    rows, cols = draw(
+        st.one_of(
+            st.tuples(st.just(1), st.integers(1, max_side)),
+            st.tuples(st.integers(1, max_side), st.just(1)),
+            st.tuples(st.integers(1, max_side), st.integers(1, max_side)),
+        )
+    )
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    return BinaryMatrix(tuple(tuple(bits[r * cols : (r + 1) * cols]) for r in range(rows)))
+
+
+@st.composite
+def tiling_instances(draw, max_tiles=5):
+    """(matrix, candidates, budget) with hand-made tiles in shuffled order.
+
+    Tiles may carry a strict subset of their rectangle's data ones, repeat an
+    earlier rectangle under another id, or be absent altogether; ids are
+    unique but not contiguous. The budget is either arbitrary or exactly the
+    error of the empty selection, which then already meets it.
+    """
+    m = draw(small_matrices())
+    count = draw(st.integers(0, max_tiles))
+    ids = draw(st.lists(st.integers(1, 40), min_size=count, max_size=count, unique=True))
+    tiles: list[Tile] = []
+    for tid in ids:
+        if tiles and draw(st.integers(0, 3)) == 0:
+            twin = draw(st.sampled_from(tiles))
+            rows, cols = twin.row_set, twin.col_set
+        else:
+            rows = frozenset(draw(st.sets(st.integers(1, m.n_rows), min_size=1)))
+            cols = frozenset(draw(st.sets(st.integers(1, m.n_cols), min_size=1)))
+        hits = sorted((r, c) for r in rows for c in cols if m.cell(r, c))
+        if hits and draw(st.booleans()):
+            ones = frozenset(draw(st.sets(st.sampled_from(hits), max_size=len(hits) - 1)))
+        else:
+            ones = frozenset(hits)
+        tiles.append(Tile(tid, rows, cols, ones))
+    tiles = draw(st.permutations(tiles))
+    if draw(st.booleans()):
+        budget = draw(st.integers(0, m.n_rows * m.n_cols))
+    else:
+        budget = error(m, [], draw(st.sampled_from(ERROR_MODES)), tiles)
+    return m, tiles, budget
+
+
+def exclude_first_rank(ids: tuple[int, ...], all_ids: list[int]) -> int:
+    """Position in exclude-before-include order: binary counting, lowest id most significant."""
+    n = len(all_ids)
+    return sum(1 << (n - 1 - all_ids.index(tid)) for tid in ids)
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Matrices with all-zero and duplicate columns mixed in."""
+    rows = draw(st.integers(1, 8))
+    columns: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy"]))
+        if kind == "zero":
+            columns.append((0,) * rows)
+        elif kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(tuple(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))))
+    return BinaryMatrix(tuple(zip(*columns)))
 
 
 class TestBinaryMatrix:
@@ -169,8 +247,17 @@ class TestErrorAccounting:
 
     def test_foreign_tile_rejected(self, tiling):
         alien = Tile(9, frozenset({1}), frozenset({3}), frozenset({(1, 3)}))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="tile 9 marks cells that are 0 in the matrix"):
             error(tiling.matrix, [alien], mode="full")
+
+    def test_tile_outside_matrix_rejected(self, tiling):
+        # a column past the edge would alias another cell's bit
+        wide = Tile(5, frozenset({1}), frozenset({1, 4}), frozenset({(1, 1)}))
+        with pytest.raises(InputError, match="tile 5 reaches outside the 3x3 matrix"):
+            error(tiling.matrix, [wide], mode="full")
+        past = Tile(6, frozenset({4}), frozenset({1}), frozenset({(4, 1)}))
+        with pytest.raises(InputError, match="tile 6 marks cells that are 0 in the matrix"):
+            greedy_select(tiling.matrix, [past], 0)
 
 
 class TestGenerateCandidates:
@@ -215,6 +302,27 @@ class TestGenerateCandidates:
             areas = [len(t.ones) for t in cands]
             assert areas == sorted(areas, reverse=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=candidate_matrices(),
+        tau=st.one_of(
+            st.sampled_from([1, 1.0, 1e-9, 0.001, 0.28, 0.35, 0.5, 0.56, 0.8, 2 / 3]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        ),
+        max_candidates=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_equals_bruteforce(self, m, tau, max_candidates):
+        assert generate_candidates(m, tau, max_candidates) == generate_candidates_bruteforce(
+            m, tau, max_candidates
+        )
+
+    def test_confidence_is_exact_decimal(self):
+        # conf(1=>2) = 7/25 = 0.28 exactly, but 0.28 * 25 rounds above 7 in floats
+        m = BinaryMatrix(tuple((1, int(r < 7)) for r in range(25)))
+        cands = generate_candidates(m, 0.28)
+        assert cands == generate_candidates_bruteforce(m, 0.28)
+        assert any(t.col_set == {1, 2} for t in cands)
+
     def test_max_candidates_truncates(self, tiling):
         cands = generate_candidates(tiling.matrix, 1.0, max_candidates=2)
         assert len(cands) == 2
@@ -253,6 +361,15 @@ class TestGreedySelect:
     def test_negative_budget_rejected(self, tiling):
         with pytest.raises(InputError):
             greedy_select(tiling.matrix, tiling.tiles, -1)
+
+    @pytest.mark.parametrize("error_mode", ERROR_MODES)
+    @settings(max_examples=300, deadline=None)
+    @given(inst=tiling_instances())
+    def test_equals_bruteforce(self, error_mode, inst):
+        m, cands, budget = inst
+        got = greedy_select(m, cands, budget, error_mode=error_mode)
+        want = greedy_select_bruteforce(m, cands, budget, error_mode)
+        assert (None if got is None else (got.tile_ids, got.error)) == want
 
     def test_greedy_never_beats_optimal(self):
         rng = random.Random(9009)
@@ -324,6 +441,32 @@ class TestExactSelect:
             if want:
                 opt = exact_select(m, cands, budget, mode="optimal", error_mode=emode)
                 assert opt.selections[0].error == min(e for _, e in want)
+
+    @pytest.mark.parametrize("error_mode", ERROR_MODES)
+    @settings(max_examples=200, deadline=None)
+    @given(inst=tiling_instances(max_tiles=6))
+    def test_modes_and_error_terms_equal_bruteforce(self, error_mode, inst):
+        m, cands, budget = inst
+        for k in range(len(cands) + 1):
+            for subset in combinations(cands, k):
+                for universe in (cands, None):
+                    outside, inside = error_terms(m, list(subset), error_mode, universe)
+                    truth = tiling_error_bruteforce(m, list(subset), error_mode, universe)
+                    assert outside + inside == truth
+        want = exact_selections_bruteforce(m, cands, budget, error_mode)
+        all_ids = sorted(t.tile_id for t in cands)
+        results = {
+            mode: exact_select(m, cands, budget, mode=mode, error_mode=error_mode)
+            for mode in ("first", "all", "optimal")
+        }
+        if not want:
+            assert all(r == SelectionResult("unsatisfiable", ()) for r in results.values())
+            return
+        in_order = sorted(want, key=lambda w: exclude_first_rank(w[0], all_ids))
+        assert [(s.tile_ids, s.error) for s in results["all"].selections] == in_order
+        assert [(s.tile_ids, s.error) for s in results["first"].selections] == in_order[:1]
+        best = min(want, key=lambda w: (w[1], len(w[0]), w[0]))
+        assert [(s.tile_ids, s.error) for s in results["optimal"].selections] == [best]
 
     def test_optimal_tiebreak_fewer_tiles_then_ids(self, tiling):
         # two copies of the best pair: optimal must report (1, 3), never (1, 4)
