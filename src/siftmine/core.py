@@ -231,6 +231,37 @@ class LabeledGraph:
     def degree(self, vid: int) -> int:
         return len(self.neighbors[vid])
 
+    @cached_property
+    def _matching_plan(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+        """Vertex order for subgraph_isomorphic, as (vid, label, degree, back edges).
+
+        Each next vertex has the most already-placed neighbors, then the
+        highest degree, then the lowest id, which keeps the backtracking
+        frontier connected. Back edges are (depth of an earlier neighbor,
+        edge label). Computed once per graph.
+        """
+        nbrs = self.neighbors
+        # A vertex next to a placed one beats every other, so the search
+        # for the next vertex only scans the frontier; a new component
+        # starts at the highest-degree, lowest-id unplaced vertex.
+        seeds = sorted(nbrs, key=lambda v: (-len(nbrs[v]), v))
+        frontier: dict[int, int] = {}  # unplaced vertex -> placed neighbors
+        depth: dict[int, int] = {}
+        plan = []
+        for seed in seeds:
+            if seed in depth:
+                continue
+            frontier[seed] = 0
+            while frontier:
+                v = max(frontier, key=lambda w: (frontier[w], len(nbrs[w]), -w))
+                del frontier[v]
+                back = tuple(sorted((depth[w], lbl) for w, lbl in nbrs[v] if w in depth))
+                depth[v] = len(plan)
+                plan.append((v, self.label_map[v], len(nbrs[v]), back))
+                for w, _ in nbrs[v]:
+                    if w not in depth:
+                        frontier[w] = frontier.get(w, 0) + 1
+        return tuple(plan)
 
 Pattern = Union[Itemset, Sequence, LabeledGraph]
 
@@ -365,29 +396,15 @@ def find_embedding(p: Sequence, host: Sequence) -> Embedding | None:
     return Embedding(tuple(positions))
 
 
-def _matching_order(g: LabeledGraph) -> list[int]:
-    # Vertices ordered so each one (except component seeds) touches the
-    # already-placed prefix; keeps the backtracking frontier connected.
-    remaining = set(g.label_map)
-    placed: set[int] = set()
-    order: list[int] = []
-    while remaining:
-        best = max(
-            sorted(remaining),
-            key=lambda v: (sum(1 for n, _ in g.neighbors[v] if n in placed), g.degree(v)),
-        )
-        order.append(best)
-        placed.add(best)
-        remaining.remove(best)
-    return order
-
-
 def subgraph_isomorphic(p: LabeledGraph, host: LabeledGraph) -> dict[int, int] | None:
     """Injective label- and edge-preserving map of p into host, or None.
 
     The match is not induced: host edges between image vertices that have no
-    preimage in p are allowed. Backtracking over a connectivity-friendly
-    vertex order with label, degree, and mapped-neighbor consistency pruning.
+    preimage in p are allowed. Backtracking over p's matching order with
+    label, degree, and mapped-neighbor consistency pruning; host vertices
+    are tried in vertex order and the first complete map is returned. The
+    search keeps one host position per pattern vertex on an explicit stack,
+    so its depth does not touch the recursion limit.
     """
     if p.vertex_count > host.vertex_count or p.edge_count > host.edge_count:
         return None
@@ -396,39 +413,42 @@ def subgraph_isomorphic(p: LabeledGraph, host: LabeledGraph) -> dict[int, int] |
     if any(h_labels[lbl] < n for lbl, n in p_labels.items()):
         return None
 
-    order = _matching_order(p)
-    p_label = p.label_map
+    plan = p._matching_plan
+    h_vertices = host.vertices
     h_edge = host.edge_lookup
-    mapping: dict[int, int] = {}
+    h_nbrs = host.neighbors
+    n, n_host = len(plan), len(h_vertices)
+    image: list[int] = [0] * n  # host vertex placed at each depth
+    resume = [0] * (n + 1)  # next host position to try at each depth
     used: set[int] = set()
-
-    def ok(pv: int, hv: int) -> bool:
-        for nbr, elbl in p.neighbors[pv]:
-            if nbr in mapping:
-                hn = mapping[nbr]
-                key = (hn, hv) if hn < hv else (hv, hn)
-                if h_edge.get(key) != elbl:
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        pv = order[i]
-        for hv, hlbl in host.vertices:
-            if hv in used or hlbl != p_label[pv] or host.degree(hv) < p.degree(pv):
+    i = 0
+    while i < n:
+        _, lbl, deg, back = plan[i]
+        k = resume[i]
+        while k < n_host:
+            hv, hlbl = h_vertices[k]
+            k += 1
+            if hv in used or hlbl != lbl or len(h_nbrs[hv]) < deg:
                 continue
-            if not ok(pv, hv):
-                continue
-            mapping[pv] = hv
-            used.add(hv)
-            if extend(i + 1):
-                return True
-            del mapping[pv]
-            used.remove(hv)
-        return False
-
-    return dict(mapping) if extend(0) else None
+            for j, elbl in back:
+                hn = image[j]
+                if h_edge.get((hn, hv) if hn < hv else (hv, hn)) != elbl:
+                    break
+            else:
+                break
+        else:
+            # Depth i is exhausted: undo depth i-1 and resume its scan.
+            if i == 0:
+                return None
+            i -= 1
+            used.remove(image[i])
+            continue
+        resume[i] = k
+        image[i] = hv
+        used.add(hv)
+        i += 1
+        resume[i] = 0
+    return {pv: hv for (pv, _, _, _), hv in zip(plan, image)}
 
 
 def is_unique_labeled(g: LabeledGraph) -> bool:

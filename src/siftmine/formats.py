@@ -30,7 +30,7 @@ from .core import (
     TransactionDB,
 )
 from .errors import InputError
-from .tiling import BinaryMatrix, Tile, TileSelection, error_terms
+from .tiling import BinaryMatrix, Tile, TileSelection, _error_scorer
 
 
 def _read_lines(path) -> list[str]:
@@ -534,9 +534,13 @@ def write_tiling(
         cols = ",".join(str(c) for c in sorted(t.col_set))
         lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={len(t.ones)}")
     selections = tuple(selections)
+    # Mask each chosen tile, and in coverable mode every candidate's ones,
+    # once for the whole report rather than once per selection.
+    chosen = sorted({tid for sel in selections for tid in sel.tile_ids})
+    terms = _error_scorer(matrix, error_mode, [by_id[tid] for tid in chosen], candidates)
+    position = {tid: i for i, tid in enumerate(chosen)}
     for sel in selections:
-        chosen = [by_id[tid] for tid in sel.tile_ids]
-        ones_outside, zeros_inside = error_terms(matrix, chosen, error_mode, candidates)
+        ones_outside, zeros_inside = terms(position[tid] for tid in sel.tile_ids)
         ids = ",".join(str(tid) for tid in sel.tile_ids)
         lines.append(
             f"selection={ids} k={len(sel.tile_ids)} "

@@ -5,7 +5,11 @@ when every vertex label in a graph occurs once and edges are unlabeled,
 subgraph inclusion collapses to set inclusion over label pairs, so graphs
 reduce to itemsets and the itemset miner does the heavy lifting. The general
 miner grows connected patterns edge by edge and deduplicates candidates by a
-canonical form, the minimum DFS code.
+canonical form, the minimum DFS code. It keeps occurrence lists, every
+embedding of a frequent pattern in every graph that contains it, and
+matches a one-edge extension by extending those embeddings by the new edge,
+so mining runs no subgraph isomorphism search (gSpan's occurrence lists,
+Yan & Han, ICDM 2002, without its rightmost-path extension).
 
 A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
@@ -15,6 +19,8 @@ reconstructs the graph up to renaming.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .core import (
     DEFAULT_EDGE_LABEL,
@@ -26,10 +32,15 @@ from .core import (
     TransactionDB,
     edge_itemize,
     is_unique_labeled,
-    subgraph_isomorphic,
+    subgraph_isomorphic,  # still importable from this module; the miner does not call it
 )
 from .errors import InputError
 from .itemsets import MinSupport, mine_frequent_itemsets
+
+# An embedding maps pattern vertex i (pattern vids are 0..n-1) to host
+# vertex m[i]; occurrence lists hold every embedding per covering graph id.
+VertexMap = tuple[int, ...]
+Occurrences = dict[int, list[VertexMap]]
 
 # An isolated vertex with label l encodes as this sentinel; a real component
 # code always starts with discovery indices (0, 1), so no collision.
@@ -125,20 +136,33 @@ def canonical_code(g: LabeledGraph) -> tuple:
     return tuple(sorted(_component_min_code(comp, g) for comp in _components(g)))
 
 
-def _extensions(g: LabeledGraph, edge_types: set[tuple[int, int, int]]) -> list[LabeledGraph]:
+# A growth step adds one pattern edge (u, v, edge label) and says what it
+# adds: when new_label is None it closes u and v, both already in the
+# pattern; otherwise v is a new vertex with that label hanging off u.
+Step = tuple[int, int, int, int | None]
+
+
+def _extensions(
+    g: LabeledGraph, edge_types: list[tuple[int, int, int]]
+) -> Iterator[tuple[LabeledGraph, Step]]:
     # One-edge extensions restricted to edge types present in the database:
     # attach a new vertex to an existing one, or close a pair of existing
     # non-adjacent vertices. Every connected (k+1)-edge graph arises from a
     # connected k-edge subgraph this way (delete a leaf edge or a cycle edge),
-    # so growth is complete.
-    out: list[LabeledGraph] = []
+    # so growth is complete. edge_types is sorted, which fixes the order.
     next_vid = g.vertices[-1][0] + 1
     for vid, lv in g.vertices:
-        for la, lb, el in sorted(edge_types):
+        for la, lb, el in edge_types:
             if la == lv:
-                out.append(LabeledGraph.of(g.vertices + ((next_vid, lb),), g.edges + ((vid, next_vid, el),)))
+                yield (
+                    LabeledGraph.of(g.vertices + ((next_vid, lb),), g.edges + ((vid, next_vid, el),)),
+                    (vid, next_vid, el, lb),
+                )
             if lb == lv and la != lb:
-                out.append(LabeledGraph.of(g.vertices + ((next_vid, la),), g.edges + ((vid, next_vid, el),)))
+                yield (
+                    LabeledGraph.of(g.vertices + ((next_vid, la),), g.edges + ((vid, next_vid, el),)),
+                    (vid, next_vid, el, la),
+                )
     present = set(g.edge_lookup)
     verts = g.vertices
     for i in range(len(verts)):
@@ -148,10 +172,24 @@ def _extensions(g: LabeledGraph, edge_types: set[tuple[int, int, int]]) -> list[
             if (u, v) in present:
                 continue
             pa, pb = min(lu, lv), max(lu, lv)
-            for la, lb, el in sorted(edge_types):
+            for la, lb, el in edge_types:
                 if (la, lb) == (pa, pb):
-                    out.append(LabeledGraph.of(verts, g.edges + ((u, v, el),)))
-    return out
+                    yield LabeledGraph.of(verts, g.edges + ((u, v, el),)), (u, v, el, None)
+
+
+def _grow(embs: list[VertexMap], step: Step, host: LabeledGraph) -> list[VertexMap]:
+    """Extend each embedding of the parent in host by step, dropping those that fail."""
+    u, v, el, new_label = step
+    if new_label is None:
+        edge = host.edge_lookup.get
+        return [m for m in embs if edge((m[u], m[v]) if m[u] < m[v] else (m[v], m[u])) == el]
+    nbrs, labels = host.neighbors, host.label_map
+    return [
+        m + (w,)
+        for m in embs
+        for w, hel in nbrs[m[u]]
+        if hel == el and labels[w] == new_label and w not in m
+    ]
 
 
 def mine_frequent_graphs_general(
@@ -160,10 +198,14 @@ def mine_frequent_graphs_general(
     """Frequent connected subgraph patterns with 1..max_edges edges.
 
     Support counts database graphs containing the pattern (at least one
-    subgraph isomorphism), never occurrences. Candidates are deduplicated by
-    canonical code, and each level only rechecks the parent's cover since
-    support is anti-monotone under subgraph inclusion. Results are ordered by
-    (edge count, canonical code) with pids 1..n.
+    subgraph isomorphism), never occurrences. Each frequent pattern keeps
+    its occurrence lists, every embedding in every graph of its cover, and
+    a one-edge extension is matched by extending those embeddings by its
+    new edge instead of searching the hosts again; it stops as soon as the
+    candidate has missed too many of the parent's graphs to reach the
+    threshold. Only a candidate that turns out frequent is canonicalised;
+    the first frequent candidate of each isomorphism class stands for it.
+    Results are ordered by (edge count, canonical code) with pids 1..n.
     """
     if len(db) == 0:
         raise InputError("database must be nonempty")
@@ -173,45 +215,59 @@ def mine_frequent_graphs_general(
     if sigma > len(db):
         return []
 
-    edge_types: set[tuple[int, int, int]] = set()
-    for _, g in db.records():
+    # One scan of the host edges gives every embedding of every one-edge
+    # pattern (la, lb, el) with la <= lb: both orientations when la == lb.
+    seeds: dict[tuple[int, int, int], Occurrences] = {}
+    for gid, g in db.records():
         lbl = g.label_map
         for u, v, el in g.edges:
             la, lb = lbl[u], lbl[v]
-            edge_types.add((min(la, lb), max(la, lb), el))
+            if la > lb:
+                la, lb, u, v = lb, la, v, u
+            embs = seeds.setdefault((la, lb, el), {}).setdefault(gid, [])
+            embs.append((u, v))
+            if la == lb:
+                embs.append((v, u))
 
-    level: dict[tuple, tuple[LabeledGraph, frozenset[int]]] = {}
-    for la, lb, el in sorted(edge_types):
-        pat = LabeledGraph(((0, la), (1, lb)), ((0, 1, el),))
-        cover = frozenset(gid for gid, g in db.records() if subgraph_isomorphic(pat, g) is not None)
-        if len(cover) >= sigma:
-            level[canonical_code(pat)] = (pat, cover)
+    level: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}
+    for (la, lb, el), occ in sorted(seeds.items()):
+        if len(occ) >= sigma:
+            pat = LabeledGraph(((0, la), (1, lb)), ((0, 1, el),))
+            level[canonical_code(pat)] = (pat, occ)
+    edge_types = sorted(seeds)
 
-    collected = list(level.items())
+    collected = [(code, pat, frozenset(occ)) for code, (pat, occ) in level.items()]
     k = 1
     while level and (max_edges is None or k < max_edges):
-        grown: dict[tuple, tuple[LabeledGraph, frozenset[int]]] = {}
-        rejected: set[tuple] = set()
-        for _, (pat, cover) in sorted(level.items()):
-            for cand in _extensions(pat, edge_types):
-                code = canonical_code(cand)
-                if code in grown or code in rejected:
-                    continue
-                new_cover = frozenset(
-                    gid for gid in cover if subgraph_isomorphic(cand, db.graphs[gid - 1]) is not None
-                )
-                if len(new_cover) >= sigma:
-                    grown[code] = (cand, new_cover)
-                else:
-                    rejected.add(code)
-        collected.extend(grown.items())
+        grown: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}
+        for code in sorted(level):
+            # A parent's lists are dropped once its extensions are grown.
+            pat, occ = level.pop(code)
+            for cand, step in _extensions(pat, edge_types):
+                cand_occ: Occurrences = {}
+                spare = len(occ) - sigma  # parent hosts the candidate may miss
+                for gid, embs in occ.items():
+                    found = _grow(embs, step, db.graphs[gid - 1])
+                    if found:
+                        cand_occ[gid] = found
+                    elif spare == 0:
+                        break
+                    else:
+                        spare -= 1
+                # Support is the same for every member of an isomorphism
+                # class, so canonicalising only frequent candidates still
+                # makes the first candidate of each frequent class stand
+                # for it.
+                if len(cand_occ) >= sigma:
+                    grown.setdefault(canonical_code(cand), (cand, cand_occ))
+        collected.extend((code, pat, frozenset(occ)) for code, (pat, occ) in grown.items())
         level = grown
         k += 1
 
-    collected.sort(key=lambda entry: (entry[1][0].edge_count, entry[0]))
+    collected.sort(key=lambda entry: (entry[1].edge_count, entry[0]))
     return [
         PatternRecord(pid=pid, pattern=pat, support=len(cover), cover=cover, size=pat.edge_count)
-        for pid, (_, (pat, cover)) in enumerate(collected, start=1)
+        for pid, (_, pat, cover) in enumerate(collected, start=1)
     ]
 
 

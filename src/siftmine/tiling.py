@@ -174,6 +174,31 @@ def _union(masks) -> int:
     return covered
 
 
+def _error_scorer(matrix: BinaryMatrix, mode: str, tiles, candidates=None):
+    """Check the mode and mask the tiles once; returns terms(positions).
+
+    terms gives (ones outside, zeros inside) of the union of the tiles at
+    the given positions. In coverable mode the outside term counts only ones
+    of some candidate tile; candidates defaults to tiles.
+    """
+    if mode not in ERROR_MODES:
+        raise InputError(f"unknown error mode {mode!r}")
+    rects, ones = _tile_masks(matrix, tiles)
+    data = matrix._ones_mask
+    if mode == "full":
+        target = data
+    else:
+        if candidates is not None:
+            _, ones = _tile_masks(matrix, candidates)
+        target = _union(ones)
+
+    def terms(positions) -> tuple[int, int]:
+        covered = _union(rects[i] for i in positions)
+        return (target & ~covered).bit_count(), (covered & ~data).bit_count()
+
+    return terms
+
+
 def error_terms(
     matrix: BinaryMatrix,
     tiles: list[Tile],
@@ -186,19 +211,7 @@ def error_terms(
     tile of the candidate universe; candidates defaults to the selection
     itself, so selectors must pass the full candidate list.
     """
-    if mode not in ERROR_MODES:
-        raise InputError(f"unknown error mode {mode!r}")
-    rects, ones = _tile_masks(matrix, tiles)
-    covered = _union(rects)
-    data = matrix._ones_mask
-    zeros_inside = (covered & ~data).bit_count()
-    if mode == "full":
-        target = data
-    else:
-        if candidates is not None:
-            _, ones = _tile_masks(matrix, candidates)
-        target = _union(ones)
-    return (target & ~covered).bit_count(), zeros_inside
+    return _error_scorer(matrix, mode, tiles, candidates)(range(len(tiles)))
 
 
 def error(

@@ -91,7 +91,10 @@ def random_sequences(rng: random.Random, max_symbols=4, max_rows=5, max_len=8) -
     return SequenceDB(tuple(rows), symbols)
 
 
-def random_graph(rng: random.Random, labels, max_vertices=7, max_extra_edges=4) -> LabeledGraph:
+def random_graph(
+    rng: random.Random, labels, max_vertices=7, max_extra_edges=4, edge_labels=None
+) -> LabeledGraph:
+    """A random labeled graph, mostly connected; edges draw from edge_labels when given."""
     n = rng.randint(1, max_vertices)
     vertices = [(v, rng.choice(labels)) for v in range(n)]
     edges = set()
@@ -106,7 +109,9 @@ def random_graph(rng: random.Random, labels, max_vertices=7, max_extra_edges=4) 
     rng.shuffle(pairs)
     for pair in pairs[: rng.randint(0, max_extra_edges)]:
         edges.add(pair)
-    return LabeledGraph.of(vertices, sorted(edges))
+    if edge_labels is None:
+        return LabeledGraph.of(vertices, sorted(edges))
+    return LabeledGraph.of(vertices, [(u, v, rng.choice(edge_labels)) for u, v in sorted(edges)])
 
 
 def random_graph_db(rng: random.Random, max_graphs=4, n_labels=3, max_vertices=7) -> GraphDB:

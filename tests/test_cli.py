@@ -16,11 +16,15 @@ from siftmine import (
     EMPTY_EXPR,
     MinSupport,
     condense,
+    generate_candidates,
+    load_matrix,
     load_patterns,
+    load_tiles,
     load_transactions,
     mine_frequent_itemsets,
     partition_valid,
 )
+from siftmine.oracle import tiling_error_bruteforce
 
 TXNS = "a b d e\nb c e\na e\n"
 SEQS = "a b c d a e b\nb c e b\na a e\n"
@@ -57,6 +61,148 @@ ITEMSET_LINES = [
     "pid=5 kind=itemset support=2 size=2 elements=b,e cover=1,2",
 ]
 
+# Two vertex labels, three edge labels, a triangle and a 4-cycle: the
+# general miner's vertex numbering shows in these files.
+LABELED_GRAPHS = """t # 1
+v 0 a
+v 1 a
+v 2 b
+v 3 b
+v 4 a
+e 0 1 x
+e 1 2
+e 2 0
+e 2 3 y
+e 3 4
+t # 2
+v 0 b
+v 1 a
+v 2 a
+v 3 b
+e 0 1
+e 1 2 x
+e 2 3
+e 3 0 y
+t # 3
+v 0 a
+v 1 b
+v 2 a
+v 3 b
+v 4 b
+e 0 1
+e 1 2
+e 0 2 x
+e 3 4 y
+e 2 4
+"""
+
+LABELED_MINSUP_1_LINES = [
+    "pid=1 kind=graph support=3 size=1 vertices=0:a,1:b edges=0-1:0 cover=1,2,3",
+    "pid=2 kind=graph support=3 size=1 vertices=0:a,1:a edges=0-1:x cover=1,2,3",
+    "pid=3 kind=graph support=3 size=1 vertices=0:b,1:b edges=0-1:y cover=1,2,3",
+    "pid=4 kind=graph support=1 size=2 vertices=0:a,1:b,2:b edges=0-1:0,0-2:0 cover=3",
+    "pid=5 kind=graph support=3 size=2 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x cover=1,2,3",
+    "pid=6 kind=graph support=2 size=2 vertices=0:a,1:b,2:a edges=0-1:0,1-2:0 cover=1,3",
+    "pid=7 kind=graph support=3 size=2 vertices=0:a,1:b,2:b edges=0-1:0,1-2:y cover=1,2,3",
+    "pid=8 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,0-3:x cover=3",
+    "pid=9 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,1-3:0 cover=3",
+    "pid=10 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:b edges=0-1:0,0-2:0,1-3:y cover=3",
+    "pid=11 kind=graph support=2 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,2-3:0 cover=2,3",
+    "pid=12 kind=graph support=1 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,1-2:0,1-3:y cover=1",
+    "pid=13 kind=graph support=2 size=3 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x,1-2:0 cover=1,3",
+    "pid=14 kind=graph support=3 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y cover=1,2,3",
+    "pid=15 kind=graph support=2 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,1-2:y,2-3:0 cover=1,2",
+    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,0-3:x,1-3:0 cover=3",
+    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,0-3:x,1-4:y cover=3",
+    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:b edges=0-1:0,0-2:x,1-4:y,2-3:0 cover=3",
+    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,1-3:0,2-4:y cover=3",
+    "pid=20 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,1-2:0,1-3:y,3-4:0 cover=1",
+    "pid=21 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-2:0,1-3:y cover=1",
+    "pid=22 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,0-2:x,1-3:y,3-4:0 cover=1",
+    "pid=23 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y,2-3:0 cover=2",
+    "pid=24 kind=graph support=1 size=5 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,0-3:x,1-3:0,2-4:y cover=3",
+    "pid=25 kind=graph support=1 size=5 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,0-2:x,1-2:0,1-3:y,3-4:0 cover=1",
+]
+
+LABELED_MINSUP_2_LINES = [
+    "pid=1 kind=graph support=3 size=1 vertices=0:a,1:b edges=0-1:0 cover=1,2,3",
+    "pid=2 kind=graph support=3 size=1 vertices=0:a,1:a edges=0-1:x cover=1,2,3",
+    "pid=3 kind=graph support=3 size=1 vertices=0:b,1:b edges=0-1:y cover=1,2,3",
+    "pid=4 kind=graph support=3 size=2 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x cover=1,2,3",
+    "pid=5 kind=graph support=2 size=2 vertices=0:a,1:b,2:a edges=0-1:0,1-2:0 cover=1,3",
+    "pid=6 kind=graph support=3 size=2 vertices=0:a,1:b,2:b edges=0-1:0,1-2:y cover=1,2,3",
+    "pid=7 kind=graph support=2 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,2-3:0 cover=2,3",
+    "pid=8 kind=graph support=2 size=3 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x,1-2:0 cover=1,3",
+    "pid=9 kind=graph support=3 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y cover=1,2,3",
+    "pid=10 kind=graph support=2 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,1-2:y,2-3:0 cover=1,2",
+]
+
+# One 1 in row 4 lies in no candidate tile, so the two error modes differ.
+MATRIX_4X3 = MATRIX + "1 0 0\n"
+
+# `tile --method all --threshold 9` over TILES: every nonempty subset, in
+# enumeration order, with (ones_outside, zeros_inside) per error mode.
+ALL_SELECTIONS = ["3", "2", "2,3", "1", "1,3", "1,2", "1,2,3"]
+ALL_TERMS = {
+    "coverable": [(3, 1), (4, 2), (2, 2), (2, 2), (0, 2), (1, 3), (0, 3)],
+    "full": [(4, 1), (5, 2), (3, 2), (3, 2), (1, 2), (2, 3), (1, 3)],
+}
+
+
+def all_report(mode):
+    head = ["method=all", f"error_mode={mode}", "threshold=9", "candidates=3", "status=ok"]
+    tiles = [
+        "tile=1 rows=1,2 cols=1,2,3 ones=4",
+        "tile=2 rows=2,3 cols=1,2 ones=2",
+        "tile=3 rows=2,3 cols=2,3 ones=3",
+    ]
+    sels = [
+        f"selection={ids} k={ids.count(',') + 1} ones_outside={out} zeros_inside={zin} error={out + zin}"
+        for ids, (out, zin) in zip(ALL_SELECTIONS, ALL_TERMS[mode])
+    ]
+    return "".join(line + "\n" for line in head + tiles + sels + ["solutions=7"])
+
+
+def noisy_matrix() -> str:
+    """Three overlapping noisy blocks in 24x9: seven candidates at tau 0.7."""
+    rng = random.Random(2024)
+    blocks = [(range(0, 10), range(0, 4)), (range(6, 18), range(3, 7)), (range(14, 24), range(6, 9))]
+    rows = [
+        " ".join(
+            str(int(rng.random() < (0.85 if any(r in br and c in bc for br, bc in blocks) else 0.12)))
+            for c in range(9)
+        )
+        for r in range(24)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def run_cli_process(hash_seed, *argv):
+    """The CLI in a fresh interpreter with the given PYTHONHASHSEED."""
+    src = str(Path(siftmine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "siftmine.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def check_report_terms(report, matrix, candidates, mode):
+    """Every selection line's error terms equal the cell-by-cell oracle's."""
+    by_id = {t.tile_id: t for t in candidates}
+    n = 0
+    for line in report.splitlines():
+        if not line.startswith("selection="):
+            continue
+        fields = dict(token.split("=") for token in line.split())
+        chosen = [by_id[int(tid)] for tid in fields["selection"].split(",")]
+        ones_outside, zeros_inside = int(fields["ones_outside"]), int(fields["zeros_inside"])
+        # an empty candidate universe leaves only the zeros inside
+        assert zeros_inside == tiling_error_bruteforce(matrix, chosen, "coverable", [])
+        assert ones_outside + zeros_inside == tiling_error_bruteforce(matrix, chosen, mode, candidates)
+        assert int(fields["error"]) == ones_outside + zeros_inside
+        n += 1
+    return n
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -66,6 +212,8 @@ def workdir(tmp_path):
         ("matrix.txt", MATRIX),
         ("tiles.txt", TILES),
         ("graphs.txt", GRAPHS),
+        ("labeled.txt", LABELED_GRAPHS),
+        ("matrix4x3.txt", MATRIX_4X3),
     ]:
         (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
@@ -127,6 +275,32 @@ class TestMine:
         assert code == 0
         assert out.splitlines()[-1] == "mined 5 patterns (effective minimum support 2)"
         assert "edges=0-1:0,2-3:0" not in out  # connected patterns only
+
+    def test_graph_general_file_bytes(self, run, workdir):
+        out_file = workdir / "labeled.out"
+        code, out, _ = run(
+            "mine", "--type", "graph", "--input", "labeled.txt", "--minsup", "1", "--out", str(out_file)
+        )
+        assert (code, out) == (0, "mined 25 patterns (effective minimum support 1)\n")
+        assert out_file.read_bytes() == "".join(line + "\n" for line in LABELED_MINSUP_1_LINES).encode()
+        code, out, _ = run("mine", "--type", "graph", "--input", "labeled.txt", "--minsup", "2")
+        assert code == 0
+        assert out.splitlines() == LABELED_MINSUP_2_LINES + ["mined 10 patterns (effective minimum support 2)"]
+
+    def test_graph_output_independent_of_hash_seed(self, workdir):
+        out_file = workdir / "labeled.out"
+        seen = []
+        for seed in ("1", "2"):
+            proc = run_cli_process(
+                seed, "mine", "--type", "graph", "--input", str(workdir / "labeled.txt"),
+                "--minsup", "1", "--out", str(out_file),
+            )
+            stdout = run_cli_process(
+                seed, "mine", "--type", "graph", "--input", str(workdir / "labeled.txt"), "--minsup", "2"
+            ).stdout
+            seen.append((proc.returncode, proc.stderr, proc.stdout, out_file.read_bytes(), stdout))
+        assert seen[0] == seen[1]
+        assert seen[0][:2] == (0, "")
 
     def test_max_len_wrong_type(self, run):
         code, out, err = run(
@@ -328,6 +502,27 @@ class TestTile:
         assert "selection=1,3 k=2 ones_outside=0 zeros_inside=2 error=2" in lines
 
 
+    @pytest.mark.parametrize("mode", ["coverable", "full"])
+    def test_all_report_bytes_and_terms(self, run, workdir, mode):
+        report = workdir / "all.out"
+        code, _, _ = run(
+            "tile", "--matrix", "matrix4x3.txt", "--candidates", "tiles.txt", "--threshold", "9",
+            "--method", "all", "--error-mode", mode, "--out", str(report),
+        )
+        assert code == 0
+        assert report.read_text() == all_report(mode)
+        matrix = load_matrix(workdir / "matrix4x3.txt")
+        assert check_report_terms(report.read_text(), matrix, load_tiles(workdir / "tiles.txt", matrix), mode) == 7
+        # generated candidates on a larger matrix: 127 selections
+        (workdir / "noisy.txt").write_text(noisy_matrix(), encoding="utf-8")
+        code, _, _ = run(
+            "tile", "--matrix", "noisy.txt", "--tau", "0.7", "--threshold", "216",
+            "--method", "all", "--error-mode", mode, "--out", str(report),
+        )
+        assert code == 0
+        matrix = load_matrix(workdir / "noisy.txt")
+        assert check_report_terms(report.read_text(), matrix, generate_candidates(matrix, 0.7), mode) == 127
+
     def test_exact_search_deeper_than_recursion_limit(self, run, workdir):
         # 1100 single-cell candidates: one search level per candidate
         (workdir / "tall.txt").write_text("1\n" * 1100, encoding="utf-8")
@@ -342,18 +537,7 @@ class TestTile:
         assert out.endswith("status=ok k=1 error=1099 selection=1100\n")
 
     def test_output_independent_of_hash_seed(self, workdir):
-        # three overlapping noisy blocks: seven candidates at tau 0.7
-        rng = random.Random(2024)
-        blocks = [(range(0, 10), range(0, 4)), (range(6, 18), range(3, 7)), (range(14, 24), range(6, 9))]
-        rows = [
-            " ".join(
-                str(int(rng.random() < (0.85 if any(r in br and c in bc for br, bc in blocks) else 0.12)))
-                for c in range(9)
-            )
-            for r in range(24)
-        ]
-        (workdir / "noisy.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        src = str(Path(siftmine.__file__).resolve().parents[1])
+        (workdir / "noisy.txt").write_text(noisy_matrix(), encoding="utf-8")
         methods = {
             "greedy": ("--error-mode", "full"),
             "optimal": ("--method", "optimal"),
@@ -362,11 +546,9 @@ class TestTile:
             seen = []
             for seed in ("1", "2"):
                 report = workdir / f"{name}-{seed}.out"
-                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "siftmine.cli", "tile", "--matrix", str(workdir / "noisy.txt"),
-                     "--threshold", "40", "--tau", "0.7", *extra, "--out", str(report)],
-                    capture_output=True, text=True, env=env, timeout=120,
+                proc = run_cli_process(
+                    seed, "tile", "--matrix", str(workdir / "noisy.txt"),
+                    "--threshold", "40", "--tau", "0.7", *extra, "--out", str(report),
                 )
                 assert proc.stderr == ""
                 seen.append((proc.returncode, proc.stdout, report.read_bytes()))

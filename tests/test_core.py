@@ -205,6 +205,16 @@ class TestSubgraphIsomorphic:
             host = random_graph(rng, labels, max_vertices=6, max_extra_edges=4)
             assert (subgraph_isomorphic(pat, host) is not None) == injective_map_exists(pat, host)
 
+    def test_path_longer_than_recursion_limit(self):
+        # one search level per pattern vertex: 1200 levels
+        n = 1200
+        path = LabeledGraph.of([(v, 1 + v % 2) for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+        longer = LabeledGraph(path.vertices + ((n, 2),), path.edges + ((n - 1, n, 0),))
+        # alternating labels on an even path leave the identity as the only map
+        assert subgraph_isomorphic(path, path) == {v: v for v in range(n)}
+        assert graph_included(path, longer)
+        assert not graph_included(longer, path)
+
     def test_edge_labels_must_match(self):
         pat = LabeledGraph.of([(0, 1), (1, 2)], [(0, 1, 5)])
         host = LabeledGraph.of([(0, 1), (1, 2)], [(0, 1, 6)])

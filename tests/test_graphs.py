@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmine import (
     GraphDB,
@@ -21,7 +23,7 @@ from siftmine.oracle import (
     frequent_graphs_unique_bruteforce,
 )
 
-from helpers import random_graph_db, random_unique_graph_db
+from helpers import random_graph, random_graph_db, random_unique_graph_db
 
 
 def relabel(g: LabeledGraph, perm: dict[int, int]) -> LabeledGraph:
@@ -208,6 +210,39 @@ class TestGeneralMiner:
                 for rep, cov in frequent_graphs_general_bruteforce(db, sigma, max_edges)
             }
             assert got == want, f"trial {trial} sigma {sigma} max_edges {max_edges}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        n_graphs=st.integers(1, 4),
+        max_vertices=st.integers(1, 6),
+        edgeless=st.lists(st.booleans(), min_size=4, max_size=4),
+        sigma_pick=st.integers(0, 3),
+        max_edges=st.sampled_from([None, 1, 2, 3, 4]),
+    )
+    def test_equals_bruteforce_with_edge_labels(self, rng, n_graphs, max_vertices, edgeless, sigma_pick, max_edges):
+        # Two vertex labels over up to six vertices repeat, so patterns have
+        # automorphic embeddings; two edge labels exercise the edge-label
+        # check of both the new-vertex and the closing step; some graphs are
+        # single vertices or lose their edges.
+        symbols = SymbolTable()
+        symbols.intern("0")
+        labels = [symbols.intern("A"), symbols.intern("B")]
+        edge_labels = [0, symbols.intern("x")]
+        graphs = []
+        for k in range(n_graphs):
+            g = random_graph(rng, labels, max_vertices, max_extra_edges=3, edge_labels=edge_labels)
+            graphs.append(LabeledGraph(g.vertices) if edgeless[k] else g)
+        db = GraphDB(tuple(graphs), symbols)
+        sigma = sigma_pick % len(db) + 1
+        mined = mine_frequent_graphs_general(db, MinSupport.absolute(sigma), max_edges)
+        got = {canonical_code(r.pattern): r.cover for r in mined}
+        want = {
+            canonical_code(rep): cov
+            for rep, cov in frequent_graphs_general_bruteforce(db, sigma, max_edges)
+        }
+        assert got == want
+        assert len(got) == len(mined)
 
     def test_unique_equals_general_on_connected(self, demo_graphs):
         f = demo_graphs
