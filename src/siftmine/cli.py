@@ -15,7 +15,7 @@ import sys
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import edge_itemize
+from .core import MinSupport, edge_itemize
 from .errors import BoundExceededError, InputError
 from .formats import (
     load_graphs,
@@ -31,7 +31,7 @@ from .formats import (
     write_tiling,
 )
 from .graphs import canonical_code, mine_frequent_graphs_general, mine_frequent_graphs_unique
-from .itemsets import MinSupport, mine_frequent_itemsets
+from .itemsets import mine_frequent_itemsets
 from .oracle import (
     brute_force_condense,
     frequent_graphs_general_bruteforce,

@@ -13,13 +13,17 @@ supported:
 The inclusion primitives at the bottom of the module (cover_itemset,
 find_embedding, subgraph_isomorphic, graph_included) define what "pattern p
 occurs in object x" means for each kind; everything else in the package is
-built on top of them.
+built on top of them. MinSupport, the threshold every miner takes, and
+mask_at, which builds the Python-int bitsets of the miners and the tiling
+kernel, live here too.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
@@ -73,6 +77,68 @@ class SymbolTable:
 
     def __repr__(self) -> str:
         return f"SymbolTable({self._labels!r})"
+
+
+@dataclass(frozen=True)
+class MinSupport:
+    """Minimum support threshold, absolute count or relative fraction."""
+
+    kind: str
+    value: int | float
+
+    def __post_init__(self):
+        if self.kind == "absolute":
+            if not isinstance(self.value, int) or self.value < 1:
+                raise InputError("absolute minimum support must be a positive integer")
+        elif self.kind == "relative":
+            if not 0 < float(self.value) <= 1:
+                raise InputError("relative minimum support must lie in (0, 1]")
+        else:
+            raise InputError(f"unknown minimum support kind {self.kind!r}")
+
+    @classmethod
+    def absolute(cls, value: int) -> "MinSupport":
+        return cls("absolute", value)
+
+    @classmethod
+    def relative(cls, value: float) -> "MinSupport":
+        return cls("relative", value)
+
+    @classmethod
+    def parse(cls, text: str) -> "MinSupport":
+        """Integer text means absolute; decimal in (0, 1] means relative."""
+        text = text.strip()
+        try:
+            return cls.absolute(int(text))
+        except ValueError:
+            pass
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputError(f"cannot parse minimum support {text!r}") from None
+        return cls.relative(value)
+
+    def effective(self, db_size: int) -> int:
+        """Absolute threshold for a database of db_size objects, at least 1.
+
+        Relative thresholds go through Fraction(str(value)) so the ceiling is
+        exact for decimal input (no float-epsilon drift).
+        """
+        if self.kind == "absolute":
+            return max(1, int(self.value))
+        return max(1, math.ceil(Fraction(str(self.value)) * db_size))
+
+
+def mask_at(positions: Iterable[int], n_bits: int) -> int:
+    """The int with exactly the given bit positions set, all below n_bits.
+
+    Bits are set in a bytearray and converted once, so the cost is linear
+    in n_bits plus the number of positions.
+    """
+    buf = bytearray((n_bits + 7) // 8)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)

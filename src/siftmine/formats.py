@@ -15,6 +15,8 @@ back to exactly the same outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 from urllib.parse import quote, unquote
@@ -279,6 +281,25 @@ def _q(label: str) -> str:
     return quote(label, safe="")
 
 
+@cache
+def _id_text() -> dict[int, str]:
+    """Decimal text of the ids covers list most, made on first use only.
+
+    A dict, so a negative or a larger id misses and its cover falls back
+    to str(); commands that write no cover never build it.
+    """
+    return {i: str(i) for i in range(1 << 10)}
+
+
+def _ids_text(ids: tuple[int, ...]) -> str:
+    if len(ids) > 1:  # itemgetter of one key returns the value, not a tuple
+        try:
+            return ",".join(itemgetter(*ids)(_id_text()))
+        except KeyError:
+            pass
+    return ",".join(map(str, ids))
+
+
 def record_to_output(
     rec: PatternRecord,
     symbols: SymbolTable,
@@ -325,7 +346,7 @@ def output_to_line(out: PatternOutput) -> str:
     else:
         raise InputError(f"unknown pattern kind {out.kind!r}")
     if out.cover is not None:
-        parts.append("cover=" + ",".join(str(tid) for tid in out.cover))
+        parts.append("cover=" + _ids_text(out.cover))
     if out.valid is not None:
         parts.append(f"valid={int(out.valid)}")
     if out.condensed is not None:

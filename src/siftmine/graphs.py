@@ -27,6 +27,7 @@ from .core import (
     GraphDB,
     Itemset,
     LabeledGraph,
+    MinSupport,
     PatternRecord,
     SymbolTable,
     TransactionDB,
@@ -35,7 +36,7 @@ from .core import (
     subgraph_isomorphic,  # still importable from this module; the miner does not call it
 )
 from .errors import InputError
-from .itemsets import MinSupport, mine_frequent_itemsets
+from .itemsets import mine_frequent_itemsets
 
 # An embedding maps pattern vertex i (pattern vids are 0..n-1) to host
 # vertex m[i]; occurrence lists hold every embedding per covering graph id.
@@ -78,50 +79,47 @@ def _component_min_code(comp: list[int], g: LabeledGraph) -> tuple:
     def ekey(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
+    # A search state is (DFS vertex stack, discovery indices, emitted edges,
+    # code so far). Forced steps update the state in place; a branch point
+    # pushes the later ties on `pending` and goes on with the first, so ties
+    # are searched depth-first in ranked order. A state whose code exceeds
+    # the prefix of `best` cannot complete to a smaller code and is dropped.
     best: list[tuple] | None = None
-
-    def search(stack: list[int], disc: dict[int, int], emitted: frozenset, code: list[tuple]) -> None:
-        nonlocal best
-        if best is not None and code > best[: len(code)]:
-            return
-        if len(code) == n_edges:
-            if best is None or code < best:
-                best = list(code)
-            return
-        if not stack:
-            return
-        u = stack[-1]
-        # Backward edges from the current vertex are forced, emitted in
-        # ascending discovery index of the target.
-        back = sorted((disc[w], w) for w in adj[u] if w in disc and ekey(u, w) not in emitted)
-        if back:
-            ext = [(disc[u], dw, label[u], elabel[ekey(u, w)], label[w]) for dw, w in back]
-            search(stack, disc, emitted | {ekey(u, w) for _, w in back}, code + ext)
-            return
-        fwd = sorted(set(w for w in adj[u] if w not in disc))
-        if fwd:
+    start_label = min(label[v] for v in comp)
+    pending = [([v0], {v0: 0}, set(), []) for v0 in reversed(comp) if label[v0] == start_label]
+    while pending:
+        stack, disc, emitted, code = pending.pop()
+        while best is None or code <= best[: len(code)]:
+            if len(code) == n_edges:
+                if best is None or code < best:
+                    best = code
+                break
+            if not stack:
+                break
+            u = stack[-1]
+            # Backward edges from the current vertex are forced, emitted in
+            # ascending discovery index of the target.
+            back = sorted((disc[w], w) for w in adj[u] if w in disc and ekey(u, w) not in emitted)
+            if back:
+                code.extend((disc[u], dw, label[u], elabel[ekey(u, w)], label[w]) for dw, w in back)
+                emitted.update(ekey(u, w) for _, w in back)
+                continue
+            fwd = set(w for w in adj[u] if w not in disc)
+            if not fwd:
+                stack.pop()
+                continue
             # Only minimal next tuples can start a minimal completion; ties
             # still branch because their futures differ.
             ranked = sorted((elabel[ekey(u, w)], label[w], w) for w in fwd)
-            lowest = ranked[0][:2]
-            for el, lw, w in ranked:
-                if (el, lw) != lowest:
-                    break
-                disc2 = dict(disc)
-                disc2[w] = len(disc)
-                search(
-                    stack + [w],
-                    disc2,
-                    emitted | {ekey(u, w)},
-                    code + [(disc[u], disc2[w], label[u], el, lw)],
-                )
-            return
-        search(stack[:-1], disc, emitted, code)
-
-    start_label = min(label[v] for v in comp)
-    for v0 in comp:
-        if label[v0] == start_label:
-            search([v0], {v0: 0}, frozenset(), [])
+            ties = [t for t in ranked if t[:2] == ranked[0][:2]]
+            for el, lw, w in reversed(ties[1:]):
+                step = (stack + [w], {**disc, w: len(disc)}, emitted | {ekey(u, w)})
+                pending.append((*step, code + [(disc[u], len(disc), label[u], el, lw)]))
+            el, lw, w = ties[0]
+            code.append((disc[u], len(disc), label[u], el, lw))
+            disc[w] = len(disc)
+            stack.append(w)
+            emitted.add(ekey(u, w))
     assert best is not None
     return tuple(best)
 

@@ -1,68 +1,37 @@
-"""Frequent itemset mining over vertical tid-lists.
+"""Frequent itemset mining over vertical tid bitsets (Eclat).
 
-Depth-first search over the item lattice: each frequent prefix stores its
-tid-list, and extending a prefix by one item is a single intersection.
-Infrequent prefixes prune the whole subtree (support is anti-monotone).
+Each frequent item keeps one Python int, its tid mask: bit tid is set for
+every transaction tid that contains the item (tids start at 1, so bit 0 is
+never set). The mask of an itemset is the AND of its items' masks, and its
+support is the popcount, so extending a prefix by one item costs one
+big-int AND and one `bit_count()`, about n/64 machine words for n
+transactions, instead of a set intersection over Python objects (Zaki,
+"Scalable Algorithms for Association Mining", TKDE 2000).
+
+The search is depth-first over the item lattice on an explicit stack.
+Support is anti-monotone, so a prefix is only extended by the items that
+were frequent beside it under its parent, in item order. A mask becomes a
+frozenset cover once per frequent itemset, when the itemset is found.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
 
-from .core import Itemset, PatternRecord, TransactionDB
+from .core import Itemset, MinSupport, PatternRecord, TransactionDB, mask_at
 from .errors import InputError
 
+# Read backwards without its "0b", bin(mask) spells bit k at index k as
+# "0" or "1"; this table makes those bytes 0 and 1 for itertools.compress.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
-class MinSupport:
-    """Minimum support threshold, absolute count or relative fraction."""
 
-    kind: str
-    value: int | float
+def _cover(mask: int, tids: tuple[int, ...]) -> frozenset[int]:
+    """The set bit positions of mask, found at C speed with no per-bit loop.
 
-    def __post_init__(self):
-        if self.kind == "absolute":
-            if not isinstance(self.value, int) or self.value < 1:
-                raise InputError("absolute minimum support must be a positive integer")
-        elif self.kind == "relative":
-            if not 0 < float(self.value) <= 1:
-                raise InputError("relative minimum support must lie in (0, 1]")
-        else:
-            raise InputError(f"unknown minimum support kind {self.kind!r}")
-
-    @classmethod
-    def absolute(cls, value: int) -> "MinSupport":
-        return cls("absolute", value)
-
-    @classmethod
-    def relative(cls, value: float) -> "MinSupport":
-        return cls("relative", value)
-
-    @classmethod
-    def parse(cls, text: str) -> "MinSupport":
-        """Integer text means absolute; decimal in (0, 1] means relative."""
-        text = text.strip()
-        try:
-            return cls.absolute(int(text))
-        except ValueError:
-            pass
-        try:
-            value = float(text)
-        except ValueError:
-            raise InputError(f"cannot parse minimum support {text!r}") from None
-        return cls.relative(value)
-
-    def effective(self, db_size: int) -> int:
-        """Absolute threshold for a database of db_size objects, at least 1.
-
-        Relative thresholds go through Fraction(str(value)) so the ceiling is
-        exact for decimal input (no float-epsilon drift).
-        """
-        if self.kind == "absolute":
-            return max(1, int(self.value))
-        return max(1, math.ceil(Fraction(str(self.value)) * db_size))
+    tids[k] is k; covers share those int objects rather than each making its own.
+    """
+    return frozenset(compress(tids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
 def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -82,22 +51,29 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
     for tid, txn in db.records():
         for item in txn:
             tidlists.setdefault(item, set()).add(tid)
-    frequent_items = sorted(item for item, tids in tidlists.items() if len(tids) >= sigma)
+    tids = tuple(range(len(db) + 1))
+    bits = {item: mask_at(t, len(tids)) for item, t in tidlists.items() if len(t) >= sigma}
 
+    # A stack entry is a frequent prefix, its tid mask, and the items that
+    # may extend it: those after its last item that were frequent beside it.
     found: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << len(tids)) - 2, sorted(bits))]
+    while stack:
+        prefix, prefix_mask, tail = stack.pop()
+        kids = []
+        for item in tail:
+            mask = prefix_mask & bits[item]
+            if mask.bit_count() >= sigma:
+                items = prefix + (item,)
+                found.append((items, _cover(mask, tids)))
+                kids.append((items, mask))
+        kid_items = [items[-1] for items, _ in kids]
+        # Pushed last to first, so the first kid is extended first.
+        for k in range(len(kids) - 2, -1, -1):
+            stack.append((*kids[k], kid_items[k + 1 :]))
 
-    def grow(prefix: tuple[int, ...], prefix_tids: frozenset[int] | None, start: int) -> None:
-        for idx in range(start, len(frequent_items)):
-            item = frequent_items[idx]
-            tids = frozenset(tidlists[item]) if prefix_tids is None else prefix_tids & tidlists[item]
-            if len(tids) >= sigma:
-                extended = prefix + (item,)
-                found.append((extended, tids))
-                grow(extended, tids, idx + 1)
-
-    grow((), None, 0)
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return [
-        PatternRecord(pid=pid, pattern=Itemset(items), support=len(tids), cover=tids, size=len(items))
-        for pid, (items, tids) in enumerate(found, start=1)
+        PatternRecord(pid=pid, pattern=Itemset(items), support=len(cover), cover=cover, size=len(items))
+        for pid, (items, cover) in enumerate(found, start=1)
     ]

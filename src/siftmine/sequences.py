@@ -1,17 +1,40 @@
-"""Frequent sequence mining by prefix growth.
+"""Frequent sequence mining on position bitmaps (SPAM).
 
-A pattern's projected database holds, per supporting sequence, the scan
-position just after the leftmost embedding of the pattern. Extending the
-pattern by one symbol only needs the first occurrence of that symbol at or
-after the stored position, so each growth step touches each supporting
-sequence once. Support counts supporting sequences, never embeddings.
+The whole database is one Python int. Each sequence owns a byte-aligned
+segment of len(seq) // 8 + 1 bytes: bit p of the segment stands for
+position p, and the top bit of the segment's last byte, which no position
+reaches, is the segment's guard. Each frequent symbol keeps a position
+mask, its positions in every sequence; `starts` holds the lowest bit of
+every segment and `guards` every guard bit.
+
+A pattern's projection holds, in each supporting sequence, the positions
+strictly after the end of the pattern's leftmost embedding. Extending the
+pattern by symbol s needs the first occurrence of s in the projection of
+every segment, which a few big-int operations find at once:
+
+    hits = proj & pos[s] | guards   # every segment now has a set bit
+    upto = (hits - starts) ^ hits   # each segment's bits up to its first hit
+
+Subtracting a segment's start bit clears its lowest set bit and sets the
+bits below it; no borrow leaves a segment, since each holds a set bit. A
+segment whose first hit is its guard does not contain the extension, so
+the support is n - popcount(upto & guards), the extension's projection is
+the complement of upto, and its cover is the segments whose guard bit is
+not in upto. One extension costs a handful of operations over the D bytes
+of the database, about D/8 machine words each, instead of a scan of every
+supporting sequence (Ayres, Flannick, Gehrke & Yiu, "Sequential PAttern
+Mining using a Bitmap Representation", KDD 2002). The search is
+depth-first on an explicit stack. Support counts supporting sequences,
+never embeddings.
 """
 
 from __future__ import annotations
 
-from .core import PatternRecord, Sequence, SequenceDB
+from collections import Counter
+from itertools import compress
+
+from .core import MinSupport, PatternRecord, Sequence, SequenceDB, mask_at
 from .errors import InputError
-from .itemsets import MinSupport
 
 
 def mine_frequent_sequences(
@@ -30,30 +53,47 @@ def mine_frequent_sequences(
     if sigma > len(db):
         return []
 
-    seqs = db.sequences
+    counts = Counter(sym for seq in db.sequences for sym in set(seq))
+    symbols = sorted(sym for sym, count in counts.items() if count >= sigma)
+    at: dict[int, list[int]] = {sym: [] for sym in symbols}
+    starts_at: list[int] = []
+    guards_at: list[int] = []
+    sid_of_byte: list[int] = []  # the sid whose segment holds each byte
+    base = 0
+    for sid, seq in db.records():
+        for p, sym in enumerate(seq):
+            if sym in at:
+                at[sym].append(base + p)
+        width = len(seq) // 8 + 1
+        starts_at.append(base)
+        base += 8 * width
+        guards_at.append(base - 1)
+        sid_of_byte += [sid] * width
+    n, n_bytes = len(db), len(sid_of_byte)
+    pos = {sym: mask_at(bits, base) for sym, bits in at.items()}
+    starts, guards = mask_at(starts_at, base), mask_at(guards_at, base)
+    full = (1 << base) - 1
+
     found: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), full)]
+    while stack:
+        prefix, proj = stack.pop()
+        grow = max_len is None or len(prefix) + 1 < max_len
+        kids = []
+        for sym in symbols:
+            hits = proj & pos[sym] | guards
+            upto = (hits - starts) ^ hits
+            missed = upto & guards
+            if n - missed.bit_count() >= sigma:
+                pattern = prefix + (sym,)
+                # Only guard bytes are nonzero, one per covering sequence.
+                cover = frozenset(compress(sid_of_byte, (guards ^ missed).to_bytes(n_bytes, "little")))
+                found.append((pattern, cover))
+                if grow:
+                    kids.append((pattern, full ^ upto))
+        # Pushed last to first, so the first kid is extended first.
+        stack.extend(reversed(kids))
 
-    def grow(prefix: tuple[int, ...], projection: list[tuple[int, int]]) -> None:
-        # First occurrence of each symbol at or after the projection point.
-        firsts: dict[int, list[tuple[int, int]]] = {}
-        for sid, start in projection:
-            seq = seqs[sid - 1]
-            seen: set[int] = set()
-            for pos in range(start, len(seq)):
-                sym = seq[pos]
-                if sym not in seen:
-                    seen.add(sym)
-                    firsts.setdefault(sym, []).append((sid, pos + 1))
-        for sym in sorted(firsts):
-            supported = firsts[sym]
-            if len(supported) < sigma:
-                continue
-            pattern = prefix + (sym,)
-            found.append((pattern, frozenset(sid for sid, _ in supported)))
-            if max_len is None or len(pattern) < max_len:
-                grow(pattern, supported)
-
-    grow((), [(sid, 0) for sid, _ in db.records()])
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return [
         PatternRecord(pid=pid, pattern=Sequence(syms), support=len(cover), cover=cover, size=len(syms))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Itemset, TransactionDB, cover_itemset
+from .core import Itemset, TransactionDB, cover_itemset, mask_at
 from .errors import BoundExceededError, InputError
 
 ERROR_MODES = ("full", "coverable")
@@ -136,14 +136,6 @@ def area(tiles: list[Tile]) -> int:
     return len(covered)
 
 
-def _mask_at(positions, n_bits: int) -> int:
-    """The int with exactly the given bit positions set, all below n_bits."""
-    buf = bytearray((n_bits + 7) // 8)
-    for i in positions:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _tile_masks(matrix: BinaryMatrix, tiles) -> tuple[list[int], list[int]]:
     """(rectangle masks, ones masks) of the tiles, in order, checked against the matrix."""
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
@@ -156,13 +148,13 @@ def _tile_masks(matrix: BinaryMatrix, tiles) -> tuple[list[int], list[int]]:
             if any(not (1 <= r <= n_rows and 1 <= c <= n_cols) for r, c in t.ones):
                 raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
             raise InputError(f"tile {t.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
-        mask = _mask_at(((r - 1) * n_cols + c - 1 for r, c in t.ones), n_bits)
+        mask = mask_at(((r - 1) * n_cols + c - 1 for r, c in t.ones), n_bits)
         if mask & ~data:
             raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
         # One bit per chosen row times the column bits copies them into each
         # of those rows; col_bits < 2**n_cols, so the copies never carry.
         col_bits = sum(1 << (c - 1) for c in t.col_set)
-        rects.append(col_bits * _mask_at(((r - 1) * n_cols for r in t.row_set), n_bits))
+        rects.append(col_bits * mask_at(((r - 1) * n_cols for r in t.row_set), n_bits))
         ones.append(mask)
     return rects, ones
 

@@ -71,6 +71,12 @@ DEFINITIONAL = {
 }
 
 
+def canonical_records(found):
+    """An oracle's {pattern: cover} as (pid, pattern, support, cover) in canonical order."""
+    ordered = sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return [(pid, pat, len(cov), cov) for pid, (pat, cov) in enumerate(ordered, start=1)]
+
+
 def random_transactions(rng: random.Random, max_items=8, max_rows=8) -> TransactionDB:
     symbols = SymbolTable()
     n_items = rng.randint(1, max_items)

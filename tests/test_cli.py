@@ -302,6 +302,43 @@ class TestMine:
         assert seen[0] == seen[1]
         assert seen[0][:2] == (0, "")
 
+    def test_itemset_and_sequence_output_independent_of_hash_seed(self, workdir):
+        rng = random.Random(77)
+        labels = [f"x{k}" for k in range(9)]
+        (workdir / "wide.txt").write_text(
+            "".join(" ".join(rng.sample(labels, rng.randint(1, 6))) + "\n" for _ in range(40)), encoding="utf-8"
+        )
+        (workdir / "long.txt").write_text(
+            "".join(" ".join(rng.choices(labels[:4], k=rng.randint(1, 12))) + "\n" for _ in range(30)),
+            encoding="utf-8",
+        )
+        for kind, name, extra in (("itemset", "wide.txt", ()), ("sequence", "long.txt", ("--max-len", "4"))):
+            argv = ("mine", "--type", kind, "--input", str(workdir / name), "--minsup", "0.2", *extra)
+            out_file = workdir / f"{kind}.out"
+            seen = []
+            for seed in ("1", "2"):
+                proc = run_cli_process(seed, *argv, "--out", str(out_file))
+                stdout = run_cli_process(seed, *argv).stdout
+                seen.append((proc.returncode, proc.stderr, proc.stdout, out_file.read_bytes(), stdout))
+            assert seen[0] == seen[1]
+            assert seen[0][:2] == (0, "")
+            assert seen[0][3].count(b"\n") > 10
+
+    def test_sequence_deeper_than_recursion_limit(self, workdir):
+        # one search level per pattern length: a, aa, ..., a^1500
+        (workdir / "repeat.txt").write_text(("a " * 1500 + "\n") * 2, encoding="utf-8")
+        out_file = workdir / "repeat.out"
+        proc = run_cli_process(
+            "0", "mine", "--type", "sequence", "--input", str(workdir / "repeat.txt"), "--minsup", "2",
+            "--out", str(out_file),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "mined 1500 patterns (effective minimum support 2)\n"
+        lines = out_file.read_text().splitlines()
+        assert len(lines) == 1500
+        elements = ",".join(["a"] * 1500)
+        assert lines[-1] == f"pid=1500 kind=sequence support=2 size=1500 elements={elements} cover=1,2"
+
     def test_max_len_wrong_type(self, run):
         code, out, err = run(
             "mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "2", "--max-len", "3"

@@ -95,6 +95,16 @@ class TestCanonicalCode:
         paired = LabeledGraph.of([(5, x)], [])
         assert canonical_code(lonely) == canonical_code(paired)
 
+    def test_path_longer_than_recursion_limit(self):
+        # one DFS step per path edge: 1199 steps from every label-1 start
+        n = 1200
+        path = LabeledGraph.of([(v, 1 + v % 2) for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+        backwards = relabel(path, {v: n - 1 - v for v in range(n)})
+        (code,) = canonical_code(path)
+        assert len(code) == n - 1
+        assert code[0] == (0, 1, 1, 0, 2)
+        assert canonical_code(backwards) == (code,)
+
 
 class TestUniqueMiner:
     def test_two_graph_example(self, demo_graphs):

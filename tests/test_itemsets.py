@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmine import InputError, MinSupport, TransactionDB, SymbolTable, mine_frequent_itemsets
 from siftmine.oracle import frequent_itemsets_bruteforce
 
-from helpers import random_transactions
+from helpers import canonical_records, random_transactions
 
 
 class TestMinSupport:
@@ -126,3 +128,24 @@ class TestProperties:
     def test_supports_equal_cover_sizes(self, toy_items):
         for r in mine_frequent_itemsets(toy_items.db, MinSupport.absolute(1)):
             assert r.support == len(r.cover)
+
+
+class TestOracleParity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        # tid masks cross a byte boundary between 7 and 9 and again between 15 and 17
+        n_rows=st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17]),
+        n_items=st.integers(1, 6),
+        sigma_pick=st.integers(0, 16),
+    )
+    def test_equals_bruteforce(self, rng, n_rows, n_items, sigma_pick):
+        symbols = SymbolTable()
+        ids = [symbols.intern(f"i{k}") for k in range(n_items)]
+        rows = tuple(tuple(sorted(rng.sample(ids, rng.randint(0, n_items)))) for _ in range(n_rows))
+        db = TransactionDB(rows, symbols)
+        sigma = sigma_pick % n_rows + 1
+        mined = mine_frequent_itemsets(db, MinSupport.absolute(sigma))
+        got = [(r.pid, r.pattern.items, r.support, r.cover) for r in mined]
+        assert got == canonical_records(frequent_itemsets_bruteforce(db, sigma))
+        assert all(r.size == len(r.pattern.items) and type(r.cover) is frozenset for r in mined)

@@ -1,8 +1,11 @@
 """Sequence miner: worked-example values, length caps, oracle equivalence."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmine import (
     InputError,
@@ -13,9 +16,10 @@ from siftmine import (
     find_embedding,
     mine_frequent_sequences,
 )
+from siftmine import oracle
 from siftmine.oracle import frequent_sequences_bruteforce
 
-from helpers import random_sequences
+from helpers import canonical_records, random_sequences
 
 
 class TestWorkedExample:
@@ -96,6 +100,14 @@ class TestEdgeCases:
         by_sym = {r.pattern.symbols: r.support for r in recs}
         assert by_sym == {(a,): 1, (a, a): 1, (a, a, a): 1}
 
+    def test_single_symbol_deeper_than_recursion_limit(self):
+        # one search level per pattern length: a, aa, ..., a^1500
+        symbols = SymbolTable(["a"])
+        db = SequenceDB(((0,) * 1500, (0,) * 1500), symbols)
+        mined = mine_frequent_sequences(db, MinSupport.absolute(2))
+        assert [r.pattern.symbols for r in mined] == [(0,) * k for k in range(1, 1501)]
+        assert all(r.cover == {1, 2} for r in mined)
+
 
 class TestProperties:
     def test_prefix_anti_monotonicity(self, toy_seqs):
@@ -136,3 +148,33 @@ class TestProperties:
             got = {r.pattern.symbols: r.cover for r in mined}
             want = frequent_sequences_bruteforce(db, sigma, max_len)
             assert got == want, f"trial {trial} sigma {sigma} max_len {max_len}"
+
+
+class TestOracleParity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        n_seqs=st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17]),
+        # a sequence of length k takes k // 8 + 1 bytes: 7 | 8 and 15 | 16 change the width
+        lengths=st.lists(st.sampled_from([0, 1, 2, 3, 7, 8, 9, 15, 16, 17]), min_size=17, max_size=17),
+        n_symbols=st.integers(1, 3),
+        sigma_pick=st.integers(0, 16),
+        max_len=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_equals_bruteforce(self, rng, n_seqs, lengths, n_symbols, sigma_pick, max_len):
+        if max_len is None:
+            # Uncapped, the oracle enumerates every subsequence: stay inside its bounds.
+            n_seqs, lengths = min(n_seqs, oracle.MAX_SEQUENCES), [min(k, 9) for k in lengths]
+        symbols = SymbolTable()
+        ids = [symbols.intern(f"s{k}") for k in range(n_symbols)]
+        rows = tuple(tuple(rng.choice(ids) for _ in range(k)) for k in lengths[:n_seqs])
+        db = SequenceDB(rows, symbols)
+        sigma = sigma_pick % n_seqs + 1
+        mined = mine_frequent_sequences(db, MinSupport.absolute(sigma), max_len)
+        got = [(r.pid, r.pattern.symbols, r.support, r.cover) for r in mined]
+        # With at most 3 symbols per candidate the oracle's enumeration stays
+        # polynomial, so its size bounds are raised to reach 17 x 17 databases.
+        with mock.patch.multiple(oracle, MAX_SEQUENCES=17, MAX_SEQUENCE_LEN=17):
+            found = frequent_sequences_bruteforce(db, sigma, max_len)
+        assert got == canonical_records(found)
+        assert all(r.size == len(r.pattern.symbols) and type(r.cover) is frozenset for r in mined)
