@@ -27,6 +27,7 @@ from .formats import (
     load_weights,
     record_to_output,
     output_to_line,
+    read_text,
     write_patterns,
     write_tiling,
 )
@@ -50,10 +51,7 @@ def _usage(message: str) -> int:
 
 def _constraints_from_arg(arg: str):
     # A path if one exists at that name, otherwise inline constraint text.
-    if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return parse_constraints(fh.read())
-    return parse_constraints(arg)
+    return parse_constraints(read_text(arg) if os.path.exists(arg) else arg)
 
 
 def _emit_patterns(records, symbols, out_path, valid=None, condensed=None) -> None:

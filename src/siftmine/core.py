@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError
@@ -395,18 +396,76 @@ class GraphDB:
         return iter(enumerate(self.graphs, start=1))
 
 
+class TidTable(tuple):
+    """Tids by flag position, shared by every bitmap cover of one mining run."""
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The tids' decimal text, made once per table when covers are written."""
+        return tuple(map(str, self))
+
+
+class Cover:
+    """A pattern's tids, kept in their producer's form until they are read.
+
+    Either flags over a TidTable, compress(table, flags) being the tids in
+    ascending order (the miners' tid masks and guard bytes), or the checked
+    comma-separated text of a pattern file, written back verbatim.
+    """
+
+    __slots__ = ("flags", "table", "text")
+
+    def __init__(self, flags: bytes = b"", table: TidTable = TidTable(), text: str | None = None):
+        self.flags, self.table, self.text = flags, table, text
+
+    def __len__(self) -> int:
+        """Number of tids listed, counted without building a set."""
+        if self.text is not None:
+            return self.text.count(",") + 1 if self.text else 0
+        return len(self.flags) - self.flags.count(0)
+
+    def as_text(self) -> str:
+        if self.text is not None:
+            return self.text
+        return ",".join(compress(self.table.texts, self.flags))
+
+    def as_set(self) -> frozenset[int]:
+        if self.text is not None:
+            return frozenset(map(int, self.text.split(","))) if self.text else frozenset()
+        return frozenset(compress(self.table, self.flags))
+
+
+class _LazyCover:
+    """PatternRecord.cover: a held Cover becomes a frozenset on first read."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            raise AttributeError("cover")  # so the dataclass field has no default
+        held = rec.__dict__["_cover"]
+        if isinstance(held, Cover):
+            held = held.as_set()
+            if len(held) != rec.support:
+                raise InputError(f"pattern {rec.pid}: cover lists a tid more than once")
+            rec.__dict__["_cover"] = held
+        return held
+
+    def __set__(self, rec, value):
+        rec.__dict__["_cover"] = value
+
+
 @dataclass(frozen=True)
 class PatternRecord:
     """A mined pattern together with its support, cover, and size.
 
     cover may be None for records rebuilt from files that omitted it; when
-    present it must agree with support.
+    present it must agree with support. It may also be given as a Cover,
+    which is read as a frozenset, built on the first read.
     """
 
     pid: int
     pattern: Pattern
     support: int
-    cover: frozenset[int] | None
+    cover: frozenset[int] | None = _LazyCover()
     size: int
 
     def __post_init__(self):
@@ -414,7 +473,8 @@ class PatternRecord:
             raise InputError("pattern ids are 1-based")
         if self.support < 0:
             raise InputError("support must be nonnegative")
-        if self.cover is not None and len(self.cover) != self.support:
+        held = self.__dict__["_cover"]  # len() of a Cover builds no set
+        if held is not None and len(held) != self.support:
             raise InputError("support must equal the cover cardinality")
         if self.size != pattern_size(self.pattern):
             raise InputError("size must match the pattern")
@@ -423,10 +483,12 @@ class PatternRecord:
     def kind(self) -> str:
         return pattern_kind(self.pattern)
 
-
-def make_record(pid: int, pattern: Pattern, cover: Iterable[int]) -> PatternRecord:
-    cov = frozenset(cover)
-    return PatternRecord(pid=pid, pattern=pattern, support=len(cov), cover=cov, size=pattern_size(pattern))
+    def cover_text(self) -> str | None:
+        """The cover as pattern-file text, tids ascending unless read from a file; builds no set."""
+        held = self.__dict__["_cover"]
+        if isinstance(held, Cover):
+            return held.as_text()
+        return None if held is None else ",".join(map(str, sorted(held)))
 
 
 # ---------------------------------------------------------------------------

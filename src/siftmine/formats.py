@@ -9,19 +9,21 @@ identical id assignments.
 
 Pattern files are line-oriented key=value records. Labels are percent-quoted
 so any non-whitespace token round-trips losslessly; a written file parses
-back to exactly the same outputs.
+back to exactly the same outputs. Covers stay checked text from reader to
+writer; a set of tids is built only for a record whose cover is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cache
-from operator import itemgetter
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 from urllib.parse import quote, unquote
 
 from .core import (
+    Cover,
     GraphDB,
     Itemset,
     LabeledGraph,
@@ -35,12 +37,29 @@ from .errors import InputError
 from .tiling import BinaryMatrix, Tile, TileSelection, _error_scorer
 
 
-def _read_lines(path) -> list[str]:
+def read_text(path) -> str:
+    """A whole UTF-8 file; a file that cannot be read or decoded is an InputError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    return text.splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _read_lines(path) -> list[str]:
+    return read_text(path).splitlines()
+
+
+def _int(text: str) -> int:
+    """A plain ASCII decimal; signs, underscores and other digits raise ValueError."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(text)
+
+
+# Comma-separated plain decimals: covers, and tile rows and columns.
+_INT_LIST = re.compile(r"\d+(?:,\d+)*", re.ASCII)
 
 
 def load_transactions(path) -> TransactionDB:
@@ -109,7 +128,7 @@ def load_graphs(path) -> GraphDB:
             if len(tokens) != 3 or tokens[1] != "#":
                 raise InputError(f"{path}: line {lineno}: malformed graph header, expected `t # <gid>`")
             try:
-                gid = int(tokens[2])
+                gid = _int(tokens[2])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: graph id {tokens[2]!r} is not an integer") from None
             if gid != len(graphs) + 1:
@@ -127,11 +146,9 @@ def load_graphs(path) -> GraphDB:
             if len(tokens) != 3:
                 raise InputError(f"{path}: line {lineno}: malformed vertex, expected `v <vid> <label>`")
             try:
-                vid = int(tokens[1])
+                vid = _int(tokens[1])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: vertex id {tokens[1]!r} is not an integer") from None
-            if vid < 0:
-                raise InputError(f"{path}: line {lineno}: vertex id must be nonnegative")
             if vid in seen_vids:
                 raise InputError(f"{path}: line {lineno}: duplicate vertex id {vid}")
             seen_vids.add(vid)
@@ -142,7 +159,7 @@ def load_graphs(path) -> GraphDB:
             if len(tokens) not in (3, 4):
                 raise InputError(f"{path}: line {lineno}: malformed edge, expected `e <u> <v> [<elabel>]`")
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = _int(tokens[1]), _int(tokens[2])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: edge endpoints must be integers") from None
             if u == v:
@@ -263,7 +280,7 @@ class PatternOutput:
     elements: tuple[str, ...] | None
     vertices: tuple[tuple[int, str], ...] | None
     edges: tuple[tuple[int, int, str], ...] | None
-    cover: tuple[int, ...] | None
+    cover: str | None  # comma-separated decimal tids, as in the file
     valid: bool | None
     condensed: bool | None
 
@@ -277,27 +294,18 @@ class LoadedPatterns:
     outputs: tuple[PatternOutput, ...]
 
 
+# A file has few distinct labels, so each is quoted and unquoted once.
+@lru_cache(maxsize=1 << 12)
 def _q(label: str) -> str:
     return quote(label, safe="")
 
 
-@cache
-def _id_text() -> dict[int, str]:
-    """Decimal text of the ids covers list most, made on first use only.
-
-    A dict, so a negative or a larger id misses and its cover falls back
-    to str(); commands that write no cover never build it.
-    """
-    return {i: str(i) for i in range(1 << 10)}
-
-
-def _ids_text(ids: tuple[int, ...]) -> str:
-    if len(ids) > 1:  # itemgetter of one key returns the value, not a tuple
-        try:
-            return ",".join(itemgetter(*ids)(_id_text()))
-        except KeyError:
-            pass
-    return ",".join(map(str, ids))
+@lru_cache(maxsize=1 << 12)
+def _unq(text: str) -> str:
+    """Unquote a label; a % that starts no %XX escape, or escapes that are not UTF-8, raise ValueError."""
+    if re.search(r"%(?![0-9A-Fa-f]{2})", text):
+        raise ValueError(text)
+    return unquote(text, errors="strict")
 
 
 def record_to_output(
@@ -317,7 +325,6 @@ def record_to_output(
         assert isinstance(rec.pattern, LabeledGraph)
         vertices = tuple((vid, symbols.label_of(lbl)) for vid, lbl in rec.pattern.vertices)
         edges = tuple((u, v, symbols.label_of(el)) for u, v, el in rec.pattern.edges)
-    cover = tuple(sorted(rec.cover)) if rec.cover is not None else None
     return PatternOutput(
         pid=rec.pid,
         kind=rec.kind,
@@ -326,7 +333,7 @@ def record_to_output(
         elements=elements,
         vertices=vertices,
         edges=edges,
-        cover=cover,
+        cover=rec.cover_text(),
         valid=valid,
         condensed=condensed,
     )
@@ -337,7 +344,7 @@ def output_to_line(out: PatternOutput) -> str:
     if out.kind in ("itemset", "sequence"):
         if out.elements is None:
             raise InputError("itemset/sequence output needs elements")
-        parts.append("elements=" + ",".join(_q(lbl) for lbl in out.elements))
+        parts.append("elements=" + ",".join(map(_q, out.elements)))
     elif out.kind == "graph":
         if out.vertices is None or out.edges is None:
             raise InputError("graph output needs vertices and edges")
@@ -346,7 +353,7 @@ def output_to_line(out: PatternOutput) -> str:
     else:
         raise InputError(f"unknown pattern kind {out.kind!r}")
     if out.cover is not None:
-        parts.append("cover=" + _ids_text(out.cover))
+        parts.append("cover=" + out.cover)
     if out.valid is not None:
         parts.append(f"valid={int(out.valid)}")
     if out.condensed is not None:
@@ -362,12 +369,9 @@ def _split_kv(token: str, path, lineno: int) -> tuple[str, str]:
 
 
 def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
-    if value == "":
-        return ()
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError:
-        raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}") from None
+    if value and not _INT_LIST.fullmatch(value):
+        raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}")
+    return tuple(map(int, value.split(","))) if value else ()
 
 
 _ALLOWED_KEYS = ("pid", "kind", "support", "size", "elements", "vertices", "edges", "cover", "valid", "condensed")
@@ -389,9 +393,9 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
         if required not in fields:
             raise InputError(f"{path}: line {lineno}: missing field {required!r}")
     try:
-        pid = int(fields["pid"])
-        support = int(fields["support"])
-        size = int(fields["size"])
+        pid = _int(fields["pid"])
+        support = _int(fields["support"])
+        size = _int(fields["size"])
     except ValueError:
         raise InputError(f"{path}: line {lineno}: pid/support/size must be integers") from None
     kind = fields["kind"]
@@ -401,7 +405,10 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
             raise InputError(f"{path}: line {lineno}: {kind} records carry elements only")
         if fields["elements"] == "":
             raise InputError(f"{path}: line {lineno}: empty elements")
-        elements = tuple(unquote(part) for part in fields["elements"].split(","))
+        try:
+            elements = tuple(map(_unq, fields["elements"].split(",")))
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad percent escape in {fields['elements']!r}") from None
     elif kind == "graph":
         if "vertices" not in fields or "edges" not in fields or "elements" in fields:
             raise InputError(f"{path}: line {lineno}: graph records carry vertices and edges")
@@ -413,9 +420,9 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
             if not sep:
                 raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}")
             try:
-                verts.append((int(vid_text), unquote(lbl)))
+                verts.append((_int(vid_text), _unq(lbl)))
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: malformed vertex id {vid_text!r}") from None
+                raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}") from None
         vertices = tuple(verts)
         edge_list: list[tuple[int, int, str]] = []
         if fields["edges"]:
@@ -427,15 +434,19 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
                 if not sep2:
                     raise InputError(f"{path}: line {lineno}: malformed edge endpoints {pair_text!r}")
                 try:
-                    edge_list.append((int(u_text), int(v_text), unquote(lbl)))
+                    edge_list.append((_int(u_text), _int(v_text), _unq(lbl)))
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}: malformed edge {part!r}") from None
         edges = tuple(edge_list)
     else:
         raise InputError(f"{path}: line {lineno}: unknown pattern kind {kind!r}")
-    cover = None
-    if "cover" in fields:
-        cover = _parse_int_list(fields["cover"], path, lineno)
+    cover = fields.get("cover")
+    if cover is not None:
+        if cover and not _INT_LIST.fullmatch(cover):
+            raise InputError(f"{path}: line {lineno}: malformed integer list {cover!r}")
+        listed = cover.count(",") + 1 if cover else 0
+        if listed != support:
+            raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
     flags: dict[str, bool | None] = {"valid": None, "condensed": None}
     for flag in flags:
         if flag in fields:
@@ -480,7 +491,7 @@ def outputs_to_records(
                 sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in out.edges)
             )
             pattern = LabeledGraph(vertices, edges)
-        cover = frozenset(out.cover) if out.cover is not None else None
+        cover = None if out.cover is None else Cover(text=out.cover)
         records.append(
             PatternRecord(pid=out.pid, pattern=pattern, support=out.support, cover=cover, size=out.size)
         )

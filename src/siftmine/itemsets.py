@@ -10,28 +10,18 @@ transactions, instead of a set intersection over Python objects (Zaki,
 
 The search is depth-first over the item lattice on an explicit stack.
 Support is anti-monotone, so a prefix is only extended by the items that
-were frequent beside it under its parent, in item order. A mask becomes a
-frozenset cover once per frequent itemset, when the itemset is found.
+were frequent beside it under its parent, in item order. A frequent
+itemset's record keeps its mask as a Cover; no set of tids is built.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
-from .core import Itemset, MinSupport, PatternRecord, TransactionDB, mask_at
+from .core import Cover, Itemset, MinSupport, PatternRecord, TidTable, TransactionDB, mask_at
 from .errors import InputError
 
 # Read backwards without its "0b", bin(mask) spells bit k at index k as
-# "0" or "1"; this table makes those bytes 0 and 1 for itertools.compress.
+# "0" or "1"; this table makes those bytes 0 and 1, the flags of a Cover.
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _cover(mask: int, tids: tuple[int, ...]) -> frozenset[int]:
-    """The set bit positions of mask, found at C speed with no per-bit loop.
-
-    tids[k] is k; covers share those int objects rather than each making its own.
-    """
-    return frozenset(compress(tids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
 def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -51,12 +41,12 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
     for tid, txn in db.records():
         for item in txn:
             tidlists.setdefault(item, set()).add(tid)
-    tids = tuple(range(len(db) + 1))
+    tids = TidTable(range(len(db) + 1))
     bits = {item: mask_at(t, len(tids)) for item, t in tidlists.items() if len(t) >= sigma}
 
     # A stack entry is a frequent prefix, its tid mask, and the items that
     # may extend it: those after its last item that were frequent beside it.
-    found: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    found: list[tuple[tuple[int, ...], Cover]] = []
     stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << len(tids)) - 2, sorted(bits))]
     while stack:
         prefix, prefix_mask, tail = stack.pop()
@@ -65,7 +55,7 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
             mask = prefix_mask & bits[item]
             if mask.bit_count() >= sigma:
                 items = prefix + (item,)
-                found.append((items, _cover(mask, tids)))
+                found.append((items, Cover(bin(mask)[:1:-1].encode().translate(_BIT_FLAGS), tids)))
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.

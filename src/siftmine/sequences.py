@@ -20,20 +20,19 @@ bits below it; no borrow leaves a segment, since each holds a set bit. A
 segment whose first hit is its guard does not contain the extension, so
 the support is n - popcount(upto & guards), the extension's projection is
 the complement of upto, and its cover is the segments whose guard bit is
-not in upto. One extension costs a handful of operations over the D bytes
-of the database, about D/8 machine words each, instead of a scan of every
-supporting sequence (Ayres, Flannick, Gehrke & Yiu, "Sequential PAttern
-Mining using a Bitmap Representation", KDD 2002). The search is
-depth-first on an explicit stack. Support counts supporting sequences,
-never embeddings.
+not in upto (a record keeps those guard bytes as a Cover). One extension
+costs a handful of operations over the D bytes of the database, about D/8
+machine words each, instead of a scan of every supporting sequence (Ayres,
+Flannick, Gehrke & Yiu, "Sequential PAttern Mining using a Bitmap
+Representation", KDD 2002). The search is depth-first on an explicit
+stack. Support counts supporting sequences, never embeddings.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
 
-from .core import MinSupport, PatternRecord, Sequence, SequenceDB, mask_at
+from .core import Cover, MinSupport, PatternRecord, Sequence, SequenceDB, TidTable, mask_at
 from .errors import InputError
 
 
@@ -69,12 +68,12 @@ def mine_frequent_sequences(
         base += 8 * width
         guards_at.append(base - 1)
         sid_of_byte += [sid] * width
-    n, n_bytes = len(db), len(sid_of_byte)
+    n, n_bytes, sid_of_byte = len(db), len(sid_of_byte), TidTable(sid_of_byte)
     pos = {sym: mask_at(bits, base) for sym, bits in at.items()}
     starts, guards = mask_at(starts_at, base), mask_at(guards_at, base)
     full = (1 << base) - 1
 
-    found: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    found: list[tuple[tuple[int, ...], Cover]] = []
     stack: list[tuple[tuple[int, ...], int]] = [((), full)]
     while stack:
         prefix, proj = stack.pop()
@@ -87,8 +86,7 @@ def mine_frequent_sequences(
             if n - missed.bit_count() >= sigma:
                 pattern = prefix + (sym,)
                 # Only guard bytes are nonzero, one per covering sequence.
-                cover = frozenset(compress(sid_of_byte, (guards ^ missed).to_bytes(n_bytes, "little")))
-                found.append((pattern, cover))
+                found.append((pattern, Cover((guards ^ missed).to_bytes(n_bytes, "little"), sid_of_byte)))
                 if grow:
                     kids.append((pattern, full ^ upto))
         # Pushed last to first, so the first kid is extended first.

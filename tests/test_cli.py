@@ -1,5 +1,6 @@
 """Command line interface, exercised in-process through cli.main."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import siftmine
 
 import siftmine.cli as cli
+from siftmine.core import Cover
 from siftmine import (
     DominanceRelation,
     EMPTY_EXPR,
@@ -644,3 +646,114 @@ class TestThreads:
         )
         assert code == 2
         assert err == "error: --threads must be at least 1\n"
+
+
+def golden_inputs():
+    """1,100 transactions and sequences, so covers list tids past 1024, over labels that need quoting."""
+    rng = random.Random(6121)
+    items = ["a", "b%", "c,d", "\u00e9", "e=f", "g", "h"]
+    txns = [" ".join(rng.sample(items, rng.randint(1, 5))) for _ in range(1100)]
+    symbols = ["x", "y:1", "z-", "w"]
+    seqs = [" ".join(rng.choice(symbols) for _ in range(rng.randint(2, 9))) for _ in range(1100)]
+    return {"txns.txt": "\n".join(txns) + "\n", "seqs.txt": "\n".join(seqs) + "\n"}
+
+
+GOLDEN_PIPELINES = {
+    "itemset": ("txns.txt", "0.05", ()),
+    "sequence": ("seqs.txt", "0.1", ("--max-len", "4")),
+}
+
+# sha256 of the mined and the condensed pattern file of each pipeline
+GOLDEN_SHA256 = {
+    "itemset": (
+        "2282e78240ae3de5369933ce50967021d6505156c4d9d7bfa4788d4cf29b1627",
+        "0841980e4dfc0e3970428f6c65c9fe87245e15ba9e09cb70b0cac83b4e6e9c24",
+    ),
+    "sequence": (
+        "d4615d06610c97a359b37e64a84b2d60f96169b617b7b5faca1a328df53a5078",
+        "2c24d020dfc1477a873a4846f5d07263ab2156ded95a4e5a96a4e5c480ce75db",
+    ),
+}
+
+
+def golden_pipeline_digests(tmp_path, kind):
+    """mine, then condense, through cli.main; the sha256 of both pattern files."""
+    for name, text in golden_inputs().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    inp, minsup, extra = GOLDEN_PIPELINES[kind]
+    pats, kept = tmp_path / "mined.pat", tmp_path / "kept.pat"
+    argv = ["mine", "--type", kind, "--input", str(tmp_path / inp), "--minsup", minsup, *extra, "--out", str(pats)]
+    assert cli.main(argv) == 0
+    argv = ["condense", "--patterns", str(pats), "--rep", "closed", "--constraints", "size >= 2", "--out", str(kept)]
+    assert cli.main(argv) == 0
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pats, kept))
+
+
+class TestGoldenPipeline:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_PIPELINES))
+    def test_pattern_file_digests(self, tmp_path, capsys, kind):
+        assert golden_pipeline_digests(tmp_path, kind) == GOLDEN_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_PIPELINES))
+    def test_mine_and_condense_never_build_a_cover_set(self, tmp_path, capsys, monkeypatch, kind):
+        def refuse(self):
+            raise AssertionError("a cover was materialised")
+
+        monkeypatch.setattr(Cover, "as_set", refuse)
+        assert golden_pipeline_digests(tmp_path, kind) == GOLDEN_SHA256[kind]
+
+
+PATTERN_LINE = "pid=1 kind=itemset support=1 size=1 elements=a cover=1"
+GRAPH_PATTERN_LINE = "pid=1 kind=graph support=1 size=1 vertices=0:a,1:b edges=0-1:x cover=1"
+
+
+class TestRejectedInputs:
+    """Inputs that used to load lossily or crash: each exits 3 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("cover=1", "cover=1_0"),
+            ("cover=1", "cover=\u0661"),
+            ("cover=1", "cover=-1"),
+            ("pid=1", "pid=1_0"),
+            ("support=1", "support=\u0661"),
+            ("size=1", "size=-1"),
+            ("elements=a", "elements=%zz"),
+            ("elements=a", "elements=%C3"),
+        ],
+    )
+    def test_pattern_file_fields(self, tmp_path, old, new):
+        pats = tmp_path / "p.pat"
+        pats.write_text(PATTERN_LINE.replace(old, new) + "\n", encoding="utf-8")
+        self.check(run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal"), "line 1")
+
+    @pytest.mark.parametrize("old, new", [("vertices=0:a", "vertices=0_0:a"), ("0-1:x", "0-+1:x")])
+    def test_graph_pattern_ids(self, tmp_path, old, new):
+        pats = tmp_path / "p.pat"
+        pats.write_text(GRAPH_PATTERN_LINE.replace(old, new) + "\n", encoding="utf-8")
+        self.check(run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal"), "line 1")
+
+    def test_graph_db_and_tile_ids(self, workdir):
+        (workdir / "g.txt").write_text("t # 1\nv 1_0 a\n", encoding="utf-8")
+        self.check(run_cli_process("0", "mine", "--type", "graph", "--input", str(workdir / "g.txt"), "--minsup", "1"), "line 2")
+        (workdir / "t.txt").write_text("rows=1_0 cols=1\n", encoding="utf-8")
+        argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(workdir / "t.txt"), "--threshold", "1")
+        self.check(run_cli_process("0", *argv), "line 1")
+
+    def test_unreadable_files(self, workdir):
+        bad = workdir / "latin1.txt"
+        bad.write_bytes(b"caf\xe9 a\n")
+        self.check(run_cli_process("0", "mine", "--type", "itemset", "--input", str(bad), "--minsup", "1"), "not UTF-8")
+        self.check(run_cli_process("0", "tile", "--matrix", str(bad), "--tau", "0.5", "--threshold", "1"), "not UTF-8")
+        pats = workdir / "p.pat"
+        pats.write_text(PATTERN_LINE + "\n", encoding="utf-8")
+        for constraints in (str(bad), str(workdir)):
+            argv = ("condense", "--patterns", str(pats), "--rep", "maximal", "--constraints", constraints)
+            self.check(run_cli_process("0", *argv), constraints)
+
+    @staticmethod
+    def check(proc, where):
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and where in proc.stderr

@@ -1,6 +1,12 @@
 """File formats: loaders, the pattern-line codec, and the tiling report."""
 
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmine import (
     BinaryMatrix,
@@ -9,9 +15,11 @@ from siftmine import (
     LabeledGraph,
     PatternRecord,
     Sequence,
+    SequenceDB,
     SymbolTable,
     Tile,
     TileSelection,
+    TransactionDB,
     error,
     line_to_output,
     load_graphs,
@@ -21,6 +29,9 @@ from siftmine import (
     load_tiles,
     load_transactions,
     load_weights,
+    mine_frequent_itemsets,
+    mine_frequent_sequences,
+    MinSupport,
     outputs_to_records,
     record_to_output,
     output_to_line,
@@ -212,7 +223,7 @@ class TestPatternLineCodec:
         )
         out = record_to_output(rec, f.db.symbols)
         assert out.elements == ("b", "e")  # lexicographic, not id order
-        assert out.cover == (1, 2)
+        assert out.cover == "1,2"  # cover text, as the line spells it
         assert output_to_line(out) == (
             "pid=1 kind=itemset support=2 size=2 elements=b,e cover=1,2"
         )
@@ -380,6 +391,139 @@ class TestPatternFiles:
         )
         with pytest.raises(InputError, match="pats.txt"):
             load_patterns(p)
+
+
+class TestCoverText:
+    def test_unsorted_tids_pass_through_verbatim(self, tmp_path):
+        p = write(tmp_path, "p.pat", "pid=1 kind=itemset support=3 size=1 elements=a cover=3,1,20\n")
+        loaded = load_patterns(p)
+        write_patterns(loaded.records, tmp_path / "out.pat", loaded.symbols)
+        assert (tmp_path / "out.pat").read_text() == p.read_text()
+        assert loaded.records[0].cover == frozenset({1, 3, 20})
+
+    def test_repeated_tid_fails_only_when_the_cover_is_read(self, tmp_path):
+        p = write(tmp_path, "p.pat", "pid=7 kind=itemset support=2 size=1 elements=a cover=4,4\n")
+        loaded = load_patterns(p)
+        write_patterns(loaded.records, tmp_path / "out.pat", loaded.symbols)
+        assert (tmp_path / "out.pat").read_text() == p.read_text()
+        with pytest.raises(InputError, match="pattern 7: cover lists a tid more than once"):
+            loaded.records[0].cover
+
+    @pytest.mark.parametrize(
+        "cover, message",
+        [
+            ("1,2,3", "support 2 but the cover lists 3 tids"),
+            ("", "support 2 but the cover lists 0 tids"),
+            ("1,,2", "malformed integer list"),
+            ("1_0,2", "malformed integer list"),
+            ("\u0661,2", "malformed integer list"),
+            ("-1,2", "malformed integer list"),
+        ],
+    )
+    def test_grammar_and_count(self, cover, message):
+        with pytest.raises(InputError, match=message):
+            line_to_output(f"pid=1 kind=itemset support=2 size=1 elements=a cover={cover}")
+
+    def test_empty_cover_with_zero_support(self):
+        records, _ = outputs_to_records([line_to_output("pid=1 kind=itemset support=0 size=1 elements=a cover=")])
+        assert records[0].cover == frozenset() and records[0].cover_text() == ""
+
+
+class TestStrictIntegersAndEscapes:
+    @pytest.mark.parametrize("label", ["%zz", "a%", "%4", "%C3", "%FF%FE"])
+    def test_bad_escapes_rejected(self, label):
+        with pytest.raises(InputError, match="bad percent escape"):
+            line_to_output(f"pid=1 kind=sequence support=1 size=1 elements=x,{label}")
+
+    def test_good_escapes_in_either_case(self):
+        out = line_to_output("pid=1 kind=sequence support=1 size=2 elements=%c3%a9,%C3%A9%25")
+        assert out.elements == ("\u00e9", "\u00e9%")
+
+    def test_graph_and_tile_ids(self, tiling, tmp_path):
+        with pytest.raises(InputError, match="vertex id '1_0' is not an integer"):
+            load_graphs(write(tmp_path, "g.txt", "t # 1\nv 1_0 a\n"))
+        with pytest.raises(InputError, match="vertex id '-1' is not an integer"):
+            load_graphs(write(tmp_path, "g.txt", "t # 1\nv -1 a\n"))
+        with pytest.raises(InputError, match="malformed integer list"):
+            load_tiles(write(tmp_path, "t.txt", "rows=1_0 cols=1\n"), tiling.matrix)
+
+
+# Any label but a surrogate: the codec must quote whitespace, "%", ",", "=", ":" and "-".
+LABELS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+# Tids well past 1024, and sometimes no cover at all.
+COVERS = st.none() | st.frozensets(st.integers(0, 5000), max_size=6)
+
+
+@st.composite
+def pattern_records(draw):
+    """Records of every kind over one symbol table, pids distinct but not in order."""
+    symbols = SymbolTable()
+    symbols.intern("0")
+    pids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True))
+    records = []
+    for pid in pids:
+        kind = draw(st.sampled_from(["itemset", "sequence", "graph"]))
+        if kind == "graph":
+            labels = draw(st.lists(LABELS, min_size=1, max_size=4))
+            pairs = [(u, v) for v in range(len(labels)) for u in range(v)]
+            edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            pattern = LabeledGraph.of(
+                [(vid, symbols.intern(lbl)) for vid, lbl in enumerate(labels)],
+                [(u, v, symbols.intern(draw(LABELS))) for u, v in edges],
+            )
+        else:
+            ids = [symbols.intern(lbl) for lbl in draw(st.lists(LABELS, min_size=1, max_size=4))]
+            pattern = Itemset.of(ids) if kind == "itemset" else Sequence.of(ids)
+        cover = draw(COVERS)
+        support = draw(st.integers(0, 9)) if cover is None else len(cover)
+        size = len(pattern.edges) if kind == "graph" else len(set(ids) if kind == "itemset" else ids)
+        records.append(PatternRecord(pid, pattern, support, cover, size))
+    return records, symbols
+
+
+def write_and_load(records, symbols, directory, name):
+    path = Path(directory) / name
+    write_patterns(records, path, symbols)
+    return path.read_bytes(), load_patterns(path)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(pattern_records())
+    def test_load_write_load_is_identity(self, drawn):
+        records, symbols = drawn
+        with tempfile.TemporaryDirectory() as d:
+            first, loaded = write_and_load(records, symbols, d, "one.pat")
+            second, again = write_and_load(loaded.records, loaded.symbols, d, "two.pat")
+        assert first == second
+        outs = [record_to_output(r, symbols) for r in records]
+        assert [record_to_output(r, loaded.symbols) for r in loaded.records] == outs
+        assert [record_to_output(r, again.symbols) for r in again.records] == outs
+        assert [r.cover for r in again.records] == [r.cover for r in records]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        # 1030 rows put tids past 1024
+        n_rows=st.sampled_from([1, 9, 1030]),
+        n_symbols=st.integers(1, 3),
+        sequences=st.booleans(),
+    )
+    def test_miner_covers_round_trip(self, seed, n_rows, n_symbols, sequences):
+        rng = random.Random(seed)  # a 1030-row database is too many draws to shrink
+        symbols = SymbolTable()
+        ids = [symbols.intern(f"s{k}") for k in range(n_symbols)]
+        if sequences:
+            rows = tuple(tuple(rng.choice(ids) for _ in range(rng.randint(0, 9))) for _ in range(n_rows))
+            mined = mine_frequent_sequences(SequenceDB(rows, symbols), MinSupport.absolute(1), 3)
+        else:
+            rows = tuple(tuple(sorted(rng.sample(ids, rng.randint(0, n_symbols)))) for _ in range(n_rows))
+            mined = mine_frequent_itemsets(TransactionDB(rows, symbols), MinSupport.absolute(1))
+        with tempfile.TemporaryDirectory() as d:
+            first, loaded = write_and_load(mined, symbols, d, "one.pat")
+            second, again = write_and_load(loaded.records, loaded.symbols, d, "two.pat")
+        assert first == second
+        assert [r.cover for r in again.records] == [r.cover for r in mined]
 
 
 class TestWriteTiling:

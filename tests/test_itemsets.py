@@ -146,6 +146,9 @@ class TestOracleParity:
         db = TransactionDB(rows, symbols)
         sigma = sigma_pick % n_rows + 1
         mined = mine_frequent_itemsets(db, MinSupport.absolute(sigma))
+        # Read before any cover is: the text the writer gets from the miner's bitmaps.
+        texts = [r.cover_text() for r in mined]
         got = [(r.pid, r.pattern.items, r.support, r.cover) for r in mined]
         assert got == canonical_records(frequent_itemsets_bruteforce(db, sigma))
         assert all(r.size == len(r.pattern.items) and type(r.cover) is frozenset for r in mined)
+        assert texts == [",".join(map(str, sorted(cover))) for *_, cover in got]

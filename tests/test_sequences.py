@@ -171,6 +171,8 @@ class TestOracleParity:
         db = SequenceDB(rows, symbols)
         sigma = sigma_pick % n_seqs + 1
         mined = mine_frequent_sequences(db, MinSupport.absolute(sigma), max_len)
+        # Read before any cover is: the text the writer gets from the miner's bitmaps.
+        texts = [r.cover_text() for r in mined]
         got = [(r.pid, r.pattern.symbols, r.support, r.cover) for r in mined]
         # With at most 3 symbols per candidate the oracle's enumeration stays
         # polynomial, so its size bounds are raised to reach 17 x 17 databases.
@@ -178,3 +180,4 @@ class TestOracleParity:
             found = frequent_sequences_bruteforce(db, sigma, max_len)
         assert got == canonical_records(found)
         assert all(r.size == len(r.pattern.symbols) and type(r.cover) is frozenset for r in mined)
+        assert texts == [",".join(map(str, sorted(cover))) for *_, cover in got]
