@@ -25,8 +25,7 @@ from .formats import (
     load_tiles,
     load_transactions,
     load_weights,
-    record_to_output,
-    output_to_line,
+    pattern_lines,
     read_text,
     write_patterns,
     write_tiling,
@@ -58,32 +57,48 @@ def _emit_patterns(records, symbols, out_path, valid=None, condensed=None) -> No
     if out_path:
         write_patterns(records, out_path, symbols, valid=valid, condensed=condensed)
     else:
-        for rec in records:
-            flags = (
-                None if valid is None else valid.get(rec.pid),
-                None if condensed is None else condensed.get(rec.pid),
-            )
-            print(output_to_line(record_to_output(rec, symbols, valid=flags[0], condensed=flags[1])))
+        for line in pattern_lines(records, symbols, valid, condensed):
+            print(line)
+
+
+def _general_graphs_bruteforce(db, sigma, max_edges):
+    return {canonical_code(rep): cover for rep, cover in frequent_graphs_general_bruteforce(db, sigma, max_edges)}
+
+
+# --type -> (loader, miner, the option the miner and oracle take, oracle, key of a
+# mined pattern in the oracle's map). Functions are named and looked up when
+# called, so that a wrapped or patched module attribute takes effect.
+_TYPES = {
+    "itemset": ("load_transactions", "mine_frequent_itemsets", None, "frequent_itemsets_bruteforce", lambda p: p.items),
+    "sequence": ("load_sequences", "mine_frequent_sequences", "max_len", "frequent_sequences_bruteforce",
+                 lambda p: p.symbols),
+    "graph-unique": ("load_graphs", "mine_frequent_graphs_unique", None, "frequent_graphs_unique_bruteforce",
+                     lambda p: edge_itemize(p) if p.edges else ()),
+    "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "_general_graphs_bruteforce", canonical_code),
+}
+
+
+def _misplaced_option(args, verb: str) -> str | None:
+    """The usage error for a miner option given with a --type that does not take it."""
+    for option, flag, kind in (("max_len", "--max-len", "sequence"), ("max_edges", "--max-edges", "general graph")):
+        if getattr(args, option) is not None and option != _TYPES[args.type][2]:
+            return f"{flag} applies to {kind} {verb} only"
+    return None
+
+
+def _mine(args, minsup: MinSupport):
+    """Load args.input and mine it: (db, records, the value of the miner's option, if it has one)."""
+    load, mine, option, _, _ = _TYPES[args.type]
+    db = globals()[load](args.input)
+    extra = () if option is None else (getattr(args, option),)
+    return db, globals()[mine](db, minsup, *extra), extra
 
 
 def cmd_mine(args) -> int:
-    if args.max_len is not None and args.type != "sequence":
-        return _usage("--max-len applies to sequence mining only")
-    if args.max_edges is not None and args.type != "graph":
-        return _usage("--max-edges applies to general graph mining only")
+    if problem := _misplaced_option(args, "mining"):
+        return _usage(problem)
     minsup = MinSupport.parse(args.minsup)
-    if args.type == "itemset":
-        db = load_transactions(args.input)
-        records = mine_frequent_itemsets(db, minsup)
-    elif args.type == "sequence":
-        db = load_sequences(args.input)
-        records = mine_frequent_sequences(db, minsup, args.max_len)
-    elif args.type == "graph-unique":
-        db = load_graphs(args.input)
-        records = mine_frequent_graphs_unique(db, minsup)
-    else:
-        db = load_graphs(args.input)
-        records = mine_frequent_graphs_general(db, minsup, args.max_edges)
+    db, records, _ = _mine(args, minsup)
     _emit_patterns(records, db.symbols, args.out)
     print(f"mined {len(records)} patterns (effective minimum support {minsup.effective(len(db))})")
     return 0
@@ -96,9 +111,8 @@ def cmd_condense(args) -> int:
     valid, _ = partition_valid(loaded.records, expr, weights, symbols=loaded.symbols)
     rel = DominanceRelation.parse(args.rep)
     kept = condense(valid, rel)
-    flags_valid = {rec.pid: True for rec in kept}
-    flags_condensed = {rec.pid: True for rec in kept}
-    _emit_patterns(kept, loaded.symbols, args.out, valid=flags_valid, condensed=flags_condensed)
+    flags = {rec.pid: True for rec in kept}  # each kept record is valid and condensed
+    _emit_patterns(kept, loaded.symbols, args.out, valid=flags, condensed=flags)
     print(f"kept {len(kept)} of {len(loaded.records)} patterns ({len(valid)} valid)")
     return 0
 
@@ -159,48 +173,17 @@ def _diff_maps(mined: dict, oracle: dict, describe) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.max_len is not None and args.type != "sequence":
-        return _usage("--max-len applies to sequence verification only")
-    if args.max_edges is not None and args.type != "graph":
-        return _usage("--max-edges applies to general graph verification only")
+    if problem := _misplaced_option(args, "verification"):
+        return _usage(problem)
     minsup = MinSupport.parse(args.minsup)
     rel = DominanceRelation.parse(args.rep)
     expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
-
-    if args.type == "itemset":
-        db = load_transactions(args.input)
-        sigma = minsup.effective(len(db))
-        records = mine_frequent_itemsets(db, minsup)
-        mined = {rec.pattern.items: rec.cover for rec in records}
-        oracle = frequent_itemsets_bruteforce(db, sigma)
-    elif args.type == "sequence":
-        db = load_sequences(args.input)
-        sigma = minsup.effective(len(db))
-        records = mine_frequent_sequences(db, minsup, args.max_len)
-        mined = {rec.pattern.symbols: rec.cover for rec in records}
-        oracle = frequent_sequences_bruteforce(db, sigma, args.max_len)
-    elif args.type == "graph-unique":
-        db = load_graphs(args.input)
-        sigma = minsup.effective(len(db))
-        records = mine_frequent_graphs_unique(db, minsup)
-        mined = {
-            (edge_itemize(rec.pattern) if rec.pattern.edges else ()): rec.cover for rec in records
-        }
-        oracle = frequent_graphs_unique_bruteforce(db, sigma)
-    else:
-        db = load_graphs(args.input)
-        sigma = minsup.effective(len(db))
-        records = mine_frequent_graphs_general(db, minsup, args.max_edges)
-        mined = {canonical_code(rec.pattern): rec.cover for rec in records}
-        oracle = {
-            canonical_code(rep): cover
-            for rep, cover in frequent_graphs_general_bruteforce(db, sigma, args.max_edges)
-        }
-
-    labels = db.symbols
-    problems = _diff_maps(mined, oracle, describe=repr)
-    weights = load_weights(args.weights, labels) if args.weights else None
-    valid, _ = partition_valid(records, expr, weights, symbols=labels)
+    db, records, extra = _mine(args, minsup)
+    oracle, key = _TYPES[args.type][3:]
+    mined = {key(rec.pattern): rec.cover for rec in records}
+    problems = _diff_maps(mined, globals()[oracle](db, minsup.effective(len(db)), *extra), describe=repr)
+    weights = load_weights(args.weights, db.symbols) if args.weights else None
+    valid, _ = partition_valid(records, expr, weights, symbols=db.symbols)
     fast = [rec.pid for rec in condense(valid, rel)]
     slow = [rec.pid for rec in brute_force_condense(valid, rel)]
     if fast != slow:

@@ -9,17 +9,20 @@ identical id assignments.
 
 Pattern files are line-oriented key=value records. Labels are percent-quoted
 so any non-whitespace token round-trips losslessly; a written file parses
-back to exactly the same outputs. Covers stay checked text from reader to
-writer; a set of tids is built only for a record whose cover is read.
+back to exactly the same outputs. One field parser reads a line, straight
+into its record, and one renderer writes it, for files and stdout alike;
+the label-level PatternOutput helpers wrap the same two. Covers stay
+checked text from reader to writer; a set of tids is built only for a
+record whose cover is read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import astuple, dataclass
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -56,10 +59,6 @@ def _int(text: str) -> int:
     if text.isascii() and text.isdigit():
         return int(text)
     raise ValueError(text)
-
-
-# Comma-separated plain decimals: covers, and tile rows and columns.
-_INT_LIST = re.compile(r"\d+(?:,\d+)*", re.ASCII)
 
 
 def load_transactions(path) -> TransactionDB:
@@ -224,10 +223,10 @@ def load_weights(path, symbols: SymbolTable) -> WeightTable:
         if len(tokens) != 2:
             raise InputError(f"{path}: line {lineno}: expected `SYM WEIGHT`")
         try:
-            weight = int(tokens[1])
+            weight = _int(tokens[1].removeprefix("-"))
         except ValueError:
             raise InputError(f"{path}: line {lineno}: weight {tokens[1]!r} is not an integer") from None
-        if weight < 0:
+        if tokens[1].startswith("-"):
             raise InputError(f"{path}: line {lineno}: negative weight")
         sid = symbols.intern(tokens[0])
         if sid in costs:
@@ -291,15 +290,12 @@ class LoadedPatterns:
     symbols: SymbolTable
     valid: dict[int, bool]
     condensed: dict[int, bool]
-    outputs: tuple[PatternOutput, ...]
 
 
-# A file has few distinct labels, so each is quoted and unquoted once.
-@lru_cache(maxsize=1 << 12)
-def _q(label: str) -> str:
-    return quote(label, safe="")
+_q = partial(quote, safe="")
 
 
+# A file has few distinct labels, so each is unquoted once.
 @lru_cache(maxsize=1 << 12)
 def _unq(text: str) -> str:
     """Unquote a label; a % that starts no %XX escape, or escapes that are not UTF-8, raise ValueError."""
@@ -308,57 +304,71 @@ def _unq(text: str) -> str:
     return unquote(text, errors="strict")
 
 
+def _line(pid, kind, support, size, elements, vertices, edges, cover, valid, condensed, quoted) -> str:
+    """The one pattern-line renderer, fields in file order; quoted maps a label or symbol id to its text."""
+    if elements is not None:
+        body = "elements=" + ",".join(map(quoted, elements))
+    else:
+        body = "vertices=" + ",".join(f"{vid}:{quoted(lbl)}" for vid, lbl in vertices)
+        body += " edges=" + ",".join(f"{u}-{v}:{quoted(lbl)}" for u, v, lbl in edges)
+    line = f"pid={pid} kind={kind} support={support} size={size} {body}"
+    if cover is not None:
+        line += " cover=" + cover
+    if valid is not None:
+        line += f" valid={int(valid)}"
+    if condensed is not None:
+        line += f" condensed={int(condensed)}"
+    return line
+
+
+def pattern_lines(
+    records: Iterable[PatternRecord],
+    symbols: SymbolTable,
+    valid: dict[int, bool] | None = None,
+    condensed: dict[int, bool] | None = None,
+) -> Iterator[str]:
+    """Each record's pattern-file line, every symbol quoted once per call.
+
+    Itemset elements go in label order: ids depend on interning history,
+    labels don't, so a reloaded file serializes back to the same bytes.
+    """
+    label = dict(enumerate(symbols.labels))
+    quoted = {sid: _q(lbl) for sid, lbl in label.items()}
+    valid, condensed = valid or {}, condensed or {}
+    for rec in records:
+        p, elements, vertices, edges = rec.pattern, None, None, None
+        try:
+            if isinstance(p, Itemset):
+                elements = sorted(p.items, key=label.__getitem__)
+            elif isinstance(p, Sequence):
+                elements = p.symbols
+            else:
+                vertices, edges = p.vertices, p.edges
+            line = _line(rec.pid, rec.kind, rec.support, rec.size, elements, vertices, edges, rec.cover_text(),
+                         valid.get(rec.pid), condensed.get(rec.pid), quoted.__getitem__)
+        except KeyError as exc:
+            raise InputError(f"unknown symbol id {exc.args[0]}") from None
+        yield line
+
+
 def record_to_output(
     rec: PatternRecord,
     symbols: SymbolTable,
     valid: bool | None = None,
     condensed: bool | None = None,
 ) -> PatternOutput:
-    elements = vertices = edges = None
-    if isinstance(rec.pattern, Itemset):
-        # Lexicographic label order: ids depend on interning history, labels
-        # don't, so a reloaded file serializes back to the same bytes.
-        elements = tuple(sorted(symbols.label_of(i) for i in rec.pattern.items))
-    elif isinstance(rec.pattern, Sequence):
-        elements = tuple(symbols.label_of(s) for s in rec.pattern.symbols)
-    else:
-        assert isinstance(rec.pattern, LabeledGraph)
-        vertices = tuple((vid, symbols.label_of(lbl)) for vid, lbl in rec.pattern.vertices)
-        edges = tuple((u, v, symbols.label_of(el)) for u, v, el in rec.pattern.edges)
-    return PatternOutput(
-        pid=rec.pid,
-        kind=rec.kind,
-        support=rec.support,
-        size=rec.size,
-        elements=elements,
-        vertices=vertices,
-        edges=edges,
-        cover=rec.cover_text(),
-        valid=valid,
-        condensed=condensed,
-    )
+    """The label-level form of a record: its rendered line, parsed back."""
+    return line_to_output(next(pattern_lines((rec,), symbols, {rec.pid: valid}, {rec.pid: condensed})))
 
 
 def output_to_line(out: PatternOutput) -> str:
-    parts = [f"pid={out.pid}", f"kind={out.kind}", f"support={out.support}", f"size={out.size}"]
-    if out.kind in ("itemset", "sequence"):
-        if out.elements is None:
-            raise InputError("itemset/sequence output needs elements")
-        parts.append("elements=" + ",".join(map(_q, out.elements)))
-    elif out.kind == "graph":
-        if out.vertices is None or out.edges is None:
-            raise InputError("graph output needs vertices and edges")
-        parts.append("vertices=" + ",".join(f"{vid}:{_q(lbl)}" for vid, lbl in out.vertices))
-        parts.append("edges=" + ",".join(f"{u}-{v}:{_q(lbl)}" for u, v, lbl in out.edges))
-    else:
+    if out.kind not in ("itemset", "sequence", "graph"):
         raise InputError(f"unknown pattern kind {out.kind!r}")
-    if out.cover is not None:
-        parts.append("cover=" + out.cover)
-    if out.valid is not None:
-        parts.append(f"valid={int(out.valid)}")
-    if out.condensed is not None:
-        parts.append(f"condensed={int(out.condensed)}")
-    return " ".join(parts)
+    if out.kind != "graph" and out.elements is None:
+        raise InputError("itemset/sequence output needs elements")
+    if out.kind == "graph" and (out.vertices is None or out.edges is None):
+        raise InputError("graph output needs vertices and edges")
+    return _line(*astuple(out), _q)
 
 
 def _split_kv(token: str, path, lineno: int) -> tuple[str, str]:
@@ -368,20 +378,31 @@ def _split_kv(token: str, path, lineno: int) -> tuple[str, str]:
     return key, value
 
 
+def _is_int_list(text: str) -> bool:
+    """True exactly for ASCII `\\d+(?:,\\d+)*`: plain decimals joined by single commas."""
+    ends_in_digits = text[:1].isdigit() and text[-1:].isdigit()
+    return ends_in_digits and text.isascii() and ",," not in text and not text.encode().translate(None, b"0123456789,")
+
+
 def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
-    if value and not _INT_LIST.fullmatch(value):
+    if value and not _is_int_list(value):
         raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}")
     return tuple(map(int, value.split(","))) if value else ()
 
 
-_ALLOWED_KEYS = ("pid", "kind", "support", "size", "elements", "vertices", "edges", "cover", "valid", "condensed")
+_ALLOWED_KEYS = frozenset("pid kind support size elements vertices edges cover valid condensed".split())
 
 
-def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput:
-    tokens = line.split()
-    if not tokens:
-        raise InputError(f"{path}: line {lineno}: blank line")
-    fields: dict[str, str] = {}
+def _fields(tokens: list[str], path, lineno: int) -> dict[str, str]:
+    """A line's key=value tokens as a dict of known, distinct keys."""
+    try:
+        fields = dict(tok.split("=", 1) for tok in tokens)  # ValueError when a token has no "="
+        if len(fields) == len(tokens) and fields.keys() <= _ALLOWED_KEYS:
+            return fields
+    except ValueError:
+        pass
+    # A bad line: go token by token to name the first bad one.
+    fields = {}
     for tok in tokens:
         key, value = _split_kv(tok, path, lineno)
         if key not in _ALLOWED_KEYS:
@@ -389,15 +410,23 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
         if key in fields:
             raise InputError(f"{path}: line {lineno}: duplicate field {key!r}")
         fields[key] = value
+    return fields
+
+
+def _parse_line(line: str, path, lineno: int) -> tuple:
+    """The one pattern-line parser: PatternOutput's fields, in its order, checked."""
+    tokens = line.split()
+    if not tokens:
+        raise InputError(f"{path}: line {lineno}: blank line")
+    fields = _fields(tokens, path, lineno)
     for required in ("pid", "kind", "support", "size"):
         if required not in fields:
             raise InputError(f"{path}: line {lineno}: missing field {required!r}")
-    try:
-        pid = _int(fields["pid"])
-        support = _int(fields["support"])
-        size = _int(fields["size"])
-    except ValueError:
-        raise InputError(f"{path}: line {lineno}: pid/support/size must be integers") from None
+    pid, support, size = fields["pid"], fields["support"], fields["size"]
+    # _int's rule, checked for the three at once
+    if not (pid.isdigit() and support.isdigit() and size.isdigit() and (pid + support + size).isascii()):
+        raise InputError(f"{path}: line {lineno}: pid/support/size must be integers")
+    pid, support, size = int(pid), int(support), int(size)
     kind = fields["kind"]
     elements = vertices = edges = None
     if kind in ("itemset", "sequence"):
@@ -442,60 +471,59 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
         raise InputError(f"{path}: line {lineno}: unknown pattern kind {kind!r}")
     cover = fields.get("cover")
     if cover is not None:
-        if cover and not _INT_LIST.fullmatch(cover):
+        if cover and not _is_int_list(cover):
             raise InputError(f"{path}: line {lineno}: malformed integer list {cover!r}")
         listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
-    flags: dict[str, bool | None] = {"valid": None, "condensed": None}
-    for flag in flags:
-        if flag in fields:
-            if fields[flag] not in ("0", "1"):
-                raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
-            flags[flag] = fields[flag] == "1"
-    return PatternOutput(
-        pid=pid,
-        kind=kind,
-        support=support,
-        size=size,
-        elements=elements,
-        vertices=vertices,
-        edges=edges,
-        cover=cover,
-        valid=flags["valid"],
-        condensed=flags["condensed"],
-    )
+    valid, condensed = fields.get("valid"), fields.get("condensed")
+    for flag, value in (("valid", valid), ("condensed", condensed)):
+        if value is not None and value not in ("0", "1"):
+            raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
+    valid = None if valid is None else valid == "1"
+    condensed = None if condensed is None else condensed == "1"
+    return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
-def outputs_to_records(
-    outputs: Iterable[PatternOutput],
-) -> tuple[tuple[PatternRecord, ...], SymbolTable]:
+def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput:
+    return PatternOutput(*_parse_line(line, path, lineno))
+
+
+def _records(rows: Iterable[tuple], graphs: bool, where: str = ""):
+    """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first."""
+    symbols = SymbolTable()
+    if graphs:
+        symbols.intern("0")
+    records: dict[int, PatternRecord] = {}  # by pid, in file order
+    valid: dict[int, bool] = {}
+    condensed: dict[int, bool] = {}
+    for pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed in rows:
+        try:
+            if pid in records:
+                raise InputError(f"duplicate pattern id {pid}")
+            if kind == "itemset":
+                pattern = Itemset.of(map(symbols.intern, elements))
+            elif kind == "sequence":
+                pattern = Sequence(tuple(map(symbols.intern, elements)))
+            else:
+                vertices = tuple(sorted((vid, symbols.intern(lbl)) for vid, lbl in vertices))
+                edges = tuple(sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in edges))
+                pattern = LabeledGraph(vertices, edges)
+            records[pid] = PatternRecord(pid, pattern, support, None if cover is None else Cover(text=cover), size)
+        except InputError as exc:
+            raise InputError(f"{where}{exc}") from None
+        if is_valid is not None:
+            valid[pid] = is_valid
+        if is_condensed is not None:
+            condensed[pid] = is_condensed
+    return tuple(records.values()), symbols, valid, condensed
+
+
+def outputs_to_records(outputs: Iterable[PatternOutput]) -> tuple[tuple[PatternRecord, ...], SymbolTable]:
     """Rebuild records, interning labels afresh in first-appearance order."""
     outputs = tuple(outputs)
-    symbols = SymbolTable()
-    if any(out.kind == "graph" for out in outputs):
-        symbols.intern("0")
-    records: list[PatternRecord] = []
-    seen_pids: set[int] = set()
-    for out in outputs:
-        if out.pid in seen_pids:
-            raise InputError(f"duplicate pattern id {out.pid}")
-        seen_pids.add(out.pid)
-        if out.kind == "itemset":
-            pattern = Itemset.of(symbols.intern(lbl) for lbl in out.elements)
-        elif out.kind == "sequence":
-            pattern = Sequence.of(symbols.intern(lbl) for lbl in out.elements)
-        else:
-            vertices = tuple(sorted((vid, symbols.intern(lbl)) for vid, lbl in out.vertices))
-            edges = tuple(
-                sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in out.edges)
-            )
-            pattern = LabeledGraph(vertices, edges)
-        cover = None if out.cover is None else Cover(text=out.cover)
-        records.append(
-            PatternRecord(pid=out.pid, pattern=pattern, support=out.support, cover=cover, size=out.size)
-        )
-    return tuple(records), symbols
+    records, symbols, _, _ = _records(map(astuple, outputs), any(out.kind == "graph" for out in outputs))
+    return records, symbols
 
 
 def write_patterns(
@@ -506,29 +534,17 @@ def write_patterns(
     condensed: dict[int, bool] | None = None,
 ) -> None:
     """One key=value line per record, deterministic field order; may be empty."""
-    lines = []
-    for rec in records:
-        out = record_to_output(
-            rec,
-            symbols,
-            valid=None if valid is None else valid.get(rec.pid),
-            condensed=None if condensed is None else condensed.get(rec.pid),
-        )
-        lines.append(output_to_line(out))
-    _write_text(path, "".join(line + "\n" for line in lines))
+    _write_text(path, "".join(line + "\n" for line in pattern_lines(records, symbols, valid, condensed)))
 
 
 def load_patterns(path) -> LoadedPatterns:
-    """Parse a pattern file; an empty file is an empty pattern list."""
-    lines = _read_lines(path)
-    outputs = tuple(line_to_output(raw, path, lineno) for lineno, raw in enumerate(lines, start=1))
-    try:
-        records, symbols = outputs_to_records(outputs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    valid = {out.pid: out.valid for out in outputs if out.valid is not None}
-    condensed = {out.pid: out.condensed for out in outputs if out.condensed is not None}
-    return LoadedPatterns(records=records, symbols=symbols, valid=valid, condensed=condensed, outputs=outputs)
+    """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list."""
+    text = read_text(path)
+    rows = (_parse_line(raw, path, lineno) for lineno, raw in enumerate(text.splitlines(), start=1))
+    # Only a graph record has a token `kind=graph`; the substring test spares other files the regex's scan.
+    graphs = "kind=graph" in text and re.search(r"(?<!\S)kind=graph(?!\S)", text) is not None
+    records, symbols, valid, condensed = _records(rows, graphs, where=f"{path}: ")
+    return LoadedPatterns(records=records, symbols=symbols, valid=valid, condensed=condensed)
 
 
 def _write_text(path, text: str) -> None:

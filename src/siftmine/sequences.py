@@ -20,7 +20,8 @@ bits below it; no borrow leaves a segment, since each holds a set bit. A
 segment whose first hit is its guard does not contain the extension, so
 the support is n - popcount(upto & guards), the extension's projection is
 the complement of upto, and its cover is the segments whose guard bit is
-not in upto (a record keeps those guard bytes as a Cover). One extension
+not in upto, kept as a Cover of one flag byte per sequence: its guard
+byte, left once every other byte is set to 0x01 and deleted. One extension
 costs a handful of operations over the D bytes of the database, about D/8
 machine words each, instead of a scan of every supporting sequence (Ayres,
 Flannick, Gehrke & Yiu, "Sequential PAttern Mining using a Bitmap
@@ -57,21 +58,21 @@ def mine_frequent_sequences(
     at: dict[int, list[int]] = {sym: [] for sym in symbols}
     starts_at: list[int] = []
     guards_at: list[int] = []
-    sid_of_byte: list[int] = []  # the sid whose segment holds each byte
     base = 0
-    for sid, seq in db.records():
+    for seq in db.sequences:
         for p, sym in enumerate(seq):
             if sym in at:
                 at[sym].append(base + p)
-        width = len(seq) // 8 + 1
         starts_at.append(base)
-        base += 8 * width
+        base += 8 * (len(seq) // 8 + 1)
         guards_at.append(base - 1)
-        sid_of_byte += [sid] * width
-    n, n_bytes, sid_of_byte = len(db), len(sid_of_byte), TidTable(sid_of_byte)
+    n, n_bytes, sids = len(db), base // 8, TidTable(range(1, len(db) + 1))
     pos = {sym: mask_at(bits, base) for sym, bits in at.items()}
     starts, guards = mask_at(starts_at, base), mask_at(guards_at, base)
     full = (1 << base) - 1
+    # 0x01 in every byte but the guard bytes, so that deleting the 0x01
+    # bytes of a cover leaves one flag byte per sequence, its guard byte.
+    filler = int.from_bytes(b"\x01" * n_bytes, "little") ^ guards >> 7
 
     found: list[tuple[tuple[int, ...], Cover]] = []
     stack: list[tuple[tuple[int, ...], int]] = [((), full)]
@@ -85,8 +86,8 @@ def mine_frequent_sequences(
             missed = upto & guards
             if n - missed.bit_count() >= sigma:
                 pattern = prefix + (sym,)
-                # Only guard bytes are nonzero, one per covering sequence.
-                found.append((pattern, Cover((guards ^ missed).to_bytes(n_bytes, "little"), sid_of_byte)))
+                flags = (guards ^ missed | filler).to_bytes(n_bytes, "little").translate(None, b"\x01")
+                found.append((pattern, Cover(flags, sids)))
                 if grow:
                     kids.append((pattern, full ^ upto))
         # Pushed last to first, so the first kid is extended first.

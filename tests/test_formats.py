@@ -1,6 +1,7 @@
 """File formats: loaders, the pattern-line codec, and the tiling report."""
 
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from siftmine import (
     write_patterns,
     write_tiling,
 )
+from siftmine.formats import _is_int_list
 
 
 def write(tmp_path, name, text):
@@ -188,6 +190,20 @@ class TestLoadWeights:
             load_weights(write(tmp_path, "w.txt", "a -1\n"), symbols)
         with pytest.raises(InputError, match="duplicate weight"):
             load_weights(write(tmp_path, "w.txt", "a 1\na 2\n"), symbols)
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0661", "\u00b2", "-1_0", "3.0", "-"])
+    def test_only_plain_decimals(self, tmp_path, text):
+        with pytest.raises(InputError, match=re.escape(f"line 1: weight {text!r} is not an integer")):
+            load_weights(write(tmp_path, "w.txt", f"a {text}\n"), SymbolTable())
+
+    @pytest.mark.parametrize("text", ["-1", "-0", "-007"])
+    def test_minus_then_digits_is_negative(self, tmp_path, text):
+        with pytest.raises(InputError, match="line 1: negative weight"):
+            load_weights(write(tmp_path, "w.txt", f"a {text}\n"), SymbolTable())
+
+    def test_leading_zeros(self, tmp_path):
+        symbols = SymbolTable()
+        assert load_weights(write(tmp_path, "w.txt", "a 007\n"), symbols).cost_of(symbols.id_of("a")) == 7
 
 
 class TestLoadTiles:
@@ -382,6 +398,15 @@ class TestPatternFiles:
         write_patterns(loaded.records, p2, loaded.symbols, valid=loaded.valid, condensed=loaded.condensed)
         assert p1.read_text() == p2.read_text()
 
+    def test_edge_label_interned_first_only_when_a_graph_is_present(self, tmp_path):
+        itemset = "pid=1 kind=itemset support=1 size=1 elements=b\n"
+        graph = "pid=2 kind=graph support=1 size=1 vertices=0:a,1:b edges=0-1:x\n"
+        mixed = load_patterns(write(tmp_path, "mixed.pat", itemset + graph))
+        assert mixed.symbols.labels == ("0", "b", "a", "x")
+        # "kind=graph" inside a label is no graph record
+        lookalike = "pid=3 kind=itemset support=1 size=1 elements=kind=graph\n"
+        assert load_patterns(write(tmp_path, "items.pat", itemset + lookalike)).symbols.labels == ("b", "kind=graph")
+
     def test_load_reports_path_on_semantic_error(self, tmp_path):
         p = write(
             tmp_path,
@@ -427,6 +452,29 @@ class TestCoverText:
     def test_empty_cover_with_zero_support(self):
         records, _ = outputs_to_records([line_to_output("pid=1 kind=itemset support=0 size=1 elements=a cover=")])
         assert records[0].cover == frozenset() and records[0].cover_text() == ""
+
+    # Digits, commas, and what int() or a looser pattern would let through.
+    INT_LIST_CHARS = list("0129,_-+") + ["\u0661", "\u00b2"]
+    INT_LIST_TEXT = st.text(st.sampled_from(INT_LIST_CHARS + [" "]), max_size=10)
+    # A line splits on whitespace, so a field value holds none.
+    COVER_TEXT = st.text(st.sampled_from(INT_LIST_CHARS), max_size=10)
+
+    @settings(max_examples=400, deadline=None)
+    @given(INT_LIST_TEXT)
+    def test_checker_matches_the_regex(self, text):
+        assert _is_int_list(text) == bool(re.fullmatch(r"\d+(?:,\d+)*", text, re.ASCII))
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=COVER_TEXT, support=st.integers(0, 3))
+    def test_cover_field_accepts_the_grammar_and_count(self, text, support):
+        listed = text.count(",") + 1 if text else 0
+        wanted = (text == "" or re.fullmatch(r"\d+(?:,\d+)*", text, re.ASCII) is not None) and listed == support
+        try:
+            out = line_to_output(f"pid=1 kind=itemset support={support} size=1 elements=a cover={text}")
+        except InputError:
+            assert not wanted
+        else:
+            assert wanted and out.cover == text
 
 
 class TestStrictIntegersAndEscapes:
