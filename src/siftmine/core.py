@@ -21,6 +21,7 @@ kernel, live here too.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,23 +34,34 @@ from .errors import InputError
 DEFAULT_EDGE_LABEL = 0
 
 
+class _Ids(dict):
+    """label -> id; looking up an unseen label assigns it the next id."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels: list[str] = []
+
+    def __missing__(self, label: str) -> int:
+        sid = self[label] = len(self.labels)
+        self.labels.append(label)
+        return sid
+
+
 class SymbolTable:
     """Bijective label <-> id mapping, ids assigned in first-appearance order."""
 
     def __init__(self, labels: Iterable[str] = ()):
-        self._ids: dict[str, int] = {}
-        self._labels: list[str] = []
-        for label in labels:
-            self.intern(label)
+        self._ids = _Ids()
+        self.intern_all(labels)
 
     def intern(self, label: str) -> int:
         """Return the id for label, assigning the next free id if unseen."""
-        sid = self._ids.get(label)
-        if sid is None:
-            sid = len(self._labels)
-            self._ids[label] = sid
-            self._labels.append(label)
-        return sid
+        return self._ids[label]
+
+    def intern_all(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """The ids of labels, in order, interning each unseen one as intern does."""
+        # tuple(list) allocates once; tuple(map) guesses and resizes: slower, and it strands tuples on free lists.
+        return tuple(list(map(self._ids.__getitem__, labels)))
 
     def get(self, label: str) -> int | None:
         """Id of a label, or None if the label was never interned."""
@@ -62,22 +74,22 @@ class SymbolTable:
         return sid
 
     def label_of(self, sid: int) -> str:
-        if not 0 <= sid < len(self._labels):
+        if not 0 <= sid < len(self._ids.labels):
             raise InputError(f"unknown symbol id {sid}")
-        return self._labels[sid]
+        return self._ids.labels[sid]
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
+        return tuple(self._ids.labels)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._ids.labels)
 
     def __contains__(self, label: str) -> bool:
         return label in self._ids
 
     def __repr__(self) -> str:
-        return f"SymbolTable({self._labels!r})"
+        return f"SymbolTable({self._ids.labels!r})"
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,9 @@ class MinSupport:
 
     @classmethod
     def parse(cls, text: str) -> "MinSupport":
-        """Integer text means absolute; decimal in (0, 1] means relative."""
+        """Integer text means absolute; decimal in (0, 1] means relative; only ASCII without `_` is read."""
+        if not text.isascii() or "_" in text:
+            raise InputError(f"cannot parse minimum support {text!r}")
         text = text.strip()
         try:
             return cls.absolute(int(text))
@@ -153,7 +167,7 @@ class Itemset:
             raise InputError("itemset must be nonempty")
         if self.items[0] < 0:
             raise InputError("item ids must be nonnegative")
-        if any(b <= a for a, b in zip(self.items, self.items[1:])):
+        if not all(map(operator.lt, self.items, self.items[1:])):
             raise InputError("item ids must be strictly increasing")
 
     @classmethod
@@ -178,7 +192,7 @@ class Sequence:
     def __post_init__(self):
         if not self.symbols:
             raise InputError("sequence must be nonempty")
-        if any(s < 0 for s in self.symbols):
+        if min(self.symbols) < 0:
             raise InputError("symbol ids must be nonnegative")
 
     @classmethod
@@ -449,17 +463,16 @@ class _LazyCover:
             rec.__dict__["_cover"] = held
         return held
 
-    def __set__(self, rec, value):
-        rec.__dict__["_cover"] = value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternRecord:
     """A mined pattern together with its support, cover, and size.
 
     cover may be None for records rebuilt from files that omitted it; when
     present it must agree with support. It may also be given as a Cover,
-    which is read as a frozenset, built on the first read.
+    which is read as a frozenset, built on the first read. The constructor
+    checks and stores every field in one frame, and its support check is
+    the only count of the cover: producers pass the count they hold.
     """
 
     pid: int
@@ -468,16 +481,22 @@ class PatternRecord:
     cover: frozenset[int] | None = _LazyCover()
     size: int
 
-    def __post_init__(self):
-        if self.pid < 1:
+    def __init__(self, pid: int, pattern: Pattern, support: int, cover: frozenset[int] | Cover | None, size: int):
+        if pid < 1:
             raise InputError("pattern ids are 1-based")
-        if self.support < 0:
+        if support < 0:
             raise InputError("support must be nonnegative")
-        held = self.__dict__["_cover"]  # len() of a Cover builds no set
-        if held is not None and len(held) != self.support:
+        if cover is not None and len(cover) != support:  # len() of a Cover builds no set
             raise InputError("support must equal the cover cardinality")
-        if self.size != pattern_size(self.pattern):
+        if size != pattern_size(pattern):
             raise InputError("size must match the pattern")
+        # One key at a time, in field order, keeps the instance dict key-shared.
+        d = self.__dict__
+        d["pid"] = pid
+        d["pattern"] = pattern
+        d["support"] = support
+        d["_cover"] = cover
+        d["size"] = size
 
     @property
     def kind(self) -> str:

@@ -87,7 +87,7 @@ def load_sequences(path) -> SequenceDB:
         tokens = raw.split()
         if not tokens:
             raise InputError(f"{path}: line {lineno}: blank line")
-        sequences.append(tuple(symbols.intern(tok) for tok in tokens))
+        sequences.append(symbols.intern_all(tokens))
     return SequenceDB(tuple(sequences), symbols)
 
 
@@ -419,15 +419,14 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
     if not tokens:
         raise InputError(f"{path}: line {lineno}: blank line")
     fields = _fields(tokens, path, lineno)
-    for required in ("pid", "kind", "support", "size"):
-        if required not in fields:
-            raise InputError(f"{path}: line {lineno}: missing field {required!r}")
-    pid, support, size = fields["pid"], fields["support"], fields["size"]
+    try:
+        pid, kind, support, size = fields["pid"], fields["kind"], fields["support"], fields["size"]
+    except KeyError as exc:  # the first missing one, in the order read
+        raise InputError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
     # _int's rule, checked for the three at once
     if not (pid.isdigit() and support.isdigit() and size.isdigit() and (pid + support + size).isascii()):
         raise InputError(f"{path}: line {lineno}: pid/support/size must be integers")
     pid, support, size = int(pid), int(support), int(size)
-    kind = fields["kind"]
     elements = vertices = edges = None
     if kind in ("itemset", "sequence"):
         if "elements" not in fields or "vertices" in fields or "edges" in fields:
@@ -476,12 +475,12 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
-    valid, condensed = fields.get("valid"), fields.get("condensed")
-    for flag, value in (("valid", valid), ("condensed", condensed)):
-        if value is not None and value not in ("0", "1"):
-            raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
-    valid = None if valid is None else valid == "1"
-    condensed = None if condensed is None else condensed == "1"
+    valid = condensed = None
+    if "valid" in fields or "condensed" in fields:
+        for flag in ("valid", "condensed"):
+            if fields.get(flag, "0") not in ("0", "1"):
+                raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
+        valid, condensed = (fields[flag] == "1" if flag in fields else None for flag in ("valid", "condensed"))
     return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
@@ -502,9 +501,9 @@ def _records(rows: Iterable[tuple], graphs: bool, where: str = ""):
             if pid in records:
                 raise InputError(f"duplicate pattern id {pid}")
             if kind == "itemset":
-                pattern = Itemset.of(map(symbols.intern, elements))
+                pattern = Itemset.of(symbols.intern_all(elements))
             elif kind == "sequence":
-                pattern = Sequence(tuple(map(symbols.intern, elements)))
+                pattern = Sequence(symbols.intern_all(elements))
             else:
                 vertices = tuple(sorted((vid, symbols.intern(lbl)) for vid, lbl in vertices))
                 edges = tuple(sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in edges))

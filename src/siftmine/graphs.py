@@ -9,7 +9,9 @@ canonical form, the minimum DFS code. It keeps occurrence lists, every
 embedding of a frequent pattern in every graph that contains it, and
 matches a one-edge extension by extending those embeddings by the new edge,
 so mining runs no subgraph isomorphism search (gSpan's occurrence lists,
-Yan & Han, ICDM 2002, without its rightmost-path extension).
+Yan & Han, ICDM 2002, without its rightmost-path extension). A candidate
+is a growth step until its occurrences reach the threshold; only then is
+its graph built and canonicalised.
 
 A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
@@ -140,9 +142,7 @@ def canonical_code(g: LabeledGraph) -> tuple:
 Step = tuple[int, int, int, int | None]
 
 
-def _extensions(
-    g: LabeledGraph, edge_types: list[tuple[int, int, int]]
-) -> Iterator[tuple[LabeledGraph, Step]]:
+def _extensions(g: LabeledGraph, edge_types: list[tuple[int, int, int]]) -> Iterator[Step]:
     # One-edge extensions restricted to edge types present in the database:
     # attach a new vertex to an existing one, or close a pair of existing
     # non-adjacent vertices. Every connected (k+1)-edge graph arises from a
@@ -152,15 +152,9 @@ def _extensions(
     for vid, lv in g.vertices:
         for la, lb, el in edge_types:
             if la == lv:
-                yield (
-                    LabeledGraph.of(g.vertices + ((next_vid, lb),), g.edges + ((vid, next_vid, el),)),
-                    (vid, next_vid, el, lb),
-                )
+                yield vid, next_vid, el, lb
             if lb == lv and la != lb:
-                yield (
-                    LabeledGraph.of(g.vertices + ((next_vid, la),), g.edges + ((vid, next_vid, el),)),
-                    (vid, next_vid, el, la),
-                )
+                yield vid, next_vid, el, la
     present = set(g.edge_lookup)
     verts = g.vertices
     for i in range(len(verts)):
@@ -172,7 +166,14 @@ def _extensions(
             pa, pb = min(lu, lv), max(lu, lv)
             for la, lb, el in edge_types:
                 if (la, lb) == (pa, pb):
-                    yield LabeledGraph.of(verts, g.edges + ((u, v, el),)), (u, v, el, None)
+                    yield u, v, el, None
+
+
+def _extended(g: LabeledGraph, step: Step) -> LabeledGraph:
+    """The graph that step makes of g."""
+    u, v, el, new_label = step
+    vertices = g.vertices if new_label is None else g.vertices + ((v, new_label),)
+    return LabeledGraph.of(vertices, g.edges + ((u, v, el),))
 
 
 def _grow(embs: list[VertexMap], step: Step, host: LabeledGraph) -> list[VertexMap]:
@@ -201,9 +202,10 @@ def mine_frequent_graphs_general(
     a one-edge extension is matched by extending those embeddings by its
     new edge instead of searching the hosts again; it stops as soon as the
     candidate has missed too many of the parent's graphs to reach the
-    threshold. Only a candidate that turns out frequent is canonicalised;
-    the first frequent candidate of each isomorphism class stands for it.
-    Results are ordered by (edge count, canonical code) with pids 1..n.
+    threshold. Only a candidate that turns out frequent is built and
+    canonicalised; the first frequent candidate of each isomorphism class
+    stands for it. Results come ordered by (edge count, canonical code)
+    with pids 1..n.
     """
     if len(db) == 0:
         raise InputError("database must be nonempty")
@@ -241,7 +243,7 @@ def mine_frequent_graphs_general(
         for code in sorted(level):
             # A parent's lists are dropped once its extensions are grown.
             pat, occ = level.pop(code)
-            for cand, step in _extensions(pat, edge_types):
+            for step in _extensions(pat, edge_types):
                 cand_occ: Occurrences = {}
                 spare = len(occ) - sigma  # parent hosts the candidate may miss
                 for gid, embs in occ.items():
@@ -252,11 +254,10 @@ def mine_frequent_graphs_general(
                         break
                     else:
                         spare -= 1
-                # Support is the same for every member of an isomorphism
-                # class, so canonicalising only frequent candidates still
-                # makes the first candidate of each frequent class stand
-                # for it.
+                # Support is the same across an isomorphism class, so the
+                # first frequent candidate of each class still stands for it.
                 if len(cand_occ) >= sigma:
+                    cand = _extended(pat, step)
                     grown.setdefault(canonical_code(cand), (cand, cand_occ))
         collected.extend((code, pat, frozenset(occ)) for code, (pat, occ) in grown.items())
         level = grown

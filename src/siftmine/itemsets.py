@@ -46,16 +46,17 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
 
     # A stack entry is a frequent prefix, its tid mask, and the items that
     # may extend it: those after its last item that were frequent beside it.
-    found: list[tuple[tuple[int, ...], Cover]] = []
+    found: list[tuple[tuple[int, ...], int, Cover]] = []
     stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << len(tids)) - 2, sorted(bits))]
     while stack:
         prefix, prefix_mask, tail = stack.pop()
         kids = []
         for item in tail:
             mask = prefix_mask & bits[item]
-            if mask.bit_count() >= sigma:
+            support = mask.bit_count()
+            if support >= sigma:
                 items = prefix + (item,)
-                found.append((items, Cover(bin(mask)[:1:-1].encode().translate(_BIT_FLAGS), tids)))
+                found.append((items, support, Cover(bin(mask)[:1:-1].encode().translate(_BIT_FLAGS), tids)))
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.
@@ -64,6 +65,6 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
 
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return [
-        PatternRecord(pid=pid, pattern=Itemset(items), support=len(cover), cover=cover, size=len(items))
-        for pid, (items, cover) in enumerate(found, start=1)
+        PatternRecord(pid, Itemset(items), support, cover, len(items))
+        for pid, (items, support, cover) in enumerate(found, start=1)
     ]

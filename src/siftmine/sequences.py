@@ -26,7 +26,9 @@ costs a handful of operations over the D bytes of the database, about D/8
 machine words each, instead of a scan of every supporting sequence (Ayres,
 Flannick, Gehrke & Yiu, "Sequential PAttern Mining using a Bitmap
 Representation", KDD 2002). The search is depth-first on an explicit
-stack. Support counts supporting sequences, never embeddings.
+stack with SPAM's S-step pruning: P+b is extended only by the symbols a
+with P+a frequent, since supp(P+b+a) <= supp(P+a). Support counts
+supporting sequences, never embeddings.
 """
 
 from __future__ import annotations
@@ -74,27 +76,30 @@ def mine_frequent_sequences(
     # bytes of a cover leaves one flag byte per sequence, its guard byte.
     filler = int.from_bytes(b"\x01" * n_bytes, "little") ^ guards >> 7
 
-    found: list[tuple[tuple[int, ...], Cover]] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), full)]
+    # A stack entry: a frequent prefix, its projection, its parent's frequent extensions.
+    found: list[tuple[tuple[int, ...], int, Cover]] = []
+    stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), full, symbols)]
     while stack:
-        prefix, proj = stack.pop()
+        prefix, proj, tail = stack.pop()
         grow = max_len is None or len(prefix) + 1 < max_len
         kids = []
-        for sym in symbols:
+        for sym in tail:
             hits = proj & pos[sym] | guards
             upto = (hits - starts) ^ hits
             missed = upto & guards
-            if n - missed.bit_count() >= sigma:
+            support = n - missed.bit_count()
+            if support >= sigma:
                 pattern = prefix + (sym,)
                 flags = (guards ^ missed | filler).to_bytes(n_bytes, "little").translate(None, b"\x01")
-                found.append((pattern, Cover(flags, sids)))
+                found.append((pattern, support, Cover(flags, sids)))
                 if grow:
                     kids.append((pattern, full ^ upto))
+        kid_syms = [pattern[-1] for pattern, _ in kids]
         # Pushed last to first, so the first kid is extended first.
-        stack.extend(reversed(kids))
+        stack.extend((pattern, kid_proj, kid_syms) for pattern, kid_proj in reversed(kids))
 
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return [
-        PatternRecord(pid=pid, pattern=Sequence(syms), support=len(cover), cover=cover, size=len(syms))
-        for pid, (syms, cover) in enumerate(found, start=1)
+        PatternRecord(pid, Sequence(syms), support, cover, len(syms))
+        for pid, (syms, support, cover) in enumerate(found, start=1)
     ]

@@ -741,6 +741,11 @@ class TestRejectedInputs:
         argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(workdir / "t.txt"), "--threshold", "1")
         self.check(run_cli_process("0", *argv), "line 1")
 
+    @pytest.mark.parametrize("minsup", ["1_0", "0.5_0", "\u0661", "\u0660.\u0665"])
+    def test_minsup(self, workdir, minsup):
+        argv = ("mine", "--type", "itemset", "--input", str(workdir / "txns.txt"), "--minsup", minsup)
+        self.check(run_cli_process("0", *argv), "cannot parse minimum support")
+
     def test_unreadable_files(self, workdir):
         bad = workdir / "latin1.txt"
         bad.write_bytes(b"caf\xe9 a\n")

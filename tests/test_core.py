@@ -1,6 +1,8 @@
 """Core types: symbol interning, pattern validation, containment operations."""
 
+import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from siftmine import (
     pattern_size,
     subgraph_isomorphic,
 )
+from siftmine.core import Cover, TidTable
 from siftmine.oracle import all_embeddings, embedding_exists, injective_map_exists
 
 
@@ -45,6 +48,19 @@ class TestSymbolTable:
             t.id_of("y")
         with pytest.raises(InputError):
             t.label_of(5)
+
+    def test_get_and_in_never_intern(self):
+        t = SymbolTable(["x"])
+        assert t.get("y") is None and "y" not in t
+        assert len(t) == 1 and t.labels == ("x",)
+        assert t.intern("y") == 1 and t.get("y") == 1 and "y" in t
+
+    @given(st.lists(st.sampled_from("abcde"), max_size=12), st.lists(st.sampled_from("cdefg"), max_size=12))
+    def test_intern_all_equals_interning_one_by_one(self, first, second):
+        one, many = SymbolTable(), SymbolTable()
+        for labels in (first, second):
+            assert many.intern_all(labels) == tuple(map(one.intern, labels))
+        assert many.labels == one.labels == tuple(dict.fromkeys(first + second))
 
 
 class TestItemset:
@@ -126,6 +142,56 @@ class TestPatternHelpers:
             PatternRecord(pid=1, pattern=pat, support=2, cover=frozenset({1, 2}), size=3)
         with pytest.raises(InputError):
             PatternRecord(pid=0, pattern=pat, support=2, cover=frozenset({1, 2}), size=2)
+
+
+class TestPatternRecordContract:
+    """The hand-written constructor keeps the generated one's checks, messages and dataclass behaviour."""
+
+    PAT = Itemset.of((0, 1))
+    GOOD = dict(pid=1, pattern=PAT, support=2, cover=frozenset({1, 2}), size=2)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(pid=0), "pattern ids are 1-based"),
+            (dict(support=-1, cover=None), "support must be nonnegative"),
+            (dict(support=3), "support must equal the cover cardinality"),
+            (dict(cover=Cover(b"\x01\x00\x00", TidTable((1, 2, 3)))), "support must equal the cover cardinality"),
+            (dict(size=3), "size must match the pattern"),
+        ],
+    )
+    def test_rejections(self, change, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            PatternRecord(**{**self.GOOD, **change})
+
+    def test_dataclass_behaviour(self):
+        rec = PatternRecord(**self.GOOD)
+        assert rec == PatternRecord(1, self.PAT, 2, frozenset({1, 2}), 2)
+        assert [f.name for f in dataclasses.fields(rec)] == ["pid", "pattern", "support", "cover", "size"]
+        assert dataclasses.replace(rec, pid=7) == PatternRecord(**{**self.GOOD, "pid": 7})
+        with pytest.raises(InputError, match="size must match"):
+            dataclasses.replace(rec, size=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.support = 3
+        twin = PatternRecord(**{**self.GOOD, "cover": Cover(b"\x00\x01\x01", TidTable((0, 1, 2)))})
+        assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+
+    def test_instance_dict_stays_key_shared(self):
+        # A dict filled in some other key order, or by update(), stops
+        # sharing its keys with the class and is larger.
+        @dataclasses.dataclass(frozen=True)
+        class Generated:
+            pid: int
+            pattern: Itemset
+            support: int
+            _cover: frozenset
+            size: int
+
+        # Enough live instances of each that the size is the steady one.
+        recs = [PatternRecord(pid, self.PAT, 2, frozenset({1, 2}), 2) for pid in range(1, 101)]
+        twins = [Generated(pid, self.PAT, 2, frozenset({1, 2}), 2) for pid in range(1, 101)]
+        assert list(recs[-1].__dict__) == list(twins[-1].__dict__)
+        assert sys.getsizeof(recs[-1].__dict__) == sys.getsizeof(twins[-1].__dict__)
 
 
 class TestCoverItemset:

@@ -33,6 +33,7 @@ from siftmine import (
     mine_frequent_itemsets,
     mine_frequent_sequences,
     MinSupport,
+    PatternOutput,
     outputs_to_records,
     record_to_output,
     output_to_line,
@@ -342,6 +343,38 @@ class TestLineToOutputErrors:
     def test_position_in_message(self):
         with pytest.raises(InputError, match=r"pats\.txt: line 7"):
             line_to_output("pid=", path="pats.txt", lineno=7)
+
+
+class TestLineFieldsProperty:
+    REQUIRED = ("pid", "kind", "support", "size")
+    FLAG_VALUES = [None, "0", "1", "2", ""]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dropped=st.sets(st.sampled_from(REQUIRED)),
+        valid=st.sampled_from(FLAG_VALUES),
+        condensed=st.sampled_from(FLAG_VALUES),
+        data=st.data(),
+    )
+    def test_fields_in_any_order(self, dropped, valid, condensed, data):
+        fields = {"pid": "3", "kind": "itemset", "support": "2", "size": "1", "elements": "b,a", "cover": "1,4"}
+        fields.update(valid=valid, condensed=condensed)
+        tokens = [f"{key}={value}" for key, value in fields.items() if value is not None and key not in dropped]
+        line = " ".join(data.draw(st.permutations(tokens)))
+        if dropped:
+            first = next(key for key in self.REQUIRED if key in dropped)
+            with pytest.raises(InputError, match=f"missing field '{first}'$"):
+                line_to_output(line)
+            return
+        bad = [flag for flag, value in (("valid", valid), ("condensed", condensed)) if value not in (None, "0", "1")]
+        if bad:
+            with pytest.raises(InputError, match=f"flag {bad[0]} must be 0 or 1$"):
+                line_to_output(line)
+            return
+        flag = {None: None, "0": False, "1": True}
+        assert line_to_output(line) == PatternOutput(
+            3, "itemset", 2, 1, ("b", "a"), None, None, "1,4", flag[valid], flag[condensed]
+        )
 
 
 class TestPatternFiles:

@@ -46,6 +46,10 @@ class TestMinSupport:
             MinSupport.relative(0.0)
         with pytest.raises(InputError):
             MinSupport.relative(1.1)
+        # int() and float() read these; a threshold is plain ASCII, as pattern-file integers are
+        for text in ("1_0", "0.5_0", "\u0661", "\u0660.\u0665", "\uff11", "2\u00a0"):
+            with pytest.raises(InputError, match="cannot parse minimum support"):
+                MinSupport.parse(text)
 
 
 class TestWorkedExample:
