@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError
@@ -410,43 +409,58 @@ class GraphDB:
         return iter(enumerate(self.graphs, start=1))
 
 
+class _TidRow(dict):
+    """Byte b -> the text of the tids at b's set bits, ascending, each followed by ","; filled on first use."""
+
+    __slots__ = ("tids",)
+
+    def __init__(self, tids: tuple[int, ...]):
+        super().__init__({0: ""})
+        self.tids = tids
+
+    def __missing__(self, b: int) -> str:
+        rest = b & (b - 1)
+        text = self[b] = f"{self.tids[(b ^ rest).bit_length() - 1]},{self[rest]}"
+        return text
+
+
 class TidTable(tuple):
-    """Tids by flag position, shared by every bitmap cover of one mining run."""
+    """Tids by bit position, shared by every bitmap cover of one mining run."""
 
     @cached_property
-    def texts(self) -> tuple[str, ...]:
-        """The tids' decimal text, made once per table when covers are written."""
-        return tuple(map(str, self))
+    def rows(self) -> tuple[_TidRow, ...]:
+        """One row per eight positions: row i renders a mask's byte i."""
+        return tuple(_TidRow(self[i : i + 8]) for i in range(0, len(self), 8))
 
 
 class Cover:
     """A pattern's tids, kept in their producer's form until they are read.
 
-    Either flags over a TidTable, compress(table, flags) being the tids in
-    ascending order (the miners' tid masks and guard bytes), or the checked
-    comma-separated text of a pattern file, written back verbatim.
+    Either the miners' packed tid mask over a TidTable, bit k standing for
+    table[k], rendered a byte (eight tids) at a time; or the checked text of
+    a pattern file, written back verbatim, with the count its reader checked.
     """
 
-    __slots__ = ("flags", "table", "text")
+    __slots__ = ("mask", "table", "text", "count")
 
-    def __init__(self, flags: bytes = b"", table: TidTable = TidTable(), text: str | None = None):
-        self.flags, self.table, self.text = flags, table, text
+    def __init__(self, mask: int = 0, table: TidTable = TidTable(), text: str | None = None, count: int | None = None):
+        if text is not None and count is None:
+            count = text.count(",") + 1 if text else 0
+        self.mask, self.table, self.text, self.count = mask, table, text, count
 
     def __len__(self) -> int:
         """Number of tids listed, counted without building a set."""
-        if self.text is not None:
-            return self.text.count(",") + 1 if self.text else 0
-        return len(self.flags) - self.flags.count(0)
+        return self.mask.bit_count() if self.text is None else self.count
 
     def as_text(self) -> str:
         if self.text is not None:
             return self.text
-        return ",".join(compress(self.table.texts, self.flags))
+        rows = self.table.rows
+        return "".join(map(operator.getitem, rows, self.mask.to_bytes(len(rows), "little")))[:-1]
 
     def as_set(self) -> frozenset[int]:
-        if self.text is not None:
-            return frozenset(map(int, self.text.split(","))) if self.text else frozenset()
-        return frozenset(compress(self.table, self.flags))
+        text = self.as_text()
+        return frozenset(map(int, text.split(","))) if text else frozenset()
 
 
 class _LazyCover:

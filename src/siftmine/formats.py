@@ -488,8 +488,11 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
     return PatternOutput(*_parse_line(line, path, lineno))
 
 
-def _records(rows: Iterable[tuple], graphs: bool, where: str = ""):
-    """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first."""
+def _records(rows: Iterable[tuple], graphs: bool, where: str = "", counted: bool = True):
+    """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first.
+
+    With counted, _parse_line has matched each cover's count to its support, so it is not counted again.
+    """
     symbols = SymbolTable()
     if graphs:
         symbols.intern("0")
@@ -501,14 +504,21 @@ def _records(rows: Iterable[tuple], graphs: bool, where: str = ""):
             if pid in records:
                 raise InputError(f"duplicate pattern id {pid}")
             if kind == "itemset":
-                pattern = Itemset.of(symbols.intern_all(elements))
+                try:
+                    pattern = Itemset(tuple(sorted(symbols.intern_all(elements))))
+                except InputError:  # sorted, nonempty ids are out of strict order only by a repeat
+                    if elements:
+                        raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
+                    raise
             elif kind == "sequence":
                 pattern = Sequence(symbols.intern_all(elements))
             else:
                 vertices = tuple(sorted((vid, symbols.intern(lbl)) for vid, lbl in vertices))
                 edges = tuple(sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in edges))
                 pattern = LabeledGraph(vertices, edges)
-            records[pid] = PatternRecord(pid, pattern, support, None if cover is None else Cover(text=cover), size)
+            if cover is not None:
+                cover = Cover(text=cover, count=support if counted else None)
+            records[pid] = PatternRecord(pid, pattern, support, cover, size)
         except InputError as exc:
             raise InputError(f"{where}{exc}") from None
         if is_valid is not None:
@@ -521,7 +531,8 @@ def _records(rows: Iterable[tuple], graphs: bool, where: str = ""):
 def outputs_to_records(outputs: Iterable[PatternOutput]) -> tuple[tuple[PatternRecord, ...], SymbolTable]:
     """Rebuild records, interning labels afresh in first-appearance order."""
     outputs = tuple(outputs)
-    records, symbols, _, _ = _records(map(astuple, outputs), any(out.kind == "graph" for out in outputs))
+    graphs = any(out.kind == "graph" for out in outputs)
+    records, symbols, _, _ = _records(map(astuple, outputs), graphs, counted=False)
     return records, symbols
 
 

@@ -11,17 +11,13 @@ transactions, instead of a set intersection over Python objects (Zaki,
 The search is depth-first over the item lattice on an explicit stack.
 Support is anti-monotone, so a prefix is only extended by the items that
 were frequent beside it under its parent, in item order. A frequent
-itemset's record keeps its mask as a Cover; no set of tids is built.
+itemset's record keeps its mask as a Cover, rendered a byte at a time.
 """
 
 from __future__ import annotations
 
 from .core import Cover, Itemset, MinSupport, PatternRecord, TidTable, TransactionDB, mask_at
 from .errors import InputError
-
-# Read backwards without its "0b", bin(mask) spells bit k at index k as
-# "0" or "1"; this table makes those bytes 0 and 1, the flags of a Cover.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -56,7 +52,7 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
             support = mask.bit_count()
             if support >= sigma:
                 items = prefix + (item,)
-                found.append((items, support, Cover(bin(mask)[:1:-1].encode().translate(_BIT_FLAGS), tids)))
+                found.append((items, support, Cover(mask, tids)))
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.

@@ -728,6 +728,12 @@ class TestRejectedInputs:
         pats.write_text(PATTERN_LINE.replace(old, new) + "\n", encoding="utf-8")
         self.check(run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal"), "line 1")
 
+    def test_repeated_itemset_label(self, tmp_path):
+        pats = tmp_path / "p.pat"
+        pats.write_text("pid=1 kind=itemset support=1 size=2 elements=a,a cover=1\n", encoding="utf-8")
+        proc = run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal")
+        self.check(proc, "p.pat: pattern 1: itemset lists a label more than once")
+
     @pytest.mark.parametrize("old, new", [("vertices=0:a", "vertices=0_0:a"), ("0-1:x", "0-+1:x")])
     def test_graph_pattern_ids(self, tmp_path, old, new):
         pats = tmp_path / "p.pat"

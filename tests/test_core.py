@@ -156,7 +156,7 @@ class TestPatternRecordContract:
             (dict(pid=0), "pattern ids are 1-based"),
             (dict(support=-1, cover=None), "support must be nonnegative"),
             (dict(support=3), "support must equal the cover cardinality"),
-            (dict(cover=Cover(b"\x01\x00\x00", TidTable((1, 2, 3)))), "support must equal the cover cardinality"),
+            (dict(cover=Cover(0b001, TidTable((1, 2, 3)))), "support must equal the cover cardinality"),
             (dict(size=3), "size must match the pattern"),
         ],
     )
@@ -173,7 +173,7 @@ class TestPatternRecordContract:
             dataclasses.replace(rec, size=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.support = 3
-        twin = PatternRecord(**{**self.GOOD, "cover": Cover(b"\x00\x01\x01", TidTable((0, 1, 2)))})
+        twin = PatternRecord(**{**self.GOOD, "cover": Cover(0b110, TidTable((0, 1, 2)))})
         assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
 
     def test_instance_dict_stays_key_shared(self):
@@ -192,6 +192,28 @@ class TestPatternRecordContract:
         twins = [Generated(pid, self.PAT, 2, frozenset({1, 2}), 2) for pid in range(1, 101)]
         assert list(recs[-1].__dict__) == list(twins[-1].__dict__)
         assert sys.getsizeof(recs[-1].__dict__) == sys.getsizeof(twins[-1].__dict__)
+
+
+class TestCover:
+    """A bitmap cover is rendered a byte (eight tids) at a time from its table's lazily filled rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mask_forms_agree(self, data):
+        table = TidTable(data.draw(st.lists(st.integers(0, 10**20), min_size=1, max_size=70)))
+        top = 1 << len(table) - 1
+        # Several masks share one table, so later ones render from rows the earlier ones filled.
+        masks = data.draw(st.lists(st.integers(0, 2 * top - 1) | st.sampled_from([0, top]), min_size=1, max_size=4))
+        for mask in masks + masks[:1]:
+            cover, listed = Cover(mask, table), [t for k, t in enumerate(table) if mask >> k & 1]
+            assert cover.as_text() == ",".join(str(t) for t in listed)
+            assert len(cover) == mask.bit_count()
+            assert cover.as_set() == frozenset(listed)
+
+    def test_rows_fill_only_the_bytes_rendered(self):
+        table = TidTable(range(100, 120))
+        assert Cover(0b101 << 8, table).as_text() == "108,110"
+        assert [dict(row) for row in table.rows] == [{0: ""}, {0: "", 0b100: "110,", 0b101: "108,110,"}, {0: ""}]
 
 
 class TestCoverItemset:

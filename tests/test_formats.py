@@ -1,5 +1,6 @@
 """File formats: loaders, the pattern-line codec, and the tiling report."""
 
+import dataclasses
 import random
 import re
 import tempfile
@@ -481,6 +482,20 @@ class TestCoverText:
     def test_grammar_and_count(self, cover, message):
         with pytest.raises(InputError, match=message):
             line_to_output(f"pid=1 kind=itemset support=2 size=1 elements=a cover={cover}")
+
+    @pytest.mark.parametrize("elements", ["a,a", "a,b,a", "a,%61"])
+    def test_repeated_itemset_label_rejected(self, tmp_path, elements):
+        size = elements.count(",") + 1
+        line = f"pid=4 kind=itemset support=1 size={size} elements={elements} cover=1"
+        with pytest.raises(InputError, match=r"p\.pat: pattern 4: itemset lists a label more than once"):
+            load_patterns(write(tmp_path, "p.pat", line + "\n"))
+        with pytest.raises(InputError, match="^pattern 4: itemset lists a label more than once$"):
+            outputs_to_records([line_to_output(line)])
+
+    def test_outputs_to_records_counts_a_cover_it_did_not_parse(self):
+        out = line_to_output("pid=1 kind=itemset support=2 size=1 elements=a cover=1,2")
+        with pytest.raises(InputError, match="^support must equal the cover cardinality$"):
+            outputs_to_records([dataclasses.replace(out, cover="1,2,3")])
 
     def test_empty_cover_with_zero_support(self):
         records, _ = outputs_to_records([line_to_output("pid=1 kind=itemset support=0 size=1 elements=a cover=")])

@@ -171,10 +171,10 @@ class TestOracleParity:
         db = SequenceDB(rows, symbols)
         sigma = sigma_pick % n_seqs + 1
         mined = mine_frequent_sequences(db, MinSupport.absolute(sigma), max_len)
-        # Read before any cover is: one flag byte per sequence, counted and
+        # Read before any cover is: one mask bit per sequence, counted and
         # rendered for the writer without a set.
         held = [r.__dict__["_cover"] for r in mined]
-        assert all(len(c.flags) == n_seqs and len(c) == r.support for c, r in zip(held, mined))
+        assert all(c.mask.bit_length() <= n_seqs == len(c.table) and len(c) == r.support for c, r in zip(held, mined))
         texts = [r.cover_text() for r in mined]
         got = [(r.pid, r.pattern.symbols, r.support, r.cover) for r in mined]
         # With at most 3 symbols per candidate the oracle's enumeration stays
