@@ -488,9 +488,10 @@ def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput
     return PatternOutput(*_parse_line(line, path, lineno))
 
 
-def _records(rows: Iterable[tuple], graphs: bool, where: str = "", counted: bool = True):
+def _records(rows: Iterable[tuple], graphs: bool, path=None, counted: bool = True):
     """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first.
 
+    With a path, a record's error names it and the line (blank lines are errors, so row k is line k).
     With counted, _parse_line has matched each cover's count to its support, so it is not counted again.
     """
     symbols = SymbolTable()
@@ -499,7 +500,8 @@ def _records(rows: Iterable[tuple], graphs: bool, where: str = "", counted: bool
     records: dict[int, PatternRecord] = {}  # by pid, in file order
     valid: dict[int, bool] = {}
     condensed: dict[int, bool] = {}
-    for pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed in rows:
+    for lineno, row in enumerate(rows, start=1):
+        pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed = row
         try:
             if pid in records:
                 raise InputError(f"duplicate pattern id {pid}")
@@ -520,7 +522,9 @@ def _records(rows: Iterable[tuple], graphs: bool, where: str = "", counted: bool
                 cover = Cover(text=cover, count=support if counted else None)
             records[pid] = PatternRecord(pid, pattern, support, cover, size)
         except InputError as exc:
-            raise InputError(f"{where}{exc}") from None
+            if path is None:
+                raise
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
         if is_valid is not None:
             valid[pid] = is_valid
         if is_condensed is not None:
@@ -553,7 +557,7 @@ def load_patterns(path) -> LoadedPatterns:
     rows = (_parse_line(raw, path, lineno) for lineno, raw in enumerate(text.splitlines(), start=1))
     # Only a graph record has a token `kind=graph`; the substring test spares other files the regex's scan.
     graphs = "kind=graph" in text and re.search(r"(?<!\S)kind=graph(?!\S)", text) is not None
-    records, symbols, valid, condensed = _records(rows, graphs, where=f"{path}: ")
+    records, symbols, valid, condensed = _records(rows, graphs, path)
     return LoadedPatterns(records=records, symbols=symbols, valid=valid, condensed=condensed)
 
 

@@ -9,9 +9,10 @@ canonical form, the minimum DFS code. It keeps occurrence lists, every
 embedding of a frequent pattern in every graph that contains it, and
 matches a one-edge extension by extending those embeddings by the new edge,
 so mining runs no subgraph isomorphism search (gSpan's occurrence lists,
-Yan & Han, ICDM 2002, without its rightmost-path extension). A candidate
-is a growth step until its occurrences reach the threshold; only then is
-its graph built and canonicalised.
+Yan & Han, ICDM 2002, without its rightmost-path extension). Extension is
+lazy: one embedding per host decides whether a candidate is frequent, and
+only a frequent candidate that starts a new isomorphism class has its lists
+built in full. New vertices come from a per-host typed neighbor index.
 
 A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
@@ -44,6 +45,8 @@ from .itemsets import mine_frequent_itemsets
 # vertex m[i]; occurrence lists hold every embedding per covering graph id.
 VertexMap = tuple[int, ...]
 Occurrences = dict[int, list[VertexMap]]
+# (vertex, edge label, neighbor label) -> those neighbors of one host, ascending.
+TypedNeighbors = dict[tuple[int, int, int], list[int]]
 
 # An isolated vertex with label l encodes as this sentinel; a real component
 # code always starts with discovery indices (0, 1), so no collision.
@@ -176,19 +179,13 @@ def _extended(g: LabeledGraph, step: Step) -> LabeledGraph:
     return LabeledGraph.of(vertices, g.edges + ((u, v, el),))
 
 
-def _grow(embs: list[VertexMap], step: Step, host: LabeledGraph) -> list[VertexMap]:
-    """Extend each embedding of the parent in host by step, dropping those that fail."""
+def _grow(embs: list[VertexMap], step: Step, host: LabeledGraph, typed: TypedNeighbors) -> Iterator[VertexMap]:
+    """Lazily extend each embedding of the parent in host by step, in order, dropping those that fail."""
     u, v, el, new_label = step
     if new_label is None:
         edge = host.edge_lookup.get
-        return [m for m in embs if edge((m[u], m[v]) if m[u] < m[v] else (m[v], m[u])) == el]
-    nbrs, labels = host.neighbors, host.label_map
-    return [
-        m + (w,)
-        for m in embs
-        for w, hel in nbrs[m[u]]
-        if hel == el and labels[w] == new_label and w not in m
-    ]
+        return (m for m in embs if edge((m[u], m[v]) if m[u] < m[v] else (m[v], m[u])) == el)
+    return (m + (w,) for m in embs for w in typed.get((m[u], el, new_label), ()) if w not in m)
 
 
 def mine_frequent_graphs_general(
@@ -199,13 +196,13 @@ def mine_frequent_graphs_general(
     Support counts database graphs containing the pattern (at least one
     subgraph isomorphism), never occurrences. Each frequent pattern keeps
     its occurrence lists, every embedding in every graph of its cover, and
-    a one-edge extension is matched by extending those embeddings by its
-    new edge instead of searching the hosts again; it stops as soon as the
-    candidate has missed too many of the parent's graphs to reach the
-    threshold. Only a candidate that turns out frequent is built and
-    canonicalised; the first frequent candidate of each isomorphism class
-    stands for it. Results come ordered by (edge count, canonical code)
-    with pids 1..n.
+    a one-edge extension lazily extends those embeddings by its new edge:
+    the first embedding per host says the candidate occurs there, and the
+    test stops once it has missed too many of the parent's graphs to reach
+    the threshold. Only a frequent candidate is built and canonicalised;
+    the first of each isomorphism class stands for it and alone drains its
+    extensions into lists. Results come ordered by (edge count, canonical
+    code) with pids 1..n.
     """
     if len(db) == 0:
         raise InputError("database must be nonempty")
@@ -217,10 +214,17 @@ def mine_frequent_graphs_general(
 
     # One scan of the host edges gives every embedding of every one-edge
     # pattern (la, lb, el) with la <= lb: both orientations when la == lb.
+    # The same scan builds each host's typed neighbor index; edges come
+    # sorted, so every neighbor list comes out in ascending id order.
     seeds: dict[tuple[int, int, int], Occurrences] = {}
+    typed: list[TypedNeighbors] = []
     for gid, g in db.records():
         lbl = g.label_map
+        index: TypedNeighbors = {}
+        typed.append(index)
         for u, v, el in g.edges:
+            index.setdefault((u, el, lbl[v]), []).append(v)
+            index.setdefault((v, el, lbl[u]), []).append(u)
             la, lb = lbl[u], lbl[v]
             if la > lb:
                 la, lb, u, v = lb, la, v, u
@@ -244,21 +248,24 @@ def mine_frequent_graphs_general(
             # A parent's lists are dropped once its extensions are grown.
             pat, occ = level.pop(code)
             for step in _extensions(pat, edge_types):
-                cand_occ: Occurrences = {}
+                hits = []  # (gid, first embedding, the rest still lazy)
                 spare = len(occ) - sigma  # parent hosts the candidate may miss
                 for gid, embs in occ.items():
-                    found = _grow(embs, step, db.graphs[gid - 1])
-                    if found:
-                        cand_occ[gid] = found
+                    found = _grow(embs, step, db.graphs[gid - 1], typed[gid - 1])
+                    first = next(found, None)
+                    if first is not None:
+                        hits.append((gid, first, found))
                     elif spare == 0:
                         break
                     else:
                         spare -= 1
                 # Support is the same across an isomorphism class, so the
-                # first frequent candidate of each class still stands for it.
-                if len(cand_occ) >= sigma:
+                # first frequent candidate of each class stands for it.
+                if len(hits) >= sigma:
                     cand = _extended(pat, step)
-                    grown.setdefault(canonical_code(cand), (cand, cand_occ))
+                    cand_code = canonical_code(cand)
+                    if cand_code not in grown:
+                        grown[cand_code] = (cand, {gid: [first, *found] for gid, first, found in hits})
         collected.extend((code, pat, frozenset(occ)) for code, (pat, occ) in grown.items())
         level = grown
         k += 1

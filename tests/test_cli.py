@@ -139,6 +139,58 @@ LABELED_MINSUP_2_LINES = [
     "pid=10 kind=graph support=2 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,1-2:y,2-3:0 cover=1,2",
 ]
 
+# One vertex label: a 5-cycle with an x chord and a K4 with one x edge. Their
+# many automorphic embeddings give many duplicate candidates per class, so
+# these lines pin which candidate's vertex numbering stands for each class.
+SYMMETRIC_GRAPHS = """t # 1
+v 0 a
+v 1 a
+v 2 a
+v 3 a
+v 4 a
+e 0 1
+e 1 2
+e 2 3
+e 3 4
+e 4 0
+e 0 2 x
+t # 2
+v 0 a
+v 1 a
+v 2 a
+v 3 a
+e 0 1 x
+e 0 2
+e 0 3
+e 1 2
+e 1 3
+e 2 3
+"""
+
+SYMMETRIC_MAX_EDGES_4_LINES = [
+    "pid=1 kind=graph support=2 size=1 vertices=0:a,1:a edges=0-1:0 cover=1,2",
+    "pid=2 kind=graph support=2 size=1 vertices=0:a,1:a edges=0-1:x cover=1,2",
+    "pid=3 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0 cover=1,2",
+    "pid=4 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,0-2:x cover=1,2",
+    "pid=5 kind=graph support=1 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0 cover=2",
+    "pid=6 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x cover=1,2",
+    "pid=7 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0 cover=1,2",
+    "pid=8 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:x cover=1,2",
+    "pid=9 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:x,2-3:0 cover=1,2",
+    "pid=10 kind=graph support=1 size=3 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0,1-2:0 cover=2",
+    "pid=11 kind=graph support=2 size=3 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0,1-2:x cover=1,2",
+    "pid=12 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,0-3:x,3-4:0 cover=1",
+    "pid=13 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,0-3:x,1-4:0 cover=1",
+    "pid=14 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0,1-2:0 cover=2",
+    "pid=15 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x,1-3:0 cover=1,2",
+    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,1-3:0,2-4:0 cover=1",
+    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0,1-2:x cover=2",
+    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,1-3:x,3-4:0 cover=1",
+    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x,1-2:0 cover=2",
+    "pid=20 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0,2-3:0 cover=2",
+    "pid=21 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0,2-3:x cover=1,2",
+]
+
 # One 1 in row 4 lies in no candidate tile, so the two error modes differ.
 MATRIX_4X3 = MATRIX + "1 0 0\n"
 
@@ -215,6 +267,7 @@ def workdir(tmp_path):
         ("tiles.txt", TILES),
         ("graphs.txt", GRAPHS),
         ("labeled.txt", LABELED_GRAPHS),
+        ("symmetric.txt", SYMMETRIC_GRAPHS),
         ("matrix4x3.txt", MATRIX_4X3),
     ]:
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -288,6 +341,13 @@ class TestMine:
         code, out, _ = run("mine", "--type", "graph", "--input", "labeled.txt", "--minsup", "2")
         assert code == 0
         assert out.splitlines() == LABELED_MINSUP_2_LINES + ["mined 10 patterns (effective minimum support 2)"]
+
+    def test_graph_representatives_on_symmetric_hosts(self, run):
+        code, out, _ = run(
+            "mine", "--type", "graph", "--input", "symmetric.txt", "--minsup", "1", "--max-edges", "4"
+        )
+        assert code == 0
+        assert out.splitlines() == SYMMETRIC_MAX_EDGES_4_LINES + ["mined 21 patterns (effective minimum support 1)"]
 
     def test_graph_output_independent_of_hash_seed(self, workdir):
         out_file = workdir / "labeled.out"
@@ -732,7 +792,30 @@ class TestRejectedInputs:
         pats = tmp_path / "p.pat"
         pats.write_text("pid=1 kind=itemset support=1 size=2 elements=a,a cover=1\n", encoding="utf-8")
         proc = run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal")
-        self.check(proc, "p.pat: pattern 1: itemset lists a label more than once")
+        self.check(proc, "p.pat: line 1: pattern 1: itemset lists a label more than once")
+
+    # Errors a whole record raises, not one of its fields: each names the line.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"edges=0-1": "edges=0-0"}, "self loop at vertex 0"),
+            ({"edges=0-1": "edges=0-2"}, "edge (0,2) references an undeclared vertex"),
+            ({"0-1:x": "0-1:x,0-1:y", "size=1": "size=2"}, "duplicate edge (0,1)"),
+            ({"vertices=0:a": "vertices=0:a,0:c"}, "duplicate vertex id"),
+            ({"size=1": "size=2"}, "size must match the pattern"),
+            ({"pid=2": "pid=1"}, "duplicate pattern id 1"),
+            ({"pid=2": "pid=0"}, "pattern ids are 1-based"),
+        ],
+        ids=["self-loop", "undeclared-vertex", "duplicate-edge", "duplicate-vertex", "size", "duplicate-pid", "pid-0"],
+    )
+    def test_record_errors_name_the_line(self, tmp_path, changes, message):
+        line = GRAPH_PATTERN_LINE.replace("pid=1", "pid=2")
+        for old, new in changes.items():
+            line = line.replace(old, new)
+        pats = tmp_path / "p.pat"
+        pats.write_text(GRAPH_PATTERN_LINE + "\n" + line + "\n", encoding="utf-8")
+        proc = run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal")
+        self.check(proc, f"p.pat: line 2: {message}")
 
     @pytest.mark.parametrize("old, new", [("vertices=0:a", "vertices=0_0:a"), ("0-1:x", "0-+1:x")])
     def test_graph_pattern_ids(self, tmp_path, old, new):

@@ -487,7 +487,7 @@ class TestCoverText:
     def test_repeated_itemset_label_rejected(self, tmp_path, elements):
         size = elements.count(",") + 1
         line = f"pid=4 kind=itemset support=1 size={size} elements={elements} cover=1"
-        with pytest.raises(InputError, match=r"p\.pat: pattern 4: itemset lists a label more than once"):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: pattern 4: itemset lists a label more than once"):
             load_patterns(write(tmp_path, "p.pat", line + "\n"))
         with pytest.raises(InputError, match="^pattern 4: itemset lists a label more than once$"):
             outputs_to_records([line_to_output(line)])

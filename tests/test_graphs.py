@@ -254,6 +254,52 @@ class TestGeneralMiner:
         assert got == want
         assert len(got) == len(mined)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        shapes=st.lists(
+            st.tuples(st.sampled_from(["cycle", "clique", "star", "wheel"]), st.integers(0, 4)), min_size=1, max_size=3
+        ),
+        two_edge_labels=st.booleans(),
+        sigma_pick=st.integers(0, 2),
+        max_edges=st.sampled_from([None, 2, 3, 4]),
+    )
+    def test_equals_bruteforce_on_symmetric_hosts(self, rng, shapes, two_edge_labels, sigma_pick, max_edges):
+        # One vertex label on cycles, cliques up to K4, stars and wheels: every
+        # pattern has many automorphic embeddings, so most frequent candidates
+        # duplicate a class already found.
+        symbols = SymbolTable()
+        symbols.intern("0")
+        label = symbols.intern("A")
+        edge_labels = [0, symbols.intern("x")] if two_edge_labels else [0]
+        graphs = []
+        for shape, k in shapes:
+            if shape == "cycle":  # C3..C7
+                edges = [(i, (i + 1) % (k + 3)) for i in range(k + 3)]
+            elif shape == "clique":  # K2..K4
+                edges = [(i, j) for j in range(k % 3 + 2) for i in range(j)]
+            elif shape == "star":  # one to five leaves around vertex 0
+                edges = [(0, i) for i in range(1, k + 2)]
+            else:  # a hub joined to every vertex of a 3- or 4-cycle
+                rim = k % 2 + 3
+                edges = [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
+            n = max(max(e) for e in edges) + 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(LabeledGraph.of(
+                [(v, label) for v in range(n)], [(perm[u], perm[v], rng.choice(edge_labels)) for u, v in edges]
+            ))
+        db = GraphDB(tuple(graphs), symbols)
+        sigma = sigma_pick % len(db) + 1
+        mined = mine_frequent_graphs_general(db, MinSupport.absolute(sigma), max_edges)
+        got = {canonical_code(r.pattern): r.cover for r in mined}
+        want = {
+            canonical_code(rep): cov
+            for rep, cov in frequent_graphs_general_bruteforce(db, sigma, max_edges)
+        }
+        assert got == want
+        assert len(got) == len(mined)
+
     def test_unique_equals_general_on_connected(self, demo_graphs):
         f = demo_graphs
 
