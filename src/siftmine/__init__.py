@@ -47,9 +47,7 @@ from .errors import (
 from .formats import (
     BinaryMatrix,
     LoadedPatterns,
-    PatternOutput,
     WeightTable,
-    line_to_output,
     load_graphs,
     load_matrix,
     load_patterns,
@@ -57,9 +55,6 @@ from .formats import (
     load_tiles,
     load_transactions,
     load_weights,
-    output_to_line,
-    outputs_to_records,
-    record_to_output,
     write_patterns,
     write_tiling,
 )
@@ -99,7 +94,6 @@ __all__ = [
     "LabeledGraph",
     "LoadedPatterns",
     "MinSupport",
-    "PatternOutput",
     "PatternRecord",
     "SelectionResult",
     "Sequence",
@@ -127,7 +121,6 @@ __all__ = [
     "graph_included",
     "greedy_select",
     "is_unique_labeled",
-    "line_to_output",
     "load_graphs",
     "load_matrix",
     "load_patterns",
@@ -139,13 +132,10 @@ __all__ = [
     "mine_frequent_graphs_unique",
     "mine_frequent_itemsets",
     "mine_frequent_sequences",
-    "output_to_line",
-    "outputs_to_records",
     "parse_constraints",
     "partition_valid",
     "pattern_kind",
     "pattern_size",
-    "record_to_output",
     "subgraph_isomorphic",
     "tile_of",
     "write_patterns",

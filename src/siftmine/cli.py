@@ -120,6 +120,8 @@ def cmd_condense(args) -> int:
 def cmd_tile(args) -> int:
     if args.threshold < 0:
         return _usage("--threshold must be nonnegative")
+    if args.bound < 0 and args.method != "greedy":
+        return _usage("--bound must be nonnegative")
     matrix = load_matrix(args.matrix)
     if args.candidates:
         candidates = load_tiles(args.candidates, matrix)

@@ -13,9 +13,10 @@ supported:
 The inclusion primitives at the bottom of the module (cover_itemset,
 find_embedding, subgraph_isomorphic, graph_included) define what "pattern p
 occurs in object x" means for each kind; everything else in the package is
-built on top of them. MinSupport, the threshold every miner takes, and
-mask_at, which builds the Python-int bitsets of the miners and the tiling
-kernel, live here too.
+built on top of them. MinSupport, the threshold every miner takes,
+mine_patterns, the frame every miner's search runs in, and mask_at, which
+builds the Python-int bitsets of the miners and the tiling kernel, live
+here too.
 """
 
 from __future__ import annotations
@@ -141,6 +142,31 @@ class MinSupport:
         if self.kind == "absolute":
             return max(1, int(self.value))
         return max(1, math.ceil(Fraction(str(self.value)) * db_size))
+
+
+def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[PatternRecord]:
+    """The frame of every miner: checks, threshold, then search's finds as records in canonical order.
+
+    An empty db, then a size limit below 1 (passed by name, e.g. max_len),
+    raise InputError. An effective threshold above the database size yields
+    an empty list. Otherwise search(db, sigma, **limit) returns flat
+    (size, key, pattern, support, cover) entries, one per frequent pattern
+    with a distinct key; they are sorted by (size, key) and numbered 1..n.
+    """
+    if len(db) == 0:
+        raise InputError("database must be nonempty")
+    for name, value in limit.items():
+        if value is not None and value < 1:
+            raise InputError(f"{name} must be positive")
+    sigma = minsup.effective(len(db))
+    if sigma > len(db):
+        return []
+    found = search(db, sigma, **limit)
+    found.sort(key=operator.itemgetter(0, 1))
+    return [
+        PatternRecord(pid, pattern, support, cover, size)
+        for pid, (size, _, pattern, support, cover) in enumerate(found, start=1)
+    ]
 
 
 def mask_at(positions: Iterable[int], n_bits: int) -> int:
@@ -444,8 +470,6 @@ class Cover:
     __slots__ = ("mask", "table", "text", "count")
 
     def __init__(self, mask: int = 0, table: TidTable = TidTable(), text: str | None = None, count: int | None = None):
-        if text is not None and count is None:
-            count = text.count(",") + 1 if text else 0
         self.mask, self.table, self.text, self.count = mask, table, text, count
 
     def __len__(self) -> int:

@@ -8,18 +8,18 @@ deterministic (first appearance order), so loading a file twice yields
 identical id assignments.
 
 Pattern files are line-oriented key=value records. Labels are percent-quoted
-so any non-whitespace token round-trips losslessly; a written file parses
-back to exactly the same outputs. One field parser reads a line, straight
-into its record, and one renderer writes it, for files and stdout alike;
-the label-level PatternOutput helpers wrap the same two. Covers stay
-checked text from reader to writer; a set of tids is built only for a
-record whose cover is read.
+so any non-whitespace token round-trips losslessly; a written file loads
+back to records that write the same bytes. load_patterns and
+write_patterns (with pattern_lines for stdout) are the whole pattern-file
+codec: one field parser reads a line, straight into its record, and one
+renderer writes it. Covers stay checked text from reader to writer; a set
+of tids is built only for a record whose cover is read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -269,22 +269,6 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
 
 
 @dataclass(frozen=True)
-class PatternOutput:
-    """One pattern file line, label-level (no symbol ids)."""
-
-    pid: int
-    kind: str
-    support: int
-    size: int
-    elements: tuple[str, ...] | None
-    vertices: tuple[tuple[int, str], ...] | None
-    edges: tuple[tuple[int, int, str], ...] | None
-    cover: str | None  # comma-separated decimal tids, as in the file
-    valid: bool | None
-    condensed: bool | None
-
-
-@dataclass(frozen=True)
 class LoadedPatterns:
     records: tuple[PatternRecord, ...]
     symbols: SymbolTable
@@ -304,30 +288,13 @@ def _unq(text: str) -> str:
     return unquote(text, errors="strict")
 
 
-def _line(pid, kind, support, size, elements, vertices, edges, cover, valid, condensed, quoted) -> str:
-    """The one pattern-line renderer, fields in file order; quoted maps a label or symbol id to its text."""
-    if elements is not None:
-        body = "elements=" + ",".join(map(quoted, elements))
-    else:
-        body = "vertices=" + ",".join(f"{vid}:{quoted(lbl)}" for vid, lbl in vertices)
-        body += " edges=" + ",".join(f"{u}-{v}:{quoted(lbl)}" for u, v, lbl in edges)
-    line = f"pid={pid} kind={kind} support={support} size={size} {body}"
-    if cover is not None:
-        line += " cover=" + cover
-    if valid is not None:
-        line += f" valid={int(valid)}"
-    if condensed is not None:
-        line += f" condensed={int(condensed)}"
-    return line
-
-
 def pattern_lines(
     records: Iterable[PatternRecord],
     symbols: SymbolTable,
     valid: dict[int, bool] | None = None,
     condensed: dict[int, bool] | None = None,
 ) -> Iterator[str]:
-    """Each record's pattern-file line, every symbol quoted once per call.
+    """Each record's pattern-file line, fields in file order, every symbol quoted once per call.
 
     Itemset elements go in label order: ids depend on interning history,
     labels don't, so a reloaded file serializes back to the same bytes.
@@ -336,39 +303,25 @@ def pattern_lines(
     quoted = {sid: _q(lbl) for sid, lbl in label.items()}
     valid, condensed = valid or {}, condensed or {}
     for rec in records:
-        p, elements, vertices, edges = rec.pattern, None, None, None
+        p = rec.pattern
         try:
-            if isinstance(p, Itemset):
-                elements = sorted(p.items, key=label.__getitem__)
-            elif isinstance(p, Sequence):
-                elements = p.symbols
+            if isinstance(p, LabeledGraph):
+                body = "vertices=" + ",".join(f"{vid}:{quoted[lbl]}" for vid, lbl in p.vertices)
+                body += " edges=" + ",".join(f"{u}-{v}:{quoted[lbl]}" for u, v, lbl in p.edges)
             else:
-                vertices, edges = p.vertices, p.edges
-            line = _line(rec.pid, rec.kind, rec.support, rec.size, elements, vertices, edges, rec.cover_text(),
-                         valid.get(rec.pid), condensed.get(rec.pid), quoted.__getitem__)
+                elements = sorted(p.items, key=label.__getitem__) if isinstance(p, Itemset) else p.symbols
+                body = "elements=" + ",".join(map(quoted.__getitem__, elements))
         except KeyError as exc:
             raise InputError(f"unknown symbol id {exc.args[0]}") from None
+        line = f"pid={rec.pid} kind={rec.kind} support={rec.support} size={rec.size} {body}"
+        cover = rec.cover_text()
+        if cover is not None:
+            line += " cover=" + cover
+        if rec.pid in valid:
+            line += f" valid={int(valid[rec.pid])}"
+        if rec.pid in condensed:
+            line += f" condensed={int(condensed[rec.pid])}"
         yield line
-
-
-def record_to_output(
-    rec: PatternRecord,
-    symbols: SymbolTable,
-    valid: bool | None = None,
-    condensed: bool | None = None,
-) -> PatternOutput:
-    """The label-level form of a record: its rendered line, parsed back."""
-    return line_to_output(next(pattern_lines((rec,), symbols, {rec.pid: valid}, {rec.pid: condensed})))
-
-
-def output_to_line(out: PatternOutput) -> str:
-    if out.kind not in ("itemset", "sequence", "graph"):
-        raise InputError(f"unknown pattern kind {out.kind!r}")
-    if out.kind != "graph" and out.elements is None:
-        raise InputError("itemset/sequence output needs elements")
-    if out.kind == "graph" and (out.vertices is None or out.edges is None):
-        raise InputError("graph output needs vertices and edges")
-    return _line(*astuple(out), _q)
 
 
 def _split_kv(token: str, path, lineno: int) -> tuple[str, str]:
@@ -414,7 +367,10 @@ def _fields(tokens: list[str], path, lineno: int) -> dict[str, str]:
 
 
 def _parse_line(line: str, path, lineno: int) -> tuple:
-    """The one pattern-line parser: PatternOutput's fields, in its order, checked."""
+    """The one pattern-line parser: (pid, kind, support, size, elements, vertices, edges, cover, valid, condensed).
+
+    Every field is checked and every label unquoted; the cover stays text, its tids counted against support.
+    """
     tokens = line.split()
     if not tokens:
         raise InputError(f"{path}: line {lineno}: blank line")
@@ -484,15 +440,11 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
     return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
-def line_to_output(line: str, path="<string>", lineno: int = 1) -> PatternOutput:
-    return PatternOutput(*_parse_line(line, path, lineno))
-
-
-def _records(rows: Iterable[tuple], graphs: bool, path=None, counted: bool = True):
+def _records(rows: Iterable[tuple], graphs: bool, path):
     """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first.
 
-    With a path, a record's error names it and the line (blank lines are errors, so row k is line k).
-    With counted, _parse_line has matched each cover's count to its support, so it is not counted again.
+    A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
+    has matched each cover's count to its support, so the count is not taken again.
     """
     symbols = SymbolTable()
     if graphs:
@@ -508,10 +460,8 @@ def _records(rows: Iterable[tuple], graphs: bool, path=None, counted: bool = Tru
             if kind == "itemset":
                 try:
                     pattern = Itemset(tuple(sorted(symbols.intern_all(elements))))
-                except InputError:  # sorted, nonempty ids are out of strict order only by a repeat
-                    if elements:
-                        raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
-                    raise
+                except InputError:  # _parse_line gives nonempty elements, so sorted ids fail only by a repeat
+                    raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
             elif kind == "sequence":
                 pattern = Sequence(symbols.intern_all(elements))
             else:
@@ -519,25 +469,15 @@ def _records(rows: Iterable[tuple], graphs: bool, path=None, counted: bool = Tru
                 edges = tuple(sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in edges))
                 pattern = LabeledGraph(vertices, edges)
             if cover is not None:
-                cover = Cover(text=cover, count=support if counted else None)
+                cover = Cover(text=cover, count=support)
             records[pid] = PatternRecord(pid, pattern, support, cover, size)
         except InputError as exc:
-            if path is None:
-                raise
             raise InputError(f"{path}: line {lineno}: {exc}") from None
         if is_valid is not None:
             valid[pid] = is_valid
         if is_condensed is not None:
             condensed[pid] = is_condensed
     return tuple(records.values()), symbols, valid, condensed
-
-
-def outputs_to_records(outputs: Iterable[PatternOutput]) -> tuple[tuple[PatternRecord, ...], SymbolTable]:
-    """Rebuild records, interning labels afresh in first-appearance order."""
-    outputs = tuple(outputs)
-    graphs = any(out.kind == "graph" for out in outputs)
-    records, symbols, _, _ = _records(map(astuple, outputs), graphs, counted=False)
-    return records, symbols
 
 
 def write_patterns(

@@ -36,7 +36,8 @@ from .core import (
     TransactionDB,
     edge_itemize,
     is_unique_labeled,
-    subgraph_isomorphic,  # still importable from this module; the miner does not call it
+    mine_patterns,
+    subgraph_isomorphic,  # unused here, but perfbench/tracer.py wraps siftmine.graphs.subgraph_isomorphic
 )
 from .errors import InputError
 from .itemsets import mine_frequent_itemsets
@@ -204,14 +205,11 @@ def mine_frequent_graphs_general(
     extensions into lists. Results come ordered by (edge count, canonical
     code) with pids 1..n.
     """
-    if len(db) == 0:
-        raise InputError("database must be nonempty")
-    if max_edges is not None and max_edges < 1:
-        raise InputError("max_edges must be positive")
-    sigma = minsup.effective(len(db))
-    if sigma > len(db):
-        return []
+    return mine_patterns(db, minsup, _grow_patterns, max_edges=max_edges)
 
+
+def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple]:
+    """Every connected pattern with support >= sigma, as mine_patterns' (edges, code, graph, support, cover) entries."""
     # One scan of the host edges gives every embedding of every one-edge
     # pattern (la, lb, el) with la <= lb: both orientations when la == lb.
     # The same scan builds each host's typed neighbor index; edges come
@@ -240,9 +238,12 @@ def mine_frequent_graphs_general(
             level[canonical_code(pat)] = (pat, occ)
     edge_types = sorted(seeds)
 
-    collected = [(code, pat, frozenset(occ)) for code, (pat, occ) in level.items()]
-    k = 1
-    while level and (max_edges is None or k < max_edges):
+    collected = []
+    k = 1  # the edge count of every pattern in level
+    while level:
+        collected.extend((k, code, pat, len(occ), frozenset(occ)) for code, (pat, occ) in level.items())
+        if k == max_edges:
+            break
         grown: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}
         for code in sorted(level):
             # A parent's lists are dropped once its extensions are grown.
@@ -266,15 +267,10 @@ def mine_frequent_graphs_general(
                     cand_code = canonical_code(cand)
                     if cand_code not in grown:
                         grown[cand_code] = (cand, {gid: [first, *found] for gid, first, found in hits})
-        collected.extend((code, pat, frozenset(occ)) for code, (pat, occ) in grown.items())
         level = grown
         k += 1
 
-    collected.sort(key=lambda entry: (entry[1].edge_count, entry[0]))
-    return [
-        PatternRecord(pid=pid, pattern=pat, support=len(cover), cover=cover, size=pat.edge_count)
-        for pid, (_, pat, cover) in enumerate(collected, start=1)
-    ]
+    return collected
 
 
 def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -287,8 +283,6 @@ def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[Pattern
     counts toward the database size. Raises when any input graph is not
     unique-labeled, naming the offending graph.
     """
-    if len(db) == 0:
-        raise InputError("database must be nonempty")
     for gid, g in db.records():
         if not is_unique_labeled(g):
             raise InputError(f"graph {gid} is not unique-labeled")

@@ -16,8 +16,7 @@ itemset's record keeps its mask as a Cover, rendered a byte at a time.
 
 from __future__ import annotations
 
-from .core import Cover, Itemset, MinSupport, PatternRecord, TidTable, TransactionDB, mask_at
-from .errors import InputError
+from .core import Cover, Itemset, MinSupport, PatternRecord, TidTable, TransactionDB, mask_at, mine_patterns
 
 
 def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -27,12 +26,11 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
     Pids are assigned 1..n in canonical order. An effective threshold above
     the database size yields an empty list.
     """
-    if len(db) == 0:
-        raise InputError("database must be nonempty")
-    sigma = minsup.effective(len(db))
-    if sigma > len(db):
-        return []
+    return mine_patterns(db, minsup, _eclat)
 
+
+def _eclat(db: TransactionDB, sigma: int) -> list[tuple]:
+    """Every itemset with support >= sigma, as mine_patterns' (size, items, Itemset, support, cover) entries."""
     tidlists: dict[int, set[int]] = {}
     for tid, txn in db.records():
         for item in txn:
@@ -42,7 +40,7 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
 
     # A stack entry is a frequent prefix, its tid mask, and the items that
     # may extend it: those after its last item that were frequent beside it.
-    found: list[tuple[tuple[int, ...], int, Cover]] = []
+    found = []
     stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << len(tids)) - 2, sorted(bits))]
     while stack:
         prefix, prefix_mask, tail = stack.pop()
@@ -52,15 +50,10 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
             support = mask.bit_count()
             if support >= sigma:
                 items = prefix + (item,)
-                found.append((items, support, Cover(mask, tids)))
+                found.append((len(items), items, Itemset(items), support, Cover(mask, tids)))
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.
         for k in range(len(kids) - 2, -1, -1):
             stack.append((*kids[k], kid_items[k + 1 :]))
-
-    found.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return [
-        PatternRecord(pid, Itemset(items), support, cover, len(items))
-        for pid, (items, support, cover) in enumerate(found, start=1)
-    ]
+    return found

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import Cover, MinSupport, PatternRecord, Sequence, SequenceDB, TidTable, mask_at
-from .errors import InputError
+from .core import Cover, MinSupport, PatternRecord, Sequence, SequenceDB, TidTable, mask_at, mine_patterns
 
 # A cover's guard bytes, 0x80 for a supporting sequence and 0 otherwise, as the digits of its mask.
 _GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -51,14 +50,11 @@ def mine_frequent_sequences(
     Results come in canonical order (length, then symbol ids) with pids
     assigned 1..n. A threshold above the database size yields an empty list.
     """
-    if len(db) == 0:
-        raise InputError("database must be nonempty")
-    if max_len is not None and max_len < 1:
-        raise InputError("max_len must be positive")
-    sigma = minsup.effective(len(db))
-    if sigma > len(db):
-        return []
+    return mine_patterns(db, minsup, _spam, max_len=max_len)
 
+
+def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
+    """Every sequence with support >= sigma, as mine_patterns' (size, symbols, Sequence, support, cover) entries."""
     counts = Counter(sym for seq in db.sequences for sym in set(seq))
     symbols = sorted(sym for sym, count in counts.items() if count >= sigma)
     at: dict[int, list[int]] = {sym: [] for sym in symbols}
@@ -81,7 +77,7 @@ def mine_frequent_sequences(
     filler = int.from_bytes(b"\x01" * n_bytes, "little") ^ guards >> 7
 
     # A stack entry: a frequent prefix, its projection, its parent's frequent extensions.
-    found: list[tuple[tuple[int, ...], int, Cover]] = []
+    found = []
     stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), full, symbols)]
     while stack:
         prefix, proj, tail = stack.pop()
@@ -95,15 +91,11 @@ def mine_frequent_sequences(
             if support >= sigma:
                 pattern = prefix + (sym,)
                 digits = (guards ^ missed | filler).to_bytes(n_bytes, "little").translate(_GUARD_DIGITS, b"\x01")
-                found.append((pattern, support, Cover(int(digits[::-1], 2), sids)))
+                found.append((len(pattern), pattern, Sequence(pattern), support, Cover(int(digits[::-1], 2), sids)))
                 if grow:
                     kids.append((pattern, full ^ upto | guards))
         kid_syms = [pattern[-1] for pattern, _ in kids]
         # Pushed last to first, so the first kid is extended first.
         stack.extend((pattern, kid_proj, kid_syms) for pattern, kid_proj in reversed(kids))
 
-    found.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return [
-        PatternRecord(pid, Sequence(syms), support, cover, len(syms))
-        for pid, (syms, support, cover) in enumerate(found, start=1)
-    ]
+    return found

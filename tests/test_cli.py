@@ -232,11 +232,11 @@ def noisy_matrix() -> str:
 
 
 def run_cli_process(hash_seed, *argv):
-    """The CLI in a fresh interpreter with the given PYTHONHASHSEED."""
+    """The CLI, as `python -m siftmine`, in a fresh interpreter with the given PYTHONHASHSEED."""
     src = str(Path(siftmine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "siftmine.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "siftmine", *argv], capture_output=True, text=True, env=env, timeout=120
     )
 
 
@@ -414,6 +414,14 @@ class TestMine:
         )
         assert code == 2 and "--max-edges" in err
 
+    @pytest.mark.parametrize(
+        "kind, name, flag, option",
+        [("sequence", "seqs.txt", "--max-len", "max_len"), ("graph", "graphs.txt", "--max-edges", "max_edges")],
+    )
+    def test_size_limit_must_be_positive(self, run, kind, name, flag, option):
+        code, out, err = run("mine", "--type", kind, "--input", name, "--minsup", "1", flag, "0")
+        assert (code, out, err) == (3, "", f"error: {option} must be positive\n")
+
     def test_bad_minsup(self, run):
         code, _, err = run("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "0")
         assert code == 3
@@ -578,6 +586,19 @@ class TestTile:
         )
         assert code == 2
         assert err == "error: exact selection over 3 candidates exceeds bound 2\n"
+
+    @pytest.mark.parametrize("method", ["optimal", "first", "all"])
+    def test_negative_bound(self, run, method):
+        code, out, err = run(
+            "tile", "--matrix", "matrix.txt", "--threshold", "3",
+            "--candidates", "tiles.txt", "--method", method, "--bound", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: --bound must be nonnegative\n")
+
+    def test_greedy_ignores_bound(self, run):
+        argv = ("tile", "--matrix", "matrix.txt", "--threshold", "3", "--candidates", "tiles.txt", "--error-mode", "full")
+        result = run(*argv)
+        assert result[0] == 0 and run(*argv, "--bound", "-1") == result
 
     def test_tau_required_without_candidates(self, run):
         code, _, err = run("tile", "--matrix", "matrix.txt", "--threshold", "3")

@@ -13,15 +13,20 @@ from siftmine import (
     InputError,
     Itemset,
     LabeledGraph,
+    MinSupport,
     PatternRecord,
     Sequence,
     SymbolTable,
     TransactionDB,
+    canonical_code,
     cover_itemset,
     edge_itemize,
     find_embedding,
     graph_included,
     is_unique_labeled,
+    mine_frequent_graphs_general,
+    mine_frequent_itemsets,
+    mine_frequent_sequences,
     pattern_kind,
     pattern_size,
     subgraph_isomorphic,
@@ -214,6 +219,46 @@ class TestCover:
         table = TidTable(range(100, 120))
         assert Cover(0b101 << 8, table).as_text() == "108,110"
         assert [dict(row) for row in table.rows] == [{0: ""}, {0: "", 0b100: "110,", 0b101: "108,110,"}, {0: ""}]
+
+
+# Each miner that runs in mine_patterns: its size-limit option, the fixture
+# and attribute holding a small database, and the key it orders finds by.
+MINERS = [
+    pytest.param(mine_frequent_itemsets, None, "toy_items", "db", lambda p: p.items, id="itemset"),
+    pytest.param(mine_frequent_sequences, "max_len", "toy_seqs", "db", lambda p: p.symbols, id="sequence"),
+    pytest.param(mine_frequent_graphs_general, "max_edges", "demo_graphs", "db123", canonical_code, id="graph"),
+]
+LIMITED = [param for param in MINERS if param.values[1] is not None]
+
+
+class TestMinerFrame:
+    @pytest.mark.parametrize("mine, option, fixture, attr, key", MINERS)
+    def test_empty_db(self, mine, option, fixture, attr, key, request):
+        db = getattr(request.getfixturevalue(fixture), attr)
+        with pytest.raises(InputError, match="^database must be nonempty$"):
+            mine(type(db)((), db.symbols), MinSupport.absolute(1))
+
+    @pytest.mark.parametrize("mine, option, fixture, attr, key", LIMITED)
+    def test_limit_must_be_positive(self, mine, option, fixture, attr, key, request):
+        db = getattr(request.getfixturevalue(fixture), attr)
+        with pytest.raises(InputError, match=f"^{option} must be positive$"):
+            mine(db, MinSupport.absolute(1), **{option: 0})
+        # The empty database is named first.
+        with pytest.raises(InputError, match="^database must be nonempty$"):
+            mine(type(db)((), db.symbols), MinSupport.absolute(1), **{option: 0})
+
+    @pytest.mark.parametrize("mine, option, fixture, attr, key", MINERS)
+    def test_threshold_above_db_size(self, mine, option, fixture, attr, key, request):
+        db = getattr(request.getfixturevalue(fixture), attr)
+        assert mine(db, MinSupport.absolute(len(db) + 1)) == []
+
+    @pytest.mark.parametrize("mine, option, fixture, attr, key", MINERS)
+    def test_pids_in_size_then_key_order(self, mine, option, fixture, attr, key, request):
+        db = getattr(request.getfixturevalue(fixture), attr)
+        records = mine(db, MinSupport.absolute(1))
+        order = [(rec.size, key(rec.pattern)) for rec in records]
+        assert len(records) > 1 and order == sorted(set(order))
+        assert [rec.pid for rec in records] == list(range(1, len(records) + 1))
 
 
 class TestCoverItemset:

@@ -1,6 +1,5 @@
 """File formats: loaders, the pattern-line codec, and the tiling report."""
 
-import dataclasses
 import random
 import re
 import tempfile
@@ -23,7 +22,6 @@ from siftmine import (
     TileSelection,
     TransactionDB,
     error,
-    line_to_output,
     load_graphs,
     load_matrix,
     load_patterns,
@@ -34,20 +32,28 @@ from siftmine import (
     mine_frequent_itemsets,
     mine_frequent_sequences,
     MinSupport,
-    PatternOutput,
-    outputs_to_records,
-    record_to_output,
-    output_to_line,
     write_patterns,
     write_tiling,
 )
-from siftmine.formats import _is_int_list
+from siftmine.formats import _is_int_list, pattern_lines
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def load_line(directory, line):
+    """load_patterns on a file p.pat holding line."""
+    return load_patterns(write(Path(directory), "p.pat", line + "\n"))
+
+
+def write_and_load(records, symbols, directory, name, **flags):
+    """The bytes write_patterns gives records, and load_patterns of them."""
+    path = Path(directory) / name
+    write_patterns(records, path, symbols, **flags)
+    return path.read_bytes(), load_patterns(path)
 
 
 class TestLoadTransactions:
@@ -239,12 +245,10 @@ class TestPatternLineCodec:
             cover=frozenset({2, 1}),
             size=2,
         )
-        out = record_to_output(rec, f.db.symbols)
-        assert out.elements == ("b", "e")  # lexicographic, not id order
-        assert out.cover == "1,2"  # cover text, as the line spells it
-        assert output_to_line(out) == (
+        # elements lexicographic, not in id order; the cover's tids ascending
+        assert list(pattern_lines([rec], f.db.symbols)) == [
             "pid=1 kind=itemset support=2 size=2 elements=b,e cover=1,2"
-        )
+        ]
 
     def test_sequence_elements_in_sequence_order(self, toy_seqs):
         f = toy_seqs
@@ -255,95 +259,94 @@ class TestPatternLineCodec:
             cover=frozenset({1, 2}),
             size=2,
         )
-        out = record_to_output(rec, f.db.symbols)
-        assert out.elements == ("b", "a")
+        assert list(pattern_lines([rec], f.db.symbols)) == [
+            "pid=4 kind=sequence support=2 size=2 elements=b,a cover=1,2"
+        ]
 
     def test_graph_line_roundtrip(self, tmp_path):
         db = load_graphs(write(tmp_path, "g.txt", "t # 1\nv 0 a\nv 1 b\ne 0 1\n"))
         rec = PatternRecord(
             pid=2, pattern=db.graphs[0], support=3, cover=frozenset({1, 2, 3}), size=1
         )
-        out = record_to_output(rec, db.symbols)
-        line = output_to_line(out)
-        assert "vertices=0:a,1:b" in line and "edges=0-1:0" in line
-        assert line_to_output(line) == out
+        data, loaded = write_and_load([rec], db.symbols, tmp_path, "g.pat")
+        assert b"vertices=0:a,1:b" in data and b"edges=0-1:0" in data
+        assert [line.encode() + b"\n" for line in pattern_lines(loaded.records, loaded.symbols)] == [data]
 
-    def test_quoting_roundtrip(self):
+    def test_quoting_roundtrip(self, tmp_path):
         # labels with codec-reserved characters must percent-quote
         symbols = SymbolTable()
         ids = [symbols.intern(lbl) for lbl in ("a=1", "x,y", "p%q")]
         rec = PatternRecord(
             pid=1, pattern=Itemset.of(ids), support=1, cover=frozenset({1}), size=3
         )
-        line = output_to_line(record_to_output(rec, symbols))
-        out = line_to_output(line)
-        assert set(out.elements) == {"a=1", "x,y", "p%q"}
-        records, symbols2 = outputs_to_records([out])
-        assert set(symbols2.labels) == {"a=1", "x,y", "p%q"}
-        assert records[0].size == 3
+        data, loaded = write_and_load([rec], symbols, tmp_path, "q.pat")
+        assert b"elements=a%3D1,p%25q,x%2Cy " in data
+        assert set(loaded.symbols.labels) == {"a=1", "x,y", "p%q"}
+        assert loaded.records[0].size == 3
 
-    def test_flags_roundtrip(self, toy_items):
+    def test_flags_roundtrip(self, toy_items, tmp_path):
         f = toy_items
         rec = PatternRecord(
             pid=1, pattern=Itemset.of(f.itemset_ids("e")), support=3, cover=frozenset({1, 2, 3}), size=1
         )
-        out = record_to_output(rec, f.db.symbols, valid=True, condensed=False)
-        line = output_to_line(out)
-        assert line.endswith("valid=1 condensed=0")
-        back = line_to_output(line)
-        assert back.valid is True and back.condensed is False
+        data, loaded = write_and_load([rec], f.db.symbols, tmp_path, "f.pat", valid={1: True}, condensed={1: False})
+        assert data.endswith(b"valid=1 condensed=0\n")
+        assert loaded.valid == {1: True} and loaded.condensed == {1: False}
 
 
 class TestLineToOutputErrors:
+    """Each malformed line fails load_patterns, which names the file and the line."""
+
     GOOD = "pid=1 kind=itemset support=2 size=1 elements=a"
 
-    def test_blank(self):
-        with pytest.raises(InputError, match="blank line"):
-            line_to_output("   ")
+    def test_blank(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: blank line$"):
+            load_line(tmp_path, "   ")
 
-    def test_unknown_key(self):
-        with pytest.raises(InputError, match="unknown field"):
-            line_to_output(self.GOOD + " shade=1")
+    def test_unknown_key(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: unknown field 'shade'$"):
+            load_line(tmp_path, self.GOOD + " shade=1")
 
-    def test_duplicate_key(self):
-        with pytest.raises(InputError, match="duplicate field"):
-            line_to_output(self.GOOD + " pid=2")
+    def test_duplicate_key(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: duplicate field 'pid'$"):
+            load_line(tmp_path, self.GOOD + " pid=2")
 
-    def test_missing_required(self):
-        with pytest.raises(InputError, match="missing field"):
-            line_to_output("pid=1 kind=itemset support=2 elements=a")
+    def test_missing_required(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: missing field 'size'$"):
+            load_line(tmp_path, "pid=1 kind=itemset support=2 elements=a")
 
-    def test_non_integer(self):
-        with pytest.raises(InputError, match="must be integers"):
-            line_to_output("pid=x kind=itemset support=2 size=1 elements=a")
+    def test_non_integer(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: pid/support/size must be integers$"):
+            load_line(tmp_path, "pid=x kind=itemset support=2 size=1 elements=a")
 
-    def test_kind_field_mismatch(self):
-        with pytest.raises(InputError, match="elements only"):
-            line_to_output("pid=1 kind=itemset support=2 size=1 vertices=0:a edges=")
-        with pytest.raises(InputError, match="vertices and edges"):
-            line_to_output("pid=1 kind=graph support=2 size=1 elements=a")
+    def test_kind_field_mismatch(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: itemset records carry elements only$"):
+            load_line(tmp_path, "pid=1 kind=itemset support=2 size=1 vertices=0:a edges=")
+        with pytest.raises(InputError, match=r"p\.pat: line 1: graph records carry vertices and edges$"):
+            load_line(tmp_path, "pid=1 kind=graph support=2 size=1 elements=a")
 
-    def test_empty_elements(self):
-        with pytest.raises(InputError, match="empty elements"):
-            line_to_output("pid=1 kind=itemset support=2 size=1 elements=")
+    def test_empty_elements(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: empty elements$"):
+            load_line(tmp_path, "pid=1 kind=itemset support=2 size=1 elements=")
 
-    def test_malformed_vertex_and_edge(self):
-        with pytest.raises(InputError, match="malformed vertex"):
-            line_to_output("pid=1 kind=graph support=1 size=0 vertices=0a edges=")
-        with pytest.raises(InputError, match="malformed edge"):
-            line_to_output("pid=1 kind=graph support=1 size=1 vertices=0:a,1:b edges=01:0")
+    def test_malformed_vertex_and_edge(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: malformed vertex '0a'$"):
+            load_line(tmp_path, "pid=1 kind=graph support=1 size=0 vertices=0a edges=")
+        with pytest.raises(InputError, match=r"p\.pat: line 1: malformed edge endpoints '01'$"):
+            load_line(tmp_path, "pid=1 kind=graph support=1 size=1 vertices=0:a,1:b edges=01:0")
 
-    def test_unknown_kind(self):
-        with pytest.raises(InputError, match="unknown pattern kind"):
-            line_to_output("pid=1 kind=tree support=2 size=1 elements=a")
+    def test_unknown_kind(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: unknown pattern kind 'tree'$"):
+            load_line(tmp_path, "pid=1 kind=tree support=2 size=1 elements=a")
 
-    def test_bad_flag(self):
-        with pytest.raises(InputError, match="must be 0 or 1"):
-            line_to_output(self.GOOD + " valid=yes")
+    def test_bad_flag(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: flag valid must be 0 or 1$"):
+            load_line(tmp_path, self.GOOD + " valid=yes")
 
-    def test_position_in_message(self):
-        with pytest.raises(InputError, match=r"pats\.txt: line 7"):
-            line_to_output("pid=", path="pats.txt", lineno=7)
+    def test_position_in_message(self, tmp_path):
+        good = "".join(f"pid={pid} kind=itemset support=0 size=1 elements=a\n" for pid in range(1, 7))
+        with pytest.raises(InputError, match=r"pats\.txt: line 7: missing field 'kind'$"):
+            load_patterns(write(tmp_path, "pats.txt", good + "pid=\n"))
 
 
 class TestLineFieldsProperty:
@@ -358,34 +361,33 @@ class TestLineFieldsProperty:
         data=st.data(),
     )
     def test_fields_in_any_order(self, dropped, valid, condensed, data):
-        fields = {"pid": "3", "kind": "itemset", "support": "2", "size": "1", "elements": "b,a", "cover": "1,4"}
+        fields = {"pid": "3", "kind": "sequence", "support": "2", "size": "2", "elements": "b,a", "cover": "4,1"}
         fields.update(valid=valid, condensed=condensed)
         tokens = [f"{key}={value}" for key, value in fields.items() if value is not None and key not in dropped]
         line = " ".join(data.draw(st.permutations(tokens)))
-        if dropped:
-            first = next(key for key in self.REQUIRED if key in dropped)
-            with pytest.raises(InputError, match=f"missing field '{first}'$"):
-                line_to_output(line)
-            return
-        bad = [flag for flag, value in (("valid", valid), ("condensed", condensed)) if value not in (None, "0", "1")]
-        if bad:
-            with pytest.raises(InputError, match=f"flag {bad[0]} must be 0 or 1$"):
-                line_to_output(line)
-            return
-        flag = {None: None, "0": False, "1": True}
-        assert line_to_output(line) == PatternOutput(
-            3, "itemset", 2, 1, ("b", "a"), None, None, "1,4", flag[valid], flag[condensed]
-        )
+        with tempfile.TemporaryDirectory() as d:
+            if dropped:
+                first = next(key for key in self.REQUIRED if key in dropped)
+                with pytest.raises(InputError, match=f"line 1: missing field '{first}'$"):
+                    load_line(d, line)
+                return
+            bad = [flag for flag, value in (("valid", valid), ("condensed", condensed)) if value not in (None, "0", "1")]
+            if bad:
+                with pytest.raises(InputError, match=f"line 1: flag {bad[0]} must be 0 or 1$"):
+                    load_line(d, line)
+                return
+            loaded = load_line(d, line)
+        # Written back in canonical field order, the cover verbatim.
+        canonical = "pid=3 kind=sequence support=2 size=2 elements=b,a cover=4,1"
+        canonical += "".join(f" {flag}={value}" for flag, value in (("valid", valid), ("condensed", condensed)) if value)
+        assert list(pattern_lines(loaded.records, loaded.symbols, loaded.valid, loaded.condensed)) == [canonical]
 
 
 class TestPatternFiles:
-    def test_duplicate_pid_rejected(self):
-        outs = [
-            line_to_output("pid=1 kind=itemset support=2 size=1 elements=a"),
-            line_to_output("pid=1 kind=itemset support=1 size=1 elements=b"),
-        ]
-        with pytest.raises(InputError, match="duplicate pattern id"):
-            outputs_to_records(outs)
+    def test_duplicate_pid_rejected(self, tmp_path):
+        text = "pid=1 kind=itemset support=2 size=1 elements=a\npid=1 kind=itemset support=1 size=1 elements=b\n"
+        with pytest.raises(InputError, match=r"p\.pat: line 2: duplicate pattern id 1$"):
+            load_patterns(write(tmp_path, "p.pat", text))
 
     def test_empty_write_and_load(self, tmp_path):
         p = tmp_path / "empty.pat"
@@ -446,9 +448,9 @@ class TestPatternFiles:
             tmp_path,
             "pats.txt",
             "pid=1 kind=itemset support=2 size=1 elements=a\n"
-            "pid=1 kind=itemset support=2 size=1 elements=b\n",
+            "pid=2 kind=itemset support=2 size=1 elements=b,c\n",
         )
-        with pytest.raises(InputError, match="pats.txt"):
+        with pytest.raises(InputError, match=r"pats\.txt: line 2: size must match the pattern$"):
             load_patterns(p)
 
 
@@ -479,27 +481,20 @@ class TestCoverText:
             ("-1,2", "malformed integer list"),
         ],
     )
-    def test_grammar_and_count(self, cover, message):
-        with pytest.raises(InputError, match=message):
-            line_to_output(f"pid=1 kind=itemset support=2 size=1 elements=a cover={cover}")
+    def test_grammar_and_count(self, tmp_path, cover, message):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: " + message):
+            load_line(tmp_path, f"pid=1 kind=itemset support=2 size=1 elements=a cover={cover}")
 
     @pytest.mark.parametrize("elements", ["a,a", "a,b,a", "a,%61"])
     def test_repeated_itemset_label_rejected(self, tmp_path, elements):
         size = elements.count(",") + 1
         line = f"pid=4 kind=itemset support=1 size={size} elements={elements} cover=1"
-        with pytest.raises(InputError, match=r"p\.pat: line 1: pattern 4: itemset lists a label more than once"):
-            load_patterns(write(tmp_path, "p.pat", line + "\n"))
-        with pytest.raises(InputError, match="^pattern 4: itemset lists a label more than once$"):
-            outputs_to_records([line_to_output(line)])
+        with pytest.raises(InputError, match=r"p\.pat: line 1: pattern 4: itemset lists a label more than once$"):
+            load_line(tmp_path, line)
 
-    def test_outputs_to_records_counts_a_cover_it_did_not_parse(self):
-        out = line_to_output("pid=1 kind=itemset support=2 size=1 elements=a cover=1,2")
-        with pytest.raises(InputError, match="^support must equal the cover cardinality$"):
-            outputs_to_records([dataclasses.replace(out, cover="1,2,3")])
-
-    def test_empty_cover_with_zero_support(self):
-        records, _ = outputs_to_records([line_to_output("pid=1 kind=itemset support=0 size=1 elements=a cover=")])
-        assert records[0].cover == frozenset() and records[0].cover_text() == ""
+    def test_empty_cover_with_zero_support(self, tmp_path):
+        (record,) = load_line(tmp_path, "pid=1 kind=itemset support=0 size=1 elements=a cover=").records
+        assert record.cover == frozenset() and record.cover_text() == ""
 
     # Digits, commas, and what int() or a looser pattern would let through.
     INT_LIST_CHARS = list("0129,_-+") + ["\u0661", "\u00b2"]
@@ -518,22 +513,24 @@ class TestCoverText:
         listed = text.count(",") + 1 if text else 0
         wanted = (text == "" or re.fullmatch(r"\d+(?:,\d+)*", text, re.ASCII) is not None) and listed == support
         try:
-            out = line_to_output(f"pid=1 kind=itemset support={support} size=1 elements=a cover={text}")
+            with tempfile.TemporaryDirectory() as d:
+                loaded = load_line(d, f"pid=1 kind=itemset support={support} size=1 elements=a cover={text}")
         except InputError:
             assert not wanted
         else:
-            assert wanted and out.cover == text
+            assert wanted and loaded.records[0].cover_text() == text
 
 
 class TestStrictIntegersAndEscapes:
     @pytest.mark.parametrize("label", ["%zz", "a%", "%4", "%C3", "%FF%FE"])
-    def test_bad_escapes_rejected(self, label):
-        with pytest.raises(InputError, match="bad percent escape"):
-            line_to_output(f"pid=1 kind=sequence support=1 size=1 elements=x,{label}")
+    def test_bad_escapes_rejected(self, tmp_path, label):
+        with pytest.raises(InputError, match=r"p\.pat: line 1: bad percent escape"):
+            load_line(tmp_path, f"pid=1 kind=sequence support=1 size=2 elements=x,{label}")
 
-    def test_good_escapes_in_either_case(self):
-        out = line_to_output("pid=1 kind=sequence support=1 size=2 elements=%c3%a9,%C3%A9%25")
-        assert out.elements == ("\u00e9", "\u00e9%")
+    def test_good_escapes_in_either_case(self, tmp_path):
+        loaded = load_line(tmp_path, "pid=1 kind=sequence support=1 size=2 elements=%c3%a9,%C3%A9%25")
+        assert loaded.symbols.labels == ("\u00e9", "\u00e9%")
+        assert loaded.records[0].pattern == Sequence((0, 1))
 
     def test_graph_and_tile_ids(self, tiling, tmp_path):
         with pytest.raises(InputError, match="vertex id '1_0' is not an integer"):
@@ -577,12 +574,6 @@ def pattern_records(draw):
     return records, symbols
 
 
-def write_and_load(records, symbols, directory, name):
-    path = Path(directory) / name
-    write_patterns(records, path, symbols)
-    return path.read_bytes(), load_patterns(path)
-
-
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None)
     @given(pattern_records())
@@ -592,9 +583,9 @@ class TestRoundTripProperty:
             first, loaded = write_and_load(records, symbols, d, "one.pat")
             second, again = write_and_load(loaded.records, loaded.symbols, d, "two.pat")
         assert first == second
-        outs = [record_to_output(r, symbols) for r in records]
-        assert [record_to_output(r, loaded.symbols) for r in loaded.records] == outs
-        assert [record_to_output(r, again.symbols) for r in again.records] == outs
+        lines = list(pattern_lines(records, symbols))
+        assert list(pattern_lines(loaded.records, loaded.symbols)) == lines
+        assert list(pattern_lines(again.records, again.symbols)) == lines
         assert [r.cover for r in again.records] == [r.cover for r in records]
 
     @settings(max_examples=40, deadline=None)
