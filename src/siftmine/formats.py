@@ -178,6 +178,9 @@ def load_graphs(path) -> GraphDB:
     return GraphDB(tuple(graphs), symbols)
 
 
+_CELL_VALUES = {"0": 0, "1": 1}
+
+
 def load_matrix(path) -> BinaryMatrix:
     """Rows of space-separated 0/1 cells, all rows the same length."""
     lines = _read_lines(path)
@@ -189,16 +192,15 @@ def load_matrix(path) -> BinaryMatrix:
         tokens = raw.split()
         if not tokens:
             raise InputError(f"{path}: line {lineno}: blank line")
-        cells = []
-        for tok in tokens:
-            if tok not in ("0", "1"):
-                raise InputError(f"{path}: line {lineno}: non-binary cell {tok!r}")
-            cells.append(int(tok))
+        try:
+            cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
+        except KeyError as exc:
+            raise InputError(f"{path}: line {lineno}: non-binary cell {exc.args[0]!r}") from None
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
-        rows.append(tuple(cells))
+        rows.append(cells)
     return BinaryMatrix(tuple(rows))
 
 
@@ -257,9 +259,13 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
             raise InputError(f"{path}: line {lineno}: row index out of range 1..{matrix.n_rows}")
         if any(not 1 <= c <= matrix.n_cols for c in cols):
             raise InputError(f"{path}: line {lineno}: column index out of range 1..{matrix.n_cols}")
-        ones = frozenset((r, c) for r in rows for c in cols if matrix.cell(r, c))
         tiles.append(
-            Tile(tile_id=len(tiles) + 1, row_set=frozenset(rows), col_set=frozenset(cols), ones=ones)
+            Tile(
+                tile_id=len(tiles) + 1,
+                row_set=frozenset(rows),
+                col_set=frozenset(cols),
+                ones=matrix.ones_in(rows, cols),
+            )
         )
     return tiles
 
@@ -536,8 +542,8 @@ def write_tiling(
         cols = ",".join(str(c) for c in sorted(t.col_set))
         lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={len(t.ones)}")
     selections = tuple(selections)
-    # Mask each chosen tile, and in coverable mode every candidate's ones,
-    # once for the whole report rather than once per selection.
+    # One projection of the chosen tiles, with every candidate as the
+    # coverable universe, serves every selection line.
     chosen = sorted({tid for sel in selections for tid in sel.tile_ids})
     terms = _error_scorer(matrix, error_mode, [by_id[tid] for tid in chosen], candidates)
     position = {tid: i for i, tid in enumerate(chosen)}

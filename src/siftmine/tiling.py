@@ -14,13 +14,19 @@ with the largest error decrease (it may fail even when an admissible subset
 exists), and an exact branch-and-bound over all nonempty candidate subsets.
 Both are deterministic, with ties broken by lowest tile id.
 
-Internally cells are bits of a Python int: cell (r, c) is bit
-(r-1)*n_cols + (c-1). A union of rectangles is `|`, zeros inside are
-`(covered & ~data).bit_count()` and ones outside are
-`(target & ~covered).bit_count()`, so scoring a selection costs a few
-word-parallel operations over n_rows*n_cols bits instead of building sets of
-cell tuples. Tiles and matrices keep their frozenset fields; masks are built
-from them once per call.
+Internally selections are scored on Python-int bitsets. The matrix keeps
+one mask per column (bit r-1 is cell (r, c)), and scoring projects it onto
+the cells inside some tile's rectangle. Rectangles are products, so the
+tiles holding a cell are (its row's tiles) & (its column's tiles); cells
+with equal tile sets form a group, counted from row and column masks, and
+each group becomes a contiguous range of bits, its target ones first, then
+its zeros. A rectangle is the union of its groups' ranges, zeros inside a
+selection are `(covered & zeros).bit_count()`, and ones outside it are
+`(target & ~covered).bit_count()` plus a constant: the target ones outside
+every rectangle (in full mode the ones no tile reaches; in coverable mode
+none). Data ones that are not targets count in neither term and get no
+bits. A selection thus costs a few word-parallel operations over the cells
+the tiles touch instead of over n_rows*n_cols.
 """
 
 from __future__ import annotations
@@ -28,21 +34,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, count, product
+from operator import itemgetter
 
 from .core import Itemset, TransactionDB, cover_itemset, mask_at
 from .errors import BoundExceededError, InputError
 
 ERROR_MODES = ("full", "coverable")
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-def _mask_of(flags) -> int:
-    """The int whose bit k is set when flags[k] is truthy."""
-    return int("".join("1" if v else "0" for v in reversed(flags)), 2)
+
+def _mask_of(cells) -> int:
+    """The int whose bit k is set when cells[k] is 1; cells are ints 0 and 1."""
+    return int(bytes(cells[::-1]).translate(_DIGITS), 2)
+
+
+def _bits(mask: int) -> list[int]:
+    """1-based positions of the set bits, ascending."""
+    # bin(mask)[:1:-1] lists the binary digits from bit 0 up.
+    return list(compress(count(1), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Dense 0/1 matrix; rows and columns are addressed 1-based."""
+    """Dense 0/1 matrix; rows and columns are addressed 1-based.
+
+    A cell may be any value equal to 0 or 1; one that is not an int (1.0,
+    Fraction(1), ...) is stored as the int it equals, so masks and cells
+    read the same whatever type the caller used.
+    """
 
     cells: tuple[tuple[int, ...], ...]
 
@@ -50,11 +72,15 @@ class BinaryMatrix:
         if not self.cells or not self.cells[0]:
             raise InputError("matrix must have at least one row and one column")
         width = len(self.cells[0])
-        for r, row in enumerate(self.cells, start=1):
+        for r, row in enumerate(map(tuple, self.cells), start=1):
             if len(row) != width:
                 raise InputError(f"row {r} has {len(row)} cells, expected {width}")
-            if any(v not in (0, 1) for v in row):
+            if row.count(0) + row.count(1) != width:
                 raise InputError(f"row {r} contains a non-binary cell")
+        try:  # bytes() takes ints and bools only
+            bytes(chain.from_iterable(self.cells))
+        except TypeError:
+            object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in self.cells))
 
     @property
     def n_rows(self) -> int:
@@ -69,17 +95,17 @@ class BinaryMatrix:
 
     @cached_property
     def ones(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (r, c)
-            for r, row in enumerate(self.cells, start=1)
-            for c, v in enumerate(row, start=1)
-            if v
-        )
+        cells = product(range(1, self.n_rows + 1), range(1, self.n_cols + 1))
+        return frozenset(compress(cells, chain.from_iterable(self.cells)))
 
     @cached_property
-    def _ones_mask(self) -> int:
-        """The ones as a cell mask: bit (r-1)*n_cols + (c-1) is cell (r, c)."""
-        return _mask_of([v for row in self.cells for v in row])
+    def col_masks(self) -> tuple[int, ...]:
+        """Column c's ones at index c-1: bit r-1 is cell (r, c)."""
+        return tuple(map(_mask_of, zip(*self.cells)))
+
+    def ones_in(self, rows, cols) -> frozenset[tuple[int, int]]:
+        """The ones of the rectangle rows x cols."""
+        return frozenset(filter(self.ones.__contains__, product(rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +120,11 @@ class Tile:
     def __post_init__(self):
         if not self.row_set or not self.col_set:
             raise InputError("tile row and column sets must be nonempty")
-        if any(r not in self.row_set or c not in self.col_set for r, c in self.ones):
+        # A set of cells lies inside a product iff its rows and its columns do.
+        if not (
+            self.row_set.issuperset(map(itemgetter(0), self.ones))
+            and self.col_set.issuperset(map(itemgetter(1), self.ones))
+        ):
             raise InputError("tile ones must lie inside its rectangle")
 
     @property
@@ -116,16 +146,16 @@ def tile_of(source: TransactionDB | BinaryMatrix, alpha: Itemset, tile_id: int =
         for c in alpha.items:
             if not 1 <= c <= source.n_cols:
                 raise InputError(f"column {c} out of range 1..{source.n_cols}")
-        rows = frozenset(
-            r for r in range(1, source.n_rows + 1) if all(source.cell(r, c) for c in alpha.items)
-        )
+        both = (1 << source.n_rows) - 1
+        for c in alpha.items:
+            both &= source.col_masks[c - 1]
+        rows = frozenset(_bits(both))
     else:
         raise InputError(f"cannot build a tile over {type(source).__name__}")
     if not rows:
         raise InputError("itemset has an empty cover; the tile would have no rows")
     cols = frozenset(alpha.items)
-    ones = frozenset((r, c) for r in rows for c in cols)
-    return Tile(tile_id=tile_id, row_set=frozenset(rows), col_set=cols, ones=ones)
+    return Tile(tile_id=tile_id, row_set=frozenset(rows), col_set=cols, ones=frozenset(product(rows, cols)))
 
 
 def area(tiles: list[Tile]) -> int:
@@ -136,57 +166,109 @@ def area(tiles: list[Tile]) -> int:
     return len(covered)
 
 
-def _tile_masks(matrix: BinaryMatrix, tiles) -> tuple[list[int], list[int]]:
-    """(rectangle masks, ones masks) of the tiles, in order, checked against the matrix."""
+def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int]:
+    """(row mask, column mask) of a tile, checked against the matrix: bit r-1 is row r."""
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
-    n_bits = n_rows * n_cols
-    data = matrix._ones_mask
-    rects: list[int] = []
-    ones: list[int] = []
-    for t in tiles:
-        if min(t.row_set) < 1 or max(t.row_set) > n_rows or min(t.col_set) < 1 or max(t.col_set) > n_cols:
-            if any(not (1 <= r <= n_rows and 1 <= c <= n_cols) for r, c in t.ones):
-                raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
-            raise InputError(f"tile {t.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
-        mask = mask_at(((r - 1) * n_cols + c - 1 for r, c in t.ones), n_bits)
-        if mask & ~data:
-            raise InputError(f"tile {t.tile_id} marks cells that are 0 in the matrix")
-        # One bit per chosen row times the column bits copies them into each
-        # of those rows; col_bits < 2**n_cols, so the copies never carry.
-        col_bits = sum(1 << (c - 1) for c in t.col_set)
-        rects.append(col_bits * mask_at(((r - 1) * n_cols for r in t.row_set), n_bits))
-        ones.append(mask)
-    return rects, ones
+    rows, cols = tile.row_set, tile.col_set
+    if min(rows) < 1 or max(rows) > n_rows or min(cols) < 1 or max(cols) > n_cols:
+        if any(not (1 <= r <= n_rows and 1 <= c <= n_cols) for r, c in tile.ones):
+            raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
+        raise InputError(f"tile {tile.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
+    if not tile.ones <= matrix.ones:
+        raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
+    return mask_at((r - 1 for r in rows), n_rows), mask_at((c - 1 for c in cols), n_cols)
 
 
-def _union(masks) -> int:
-    covered = 0
-    for m in masks:
-        covered |= m
-    return covered
+def _refine(parts: list[tuple[int, int]], mask: int, bit: int) -> list[tuple[int, int]]:
+    """Split each (members, tiles) part by mask; members inside gain the tile bit."""
+    out = []
+    for members, tiles in parts:
+        inside = members & mask
+        if inside:
+            out.append((inside, tiles | bit))
+        if inside != members:
+            out.append((members ^ inside, tiles))
+    return out
 
 
-def _error_scorer(matrix: BinaryMatrix, mode: str, tiles, candidates=None):
-    """Check the mode and mask the tiles once; returns terms(positions).
+def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[list[int], int, int, int]:
+    """The matrix projected onto the cells inside some tile's rectangle.
 
-    terms gives (ones outside, zeros inside) of the union of the tiles at
-    the given positions. In coverable mode the outside term counts only ones
-    of some candidate tile; candidates defaults to tiles.
+    Returns (rectangles, target, zeros, constant). Each rectangle is the
+    projected mask of the tile at that position; target and zeros are the
+    projected target ones and zeros; constant counts the target ones outside
+    every rectangle. The target is every data one in full mode and the union
+    of the universe's ones in coverable mode; universe defaults to tiles.
+    Every tile involved is checked against the matrix.
     """
     if mode not in ERROR_MODES:
         raise InputError(f"unknown error mode {mode!r}")
-    rects, ones = _tile_masks(matrix, tiles)
-    data = matrix._ones_mask
-    if mode == "full":
-        target = data
-    else:
-        if candidates is not None:
-            _, ones = _tile_masks(matrix, candidates)
-        target = _union(ones)
+    entries = list(tiles)
+    first_target = 0
+    if mode == "coverable" and universe is not None:
+        first_target = len(entries)
+        entries += universe
+    col_masks = matrix.col_masks
+    targets = list(col_masks) if mode == "full" else [0] * matrix.n_cols
+    row_masks = []
+    col_parts = [((1 << matrix.n_cols) - 1, 0)]
+    for i, tile in enumerate(entries):
+        rows, cols = _shape(matrix, tile)
+        row_masks.append(rows)
+        col_parts = _refine(col_parts, cols, 1 << i)
+        if mode == "full" or i < first_target:
+            continue
+        for r, c in tile.ones:
+            targets[c - 1] |= 1 << (r - 1)
+
+    # (tile set) -> [target ones, zeros] over the cells lying in exactly
+    # those tiles. Columns in the same tiles share a split of the rows by
+    # the row sets of those tiles.
+    groups: dict[int, list[int]] = {}
+    for members, col_tiles in col_parts:
+        if not col_tiles:
+            continue
+        cols = [c - 1 for c in _bits(members)]
+        row_parts = [((1 << matrix.n_rows) - 1, 0)]
+        for i in _bits(col_tiles):
+            row_parts = _refine(row_parts, row_masks[i - 1], 1 << (i - 1))
+        for rows, sig in row_parts:
+            if sig:
+                group = groups.setdefault(sig, [0, 0])
+                group[0] += sum((targets[c] & rows).bit_count() for c in cols)
+                group[1] += rows.bit_count() * len(cols) - sum((col_masks[c] & rows).bit_count() for c in cols)
+
+    n_tiles = len(tiles)
+    scored = (1 << n_tiles) - 1
+    rects = [0] * n_tiles
+    target = zeros = 0
+    start = inside = 0
+    for sig, (hits, misses) in groups.items():
+        hit_bits = ((1 << hits) - 1) << start
+        span = ((1 << (hits + misses)) - 1) << start
+        target |= hit_bits
+        zeros |= span ^ hit_bits
+        for i in _bits(sig & scored):
+            rects[i - 1] |= span
+        start += hits + misses
+        inside += hits
+    return rects, target, zeros, sum(m.bit_count() for m in targets) - inside
+
+
+def _error_scorer(matrix: BinaryMatrix, mode: str, tiles, universe=None):
+    """Project once; returns terms(positions).
+
+    terms gives (ones outside, zeros inside) of the union of the tiles at
+    the given positions. In coverable mode the outside term counts only ones
+    of some universe tile; universe defaults to tiles.
+    """
+    rects, target, zeros, constant = _project(matrix, mode, tiles, universe)
 
     def terms(positions) -> tuple[int, int]:
-        covered = _union(rects[i] for i in positions)
-        return (target & ~covered).bit_count(), (covered & ~data).bit_count()
+        covered = 0
+        for i in positions:
+            covered |= rects[i]
+        return constant + (target & ~covered).bit_count(), (covered & zeros).bit_count()
 
     return terms
 
@@ -217,14 +299,17 @@ def error(
     return ones_outside + zeros_inside
 
 
-def _bits(mask: int) -> list[int]:
-    """1-based positions of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+def _rows_at_least(planes: list[int], k: int, all_rows: int) -> int:
+    """Rows whose bit-sliced count is at least k; planes[b] holds bit b of each count."""
+    above, equal = 0, all_rows
+    for b in range(max(len(planes), k.bit_length()) - 1, -1, -1):
+        plane = planes[b] if b < len(planes) else 0
+        if k >> b & 1:
+            equal &= plane
+        else:
+            above |= equal & plane
+            equal &= ~plane
+    return above | equal
 
 
 def generate_candidates(
@@ -239,9 +324,10 @@ def generate_candidates(
     by descending area with ties on column then row sets, ids assigned 1..k,
     then truncated to max_candidates.
 
-    Rows and columns are int bitsets (bit c-1 of a row for column c, bit r-1
-    of a column for row r), and confidence is compared exactly against
-    Fraction(str(tau)) by integer cross-multiplication.
+    Columns are row masks, and confidence is compared exactly against
+    Fraction(str(tau)) by integer cross-multiplication. Each row's count of
+    ones within B_i is kept bit-sliced: the columns of B_i are added into
+    planes of a ripple-carry counter, so all rows are counted together.
     """
     if not 0 < tau <= 1:
         raise InputError("tau must lie in (0, 1]")
@@ -249,36 +335,44 @@ def generate_candidates(
         raise InputError("max_candidates must be positive")
     tau_frac = Fraction(str(tau))
     num, den = tau_frac.numerator, tau_frac.denominator
-    row_bits = [_mask_of(row) for row in matrix.cells]
-    col_rows = [_mask_of(col) for col in zip(*matrix.cells)]
+    col_rows = matrix.col_masks
+    all_rows = (1 << matrix.n_rows) - 1
     found: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
     for support in col_rows:
         if not support:
             continue
         need = num * support.bit_count()
         cols = 0
+        planes: list[int] = []
         for j, j_rows in enumerate(col_rows):
             if j_rows and (support & j_rows).bit_count() * den >= need:
                 cols |= 1 << j
-        width = cols.bit_count()
-        rows = 0
-        n_ones = 0
-        for r, bits in enumerate(row_bits):
-            inside = (bits & cols).bit_count()
-            if 2 * inside >= width:
-                rows |= 1 << r
-                n_ones += inside
+                carry = j_rows
+                for b, plane in enumerate(planes):
+                    planes[b] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                if carry:
+                    planes.append(carry)
+        # 2 * inside >= width, i.e. inside >= ceil(width / 2)
+        rows = _rows_at_least(planes, (cols.bit_count() + 1) // 2, all_rows)
         if rows and (rows, cols) not in found:
+            n_ones = sum((plane & rows).bit_count() << b for b, plane in enumerate(planes))
             found[rows, cols] = (-n_ones, _bits(cols), _bits(rows))
 
-    ordered = sorted(found.items(), key=lambda kv: kv[1])
+    ordered = sorted(found.values())
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
-    tiles = []
-    for tid, ((_, cols), (_, col_list, row_list)) in enumerate(ordered, start=1):
-        ones = frozenset((r, c) for r in row_list for c in _bits(row_bits[r - 1] & cols))
-        tiles.append(Tile(tile_id=tid, row_set=frozenset(row_list), col_set=frozenset(col_list), ones=ones))
-    return tiles
+    return [
+        Tile(
+            tile_id=tid,
+            row_set=frozenset(row_list),
+            col_set=frozenset(col_list),
+            ones=matrix.ones_in(row_list, col_list),
+        )
+        for tid, (_, col_list, row_list) in enumerate(ordered, start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -313,13 +407,9 @@ def greedy_select(
     """
     if budget < 0:
         raise InputError("error budget must be nonnegative")
-    if error_mode not in ERROR_MODES:
-        raise InputError(f"unknown error mode {error_mode!r}")
-    rects, ones = _tile_masks(matrix, candidates)
-    not_data = ~matrix._ones_mask
-    target = matrix._ones_mask if error_mode == "full" else _union(ones)
+    rects, target, zeros, constant = _project(matrix, error_mode, candidates)
     covered = 0
-    current = target.bit_count()
+    current = constant + target.bit_count()
     if current <= budget:
         return TileSelection((), current)
     remaining = sorted(range(len(candidates)), key=lambda i: candidates[i].tile_id)
@@ -329,7 +419,7 @@ def greedy_select(
         best_error = current
         for i in remaining:
             trial = covered | rects[i]
-            e = (trial & not_data).bit_count() + (target & ~trial).bit_count()
+            e = constant + (trial & zeros).bit_count() + (target & ~trial).bit_count()
             if e < best_error:
                 best, best_error = i, e
         if best is None:
@@ -376,13 +466,11 @@ def exact_select(
         raise BoundExceededError(
             f"exact selection over {len(candidates)} candidates exceeds bound {bound}"
         )
-    rects, ones = _tile_masks(matrix, candidates)
+    rects, target, zeros, constant = _project(matrix, error_mode, candidates)
     order = sorted(range(len(candidates)), key=lambda i: candidates[i].tile_id)
     ids = [candidates[i].tile_id for i in order]
     rects = [rects[i] for i in order]
     n = len(order)
-    not_data = ~matrix._ones_mask
-    target = matrix._ones_mask if error_mode == "full" else _union(ones)
 
     # Union of rectangles still available from position i on.
     suffix = [0] * (n + 1)
@@ -395,7 +483,7 @@ def exact_select(
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
         i, chosen_ids, covered = stack.pop()
-        lower = (covered & not_data).bit_count() + (target & ~(covered | suffix[i])).bit_count()
+        lower = constant + (covered & zeros).bit_count() + (target & ~(covered | suffix[i])).bit_count()
         if lower > budget:
             continue
         if mode == "optimal" and best is not None and lower > best.error:

@@ -11,7 +11,6 @@ from siftmine import (
     GraphDB,
     Itemset,
     LabeledGraph,
-    PatternRecord,
     Sequence,
     SequenceDB,
     SymbolTable,

@@ -17,7 +17,6 @@ from siftmine import (
     PatternRecord,
     Sequence,
     SymbolTable,
-    TransactionDB,
     canonical_code,
     cover_itemset,
     edge_itemize,

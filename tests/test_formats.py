@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siftmine import (
-    BinaryMatrix,
     InputError,
     Itemset,
     LabeledGraph,
@@ -18,7 +17,6 @@ from siftmine import (
     Sequence,
     SequenceDB,
     SymbolTable,
-    Tile,
     TileSelection,
     TransactionDB,
     error,

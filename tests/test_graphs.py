@@ -13,7 +13,6 @@ from siftmine import (
     MinSupport,
     SymbolTable,
     canonical_code,
-    graph_included,
     mine_frequent_graphs_general,
     mine_frequent_graphs_unique,
     subgraph_isomorphic,

@@ -1,10 +1,11 @@
 """Tiling: matrices, tiles, error accounting, candidate generation, selection."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from siftmine import (
@@ -14,6 +15,7 @@ from siftmine import (
     Itemset,
     SelectionResult,
     Tile,
+    TileSelection,
     area,
     error,
     error_terms,
@@ -21,6 +23,7 @@ from siftmine import (
     generate_candidates,
     greedy_select,
     tile_of,
+    write_tiling,
 )
 from siftmine.oracle import (
     exact_selections_bruteforce,
@@ -118,6 +121,66 @@ def candidate_matrices(draw):
     return BinaryMatrix(tuple(zip(*columns)))
 
 
+@st.composite
+def wide_candidate_matrices(draw):
+    """Up to 70 rows and 40 columns, so a row's count reaches 6 counter levels.
+
+    Zero and duplicate columns are mixed in. An optional all-ones row makes
+    every column overlap every other, so a low tau puts all of them in each
+    B_i; rows holding half of the columns, rounded down or up, then sit at
+    and next to 2 * inside == width for odd and even widths alike.
+    """
+    rng = draw(st.randoms(use_true_random=False))  # thousands of cells are too many draws to shrink
+    n_rows = draw(st.integers(1, 70))
+    n_cols = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    columns: list[tuple[int, ...]] = []
+    for _ in range(n_cols):
+        kind = rng.choice(["random", "random", "random", "zero", "copy"])
+        if kind == "zero":
+            columns.append((0,) * n_rows)
+        elif kind == "copy" and columns:
+            columns.append(rng.choice(columns))
+        else:
+            columns.append(tuple(int(rng.random() < density) for _ in range(n_rows)))
+    rows = [list(row) for row in zip(*columns)]
+    if draw(st.booleans()):
+        rows[0] = [1] * n_cols
+        for r in range(1, n_rows):
+            if rng.random() < 0.5:
+                half = rng.choice([n_cols // 2, (n_cols + 1) // 2])
+                rows[r] = [int(c < half) for c in rng.sample(range(n_cols), n_cols)]
+    return BinaryMatrix(tuple(map(tuple, rows)))
+
+
+def assert_exact_modes_match_bruteforce(m, cands, budget, error_mode):
+    """first, all and optimal against the enumeration of every subset."""
+    want = exact_selections_bruteforce(m, cands, budget, error_mode)
+    all_ids = sorted(t.tile_id for t in cands)
+    results = {
+        mode: exact_select(m, cands, budget, mode=mode, error_mode=error_mode)
+        for mode in ("first", "all", "optimal")
+    }
+    if not want:
+        assert all(r == SelectionResult("unsatisfiable", ()) for r in results.values())
+        return
+    in_order = sorted(want, key=lambda w: exclude_first_rank(w[0], all_ids))
+    assert [(s.tile_ids, s.error) for s in results["all"].selections] == in_order
+    assert [(s.tile_ids, s.error) for s in results["first"].selections] == in_order[:1]
+    best = min(want, key=lambda w: (w[1], len(w[0]), w[0]))
+    assert [(s.tile_ids, s.error) for s in results["optimal"].selections] == [best]
+
+
+def true_terms(m, subset, error_mode, universe):
+    """(ones outside, zeros inside) from the cell-by-cell oracle.
+
+    With an empty universe the coverable error counts no ones outside, so
+    it is the zeros inside alone.
+    """
+    zeros_inside = tiling_error_bruteforce(m, subset, "coverable", [])
+    return tiling_error_bruteforce(m, subset, error_mode, universe) - zeros_inside, zeros_inside
+
+
 class TestBinaryMatrix:
     def test_shape_and_ones(self, tiling):
         m = tiling.matrix
@@ -134,6 +197,27 @@ class TestBinaryMatrix:
             BinaryMatrix(((1, 0), (1,)))
         with pytest.raises(InputError):
             BinaryMatrix(((1, 2),))
+
+    def test_cells_equal_to_0_or_1_read_as_ints(self):
+        ints = BinaryMatrix(((1, 0, 1), (0, 1, 1)))
+        for ones, zero in ((True, False), (1.0, 0.0), (Fraction(1), Fraction(0))):
+            m = BinaryMatrix(((ones, zero, ones), (zero, ones, 1)))
+            assert m == ints
+            assert all(type(v) in (int, bool) for row in m.cells for v in row)
+            assert m.col_masks == ints.col_masks == (0b01, 0b10, 0b11)
+            assert m.ones == ints.ones
+            assert generate_candidates(m, 0.5) == generate_candidates(ints, 0.5)
+            cands = generate_candidates(m, 1.0)
+            assert greedy_select(m, cands, 0, "full") == greedy_select(ints, cands, 0, "full")
+
+    @pytest.mark.parametrize("cell", [2, -1, 256, 0.5, "1", None, 1j + 1])
+    def test_other_cells_rejected_as_input_errors(self, cell):
+        with pytest.raises(InputError, match="row 2 contains a non-binary cell"):
+            BinaryMatrix(((1, 0), (cell, 1)))
+
+    def test_string_row_rejected(self):
+        with pytest.raises(InputError, match="row 1 contains a non-binary cell"):
+            BinaryMatrix(("01",))
 
 
 class TestTile:
@@ -316,6 +400,33 @@ class TestGenerateCandidates:
             m, tau, max_candidates
         )
 
+    # Shrinking a 70x40 example through the oracle takes minutes; the
+    # narrow test above shrinks well, so this one reports what it drew.
+    @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(
+        m=wide_candidate_matrices(),
+        tau=st.one_of(
+            st.sampled_from([1e-9, 0.05, 0.3, 0.5, 0.8, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        ),
+        max_candidates=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_equals_bruteforce_on_wide_matrices(self, m, tau, max_candidates):
+        assert generate_candidates(m, tau, max_candidates) == generate_candidates_bruteforce(
+            m, tau, max_candidates
+        )
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 6, 31, 32, 33, 40])
+    def test_rows_at_half_of_b(self, width):
+        # Row 1 is all ones, so at tau 1e-9 every B_i is every column; row
+        # 2 + k holds k ones and is kept exactly when 2 * k >= width.
+        rows = [(1,) * width] + [(1,) * k + (0,) * (width - k) for k in range(width + 1)]
+        m = BinaryMatrix(tuple(rows))
+        (tile,) = generate_candidates(m, 1e-9)
+        assert tile.col_set == frozenset(range(1, width + 1))
+        assert tile.row_set == frozenset([1] + [2 + k for k in range(width + 1) if 2 * k >= width])
+        assert [tile] == generate_candidates_bruteforce(m, 1e-9)
+
     def test_confidence_is_exact_decimal(self):
         # conf(1=>2) = 7/25 = 0.28 exactly, but 0.28 * 25 rounds above 7 in floats
         m = BinaryMatrix(tuple((1, int(r < 7)) for r in range(25)))
@@ -453,20 +564,7 @@ class TestExactSelect:
                     outside, inside = error_terms(m, list(subset), error_mode, universe)
                     truth = tiling_error_bruteforce(m, list(subset), error_mode, universe)
                     assert outside + inside == truth
-        want = exact_selections_bruteforce(m, cands, budget, error_mode)
-        all_ids = sorted(t.tile_id for t in cands)
-        results = {
-            mode: exact_select(m, cands, budget, mode=mode, error_mode=error_mode)
-            for mode in ("first", "all", "optimal")
-        }
-        if not want:
-            assert all(r == SelectionResult("unsatisfiable", ()) for r in results.values())
-            return
-        in_order = sorted(want, key=lambda w: exclude_first_rank(w[0], all_ids))
-        assert [(s.tile_ids, s.error) for s in results["all"].selections] == in_order
-        assert [(s.tile_ids, s.error) for s in results["first"].selections] == in_order[:1]
-        best = min(want, key=lambda w: (w[1], len(w[0]), w[0]))
-        assert [(s.tile_ids, s.error) for s in results["optimal"].selections] == [best]
+        assert_exact_modes_match_bruteforce(m, cands, budget, error_mode)
 
     def test_optimal_tiebreak_fewer_tiles_then_ids(self, tiling):
         # two copies of the best pair: optimal must report (1, 3), never (1, 4)
@@ -480,3 +578,54 @@ class TestExactSelect:
         a = exact_select(tiling.matrix, tiling.tiles, 3, mode="first", error_mode="full")
         b = exact_select(tiling.matrix, tiling.tiles, 3, mode="first", error_mode="full")
         assert a == b
+
+
+def _edge_instances():
+    """(matrix, candidates) where the constant term or an edge shows."""
+    corner = BinaryMatrix(((1, 1, 0, 0), (1, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)))
+    one, zero = BinaryMatrix(((1,),)), BinaryMatrix(((0,),))
+    zeros = BinaryMatrix(((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
+
+    def tile(m, tid, rows, cols):
+        ones = frozenset((r, c) for r in rows for c in cols if m.cell(r, c))
+        return Tile(tid, frozenset(rows), frozenset(cols), ones)
+
+    return [
+        # ones at (2, 4), (3, 3), (3, 4), (4, 2), (4, 3) lie outside every rectangle
+        pytest.param(corner, [tile(corner, 1, {1, 2}, {1, 2}), tile(corner, 2, {1}, {1, 2, 3})], id="ones-outside"),
+        pytest.param(corner, [], id="no-candidates"),
+        pytest.param(one, [tile(one, 1, {1}, {1})], id="1x1-one"),
+        pytest.param(zero, [tile(zero, 1, {1}, {1})], id="1x1-zero"),
+        pytest.param(one, [], id="1x1-no-candidates"),
+        pytest.param(zeros, [tile(zeros, 1, {1, 2}, {2, 3}), tile(zeros, 2, {3}, {1, 2, 3, 4})], id="all-zero"),
+        pytest.param(zeros, [], id="all-zero-no-candidates"),
+    ]
+
+
+class TestConstantTermAndEdges:
+    @pytest.mark.parametrize("error_mode", ERROR_MODES)
+    @pytest.mark.parametrize("m,cands", _edge_instances())
+    def test_selectors_terms_and_report_equal_bruteforce(self, m, cands, error_mode, tmp_path):
+        subsets = [list(sub) for k in range(len(cands) + 1) for sub in combinations(cands, k)]
+        for sub in subsets:
+            for universe in (cands, None):
+                truth = true_terms(m, sub, error_mode, sub if universe is None else universe)
+                assert error_terms(m, sub, error_mode, universe) == truth
+        for budget in range(m.n_rows * m.n_cols + 1):
+            got = greedy_select(m, cands, budget, error_mode)
+            want = greedy_select_bruteforce(m, cands, budget, error_mode)
+            assert (None if got is None else (got.tile_ids, got.error)) == want
+            assert_exact_modes_match_bruteforce(m, cands, budget, error_mode)
+        # the report recomputes both terms of every selection it lists
+        sels = [TileSelection(tuple(t.tile_id for t in sub), 0) for sub in subsets]
+        out = tmp_path / "report.txt"
+        write_tiling(out, m, cands, "all", error_mode, 0, "ok", sels)
+        reported = [
+            dict(field.split("=") for field in line.split())
+            for line in out.read_text().splitlines()
+            if line.startswith("selection=")
+        ]
+        assert len(reported) == len(subsets)
+        for fields, sub in zip(reported, subsets):
+            outside, inside = true_terms(m, sub, error_mode, cands)
+            assert (int(fields["ones_outside"]), int(fields["zeros_inside"])) == (outside, inside)
