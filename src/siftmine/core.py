@@ -314,6 +314,11 @@ class LabeledGraph:
         return dict(self.vertices)
 
     @cached_property
+    def label_counts(self) -> Counter[int]:
+        """Vertex label id -> how many vertices carry it."""
+        return Counter(lbl for _, lbl in self.vertices)
+
+    @cached_property
     def neighbors(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """vid -> tuple of (neighbor vid, edge label id)."""
         adj: dict[int, list[tuple[int, int]]] = {vid: [] for vid, _ in self.vertices}
@@ -593,9 +598,8 @@ def subgraph_isomorphic(p: LabeledGraph, host: LabeledGraph) -> dict[int, int] |
     """
     if p.vertex_count > host.vertex_count or p.edge_count > host.edge_count:
         return None
-    p_labels = Counter(lbl for _, lbl in p.vertices)
-    h_labels = Counter(lbl for _, lbl in host.vertices)
-    if any(h_labels[lbl] < n for lbl, n in p_labels.items()):
+    h_labels = host.label_counts
+    if any(h_labels[lbl] < n for lbl, n in p.label_counts.items()):
         return None
 
     plan = p._matching_plan

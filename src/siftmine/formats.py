@@ -12,8 +12,10 @@ so any non-whitespace token round-trips losslessly; a written file loads
 back to records that write the same bytes. load_patterns and
 write_patterns (with pattern_lines for stdout) are the whole pattern-file
 codec: one field parser reads a line, straight into its record, and one
-renderer writes it. Covers stay checked text from reader to writer; a set
-of tids is built only for a record whose cover is read.
+renderer writes it; an itemset or sequence line in the renderer's own
+layout takes one compiled match instead, to the same result. Covers stay
+checked text from reader to writer; a set of tids is built only for a
+record whose cover is read.
 """
 
 from __future__ import annotations
@@ -446,11 +448,38 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
     return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
+# The layout pattern_lines writes for an itemset or sequence record. A flat
+# class scans a cover in one pass (a group repeated per tid costs more than
+# the token parser), and string methods check its commas and count. Labels
+# with no "%" or "=" are their own unquoted text, split on commas as
+# _parse_line splits them.
+_CANONICAL = re.compile(
+    r"pid=([0-9]+) kind=(itemset|sequence) support=([0-9]+) size=([0-9]+) elements=([^\s%=]+)"
+    r"(?: cover=([0-9,]*))?(?: valid=([01]))?(?: condensed=([01]))?"
+)
+
+
+def _parse_canonical(line: str) -> tuple | None:
+    """_parse_line's tuple for a canonical itemset or sequence line that parses, else None; never raises."""
+    m = _CANONICAL.fullmatch(line)
+    if m is None:
+        return None
+    pid, kind, support, size, elements, cover, valid, condensed = m.groups()
+    support = int(support)
+    if cover is not None and (
+        ",," in cover or cover[:1] == "," or cover[-1:] == "," or (cover.count(",") + 1 if cover else 0) != support
+    ):
+        return None
+    valid = None if valid is None else valid == "1"
+    condensed = None if condensed is None else condensed == "1"
+    return int(pid), kind, support, int(size), tuple(elements.split(",")), None, None, cover, valid, condensed
+
+
 def _records(rows: Iterable[tuple], graphs: bool, path):
     """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first.
 
     A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
-    has matched each cover's count to its support, so the count is not taken again.
+    or _parse_canonical has matched each cover's count to its support, so the count is not taken again.
     """
     symbols = SymbolTable()
     if graphs:
@@ -500,7 +529,8 @@ def write_patterns(
 def load_patterns(path) -> LoadedPatterns:
     """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list."""
     text = read_text(path)
-    rows = (_parse_line(raw, path, lineno) for lineno, raw in enumerate(text.splitlines(), start=1))
+    numbered = enumerate(text.splitlines(), start=1)
+    rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in numbered)
     # Only a graph record has a token `kind=graph`; the substring test spares other files the regex's scan.
     graphs = "kind=graph" in text and re.search(r"(?<!\S)kind=graph(?!\S)", text) is not None
     records, symbols, valid, condensed = _records(rows, graphs, path)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -497,6 +498,36 @@ class TestCondense:
         )
         assert code == 3
         assert err == "error: adjacent applies only to sequence patterns, got itemset\n"
+
+
+class TestLongCover:
+    """A 200,000-tid cover loads, or fails with the parser's message, in time linear in its length."""
+
+    HALF = ",".join(map(str, range(1, 100_001)))
+    OTHER_HALF = ",".join(map(str, range(100_001, 200_001)))
+    COVERS = {
+        "well-formed": HALF + "," + OTHER_HALF,
+        "trailing-comma": HALF + "," + OTHER_HALF + ",",
+        "double-comma": HALF + ",," + OTHER_HALF,
+    }
+    BOUND_S = 10.0  # generous: a match that backtracks over the cover would take far longer
+
+    @pytest.mark.parametrize("name", list(COVERS))
+    def test_condense_time_and_exit(self, run, tmp_path, name):
+        cover = self.COVERS[name]
+        # support agrees with the comma count, so only the cover's grammar can reject it
+        line = f"pid=1 kind=itemset support={cover.count(',') + 1} size=1 elements=a cover={cover}"
+        pats, out = tmp_path / "p.pat", tmp_path / "kept.pat"
+        pats.write_text(line + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, stdout, err = run("condense", "--patterns", str(pats), "--rep", "maximal", "--out", str(out))
+        assert time.perf_counter() - start < self.BOUND_S
+        if name == "well-formed":
+            assert code == 0 and stdout == "kept 1 of 1 patterns (1 valid)\n"
+            assert out.read_text(encoding="utf-8") == line + " valid=1 condensed=1\n"
+        else:
+            assert code == 3 and not out.exists()
+            assert err == f"error: {pats}: line 1: malformed integer list {cover!r}\n"
 
 
 class TestPipeline:

@@ -33,7 +33,7 @@ from siftmine import (
     write_patterns,
     write_tiling,
 )
-from siftmine.formats import _is_int_list, pattern_lines
+from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines
 
 
 def write(tmp_path, name, text):
@@ -379,6 +379,114 @@ class TestLineFieldsProperty:
         canonical = "pid=3 kind=sequence support=2 size=2 elements=b,a cover=4,1"
         canonical += "".join(f" {flag}={value}" for flag, value in (("valid", valid), ("condensed", condensed)) if value)
         assert list(pattern_lines(loaded.records, loaded.symbols, loaded.valid, loaded.condensed)) == [canonical]
+
+
+# Whitespace for both str.split and the regex \s (tab, NBSP, \x1c, U+2028), the
+# characters that end, split or escape a field, a non-ASCII digit, and plain ones.
+ODD_CHARS = ["\t", "\xa0", "\x1c", "\u2028", " ", "%", "=", ",", "\u0661", "\xe9", "a", "0", "7"]
+ODD_TEXT = st.text(st.sampled_from(ODD_CHARS), max_size=5)
+CANONICAL_ORDER = ("pid", "kind", "support", "size", "elements", "cover", "valid", "condensed")
+
+
+@st.composite
+def itemset_or_sequence_lines(draw):
+    """A line in the writer's itemset/sequence layout with at most one flaw: a bad value, a moved field, odd spacing."""
+    number = st.sampled_from(["0", "1", "2", "007", "10"])
+    fields = {
+        "pid": draw(number),
+        "kind": draw(st.sampled_from(["itemset", "sequence"])),
+        "support": None,
+        "size": draw(number),
+        "elements": ",".join(draw(st.lists(st.sampled_from(["a", "b", "\xe9", "q00_y"]), min_size=1, max_size=3))),
+        "cover": draw(st.none() | st.lists(st.sampled_from(["1", "07", "42"]), max_size=4).map(",".join)),
+        "valid": draw(st.sampled_from([None, "0", "1"])),
+        "condensed": draw(st.sampled_from([None, "0", "1"])),
+    }
+    flaws = [None, "cover", "cover", "label", "flag", "number", "support", "value", "moved", "spacing"]
+    flaw = draw(st.sampled_from(flaws))
+    if flaw == "cover":  # support will match the comma count
+        fields["cover"] = draw(st.sampled_from([",1", "1,1,", "1,,1", ",", "", "\u0661", "1,\u0661", "01,1"]))
+    elif flaw == "label":
+        label = st.lists(st.sampled_from(["a", "%41", "%", "=", ",", "\t", "\xa0", "\x1c", "\u2028"]), max_size=3)
+        fields["elements"] = ",".join(draw(st.lists(label.map("".join), min_size=1, max_size=3)))
+    elif flaw == "flag":
+        fields[draw(st.sampled_from(["valid", "condensed"]))] = draw(st.sampled_from(["", "2", "01", "\u0661"]))
+    elif flaw == "number":
+        fields[draw(st.sampled_from(["pid", "support", "size"]))] = draw(st.sampled_from(["\u0661", "0\u0661", "+1"]))
+    elif flaw == "value":
+        fields[draw(st.sampled_from(CANONICAL_ORDER))] = draw(ODD_TEXT)
+    if fields["support"] is None:
+        cover = fields["cover"]
+        counted = cover is not None and flaw != "support"
+        fields["support"] = str(cover.count(",") + 1 if cover else 0) if counted else draw(number)
+    tokens = [f"{key}={value}" for key, value in fields.items() if value is not None]
+    if flaw == "moved":
+        i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
+        tokens.insert(j, tokens.pop(i))
+    return (draw(st.sampled_from(["\t", "  ", " \xa0"])) if flaw == "spacing" else " ").join(tokens)
+
+
+class TestCanonicalFastPath:
+    """_parse_canonical gives _parse_line's tuple for a canonical line, None for any other, and never raises."""
+
+    @staticmethod
+    def check(line):
+        fast = _parse_canonical(line)
+        try:
+            parsed = _parse_line(line, "p.pat", 1)
+        except InputError:
+            assert fast is None  # so the token parser raises its own message
+            return
+        tokens = line.split()
+        fields = dict(tok.split("=", 1) for tok in tokens)
+        canonical = line == " ".join(tokens) and list(fields) == [key for key in CANONICAL_ORDER if key in fields]
+        plain = parsed[4] is not None and not {"%", "="} & set(fields["elements"])
+        if canonical and plain:
+            assert fast == parsed
+        else:
+            assert fast is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(itemset_or_sequence_lines())
+    def test_same_tuple_or_token_parser(self, line):
+        self.check(line)
+
+    # One flaw each, in a line that is canonical otherwise.
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("pid=1", "pid=\u0661"),
+            ("support=2", "support=\u0662"),
+            ("size=1", "size=0\u0661"),
+            ("cover=1,2", "cover=1,\u0662"),
+            ("support=2 size=1 elements=a cover=1,2", "support=3 size=1 elements=a cover=1,,2"),
+            ("cover=1,2", "cover=1,"),
+            ("cover=1,2", "cover=,2"),
+            ("cover=1,2", "cover="),
+            ("cover=1,2", "cover=1"),
+            ("elements=a", "elements=a\tb"),
+            ("elements=a", "elements=a\xa0b"),
+            ("elements=a", "elements=a\x1cb"),
+            ("elements=a", "elements=%61"),
+            ("elements=a", "elements=a=b"),
+            ("valid=1", "valid=2"),
+            ("valid=1", "valid="),
+            ("valid=1 ", ""),
+            ("pid=1 kind=sequence", "kind=sequence pid=1"),
+            (" cover", "  cover"),
+            ("", ""),
+        ],
+    )
+    def test_one_flaw(self, old, new):
+        self.check("pid=1 kind=sequence support=2 size=1 elements=a cover=1,2 valid=1 condensed=0".replace(old, new))
+
+    def test_written_lines_take_the_fast_path(self, toy_items, toy_seqs):
+        for fixture, mine in ((toy_items, mine_frequent_itemsets), (toy_seqs, mine_frequent_sequences)):
+            records = mine(fixture.db, MinSupport.absolute(1))
+            flags = {rec.pid: rec.pid % 2 == 0 for rec in records[::2]}
+            for line in pattern_lines(records, fixture.db.symbols, flags, {records[0].pid: True}):
+                assert _parse_canonical(line) == _parse_line(line, "p.pat", 1)
+                assert _parse_canonical(line) is not None
 
 
 class TestPatternFiles:
