@@ -15,7 +15,7 @@ import sys
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import MinSupport, edge_itemize
+from .core import MinSupport
 from .errors import BoundExceededError, InputError
 from .formats import (
     load_graphs,
@@ -73,7 +73,7 @@ _TYPES = {
     "sequence": ("load_sequences", "mine_frequent_sequences", "max_len", "frequent_sequences_bruteforce",
                  lambda p: p.symbols),
     "graph-unique": ("load_graphs", "mine_frequent_graphs_unique", None, "frequent_graphs_unique_bruteforce",
-                     lambda p: edge_itemize(p) if p.edges else ()),
+                     lambda p: tuple(sorted(p.label_pairs))),
     "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "_general_graphs_bruteforce", canonical_code),
 }
 

@@ -85,19 +85,13 @@ def _check_kinds(records) -> None:
 
 
 def _elements(pattern: Pattern) -> list[tuple[int, int]]:
-    # The symbols every container of pattern must hold at least as often:
-    # items, sequence symbols, or vertex labels, each paired with its
-    # occurrence number so that repeats are distinct index keys. An itemset
-    # never repeats an item.
+    # The pattern's elements, each paired with its occurrence number so
+    # that repeats are distinct index keys. An itemset never repeats an item.
     if isinstance(pattern, Itemset):
         return [(item, 1) for item in pattern.items]
-    if isinstance(pattern, Sequence):
-        symbols = pattern.symbols
-    else:
-        symbols = tuple(lbl for _, lbl in pattern.vertices)
     seen: Counter[int] = Counter()
     elements = []
-    for sym in symbols:
+    for sym in pattern.elements:
         seen[sym] += 1
         elements.append((sym, seen[sym]))
     return elements

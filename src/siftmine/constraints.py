@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import Itemset, LabeledGraph, PatternRecord, Sequence, SymbolTable
+from .core import PatternRecord, SymbolTable, plain_int
 from .errors import ConstraintSyntaxError, InputError, KindMismatchError
 
 _NUMERIC_ATOMS = {
@@ -55,18 +55,6 @@ class ConstraintExpr:
     """Conjunction of clauses; each clause is a disjunction of atoms."""
 
     clauses: tuple[tuple[ConstraintAtom, ...], ...]
-
-    def atoms(self):
-        for clause in self.clauses:
-            yield from clause
-
-    @property
-    def needs_weights(self) -> bool:
-        return any(a.name == "cost_max" for a in self.atoms())
-
-    @property
-    def needs_symbols(self) -> bool:
-        return any(a.symbols or a.blocked for a in self.atoms())
 
 
 EMPTY_EXPR = ConstraintExpr(())
@@ -124,10 +112,10 @@ def _parse_atom(text: str, lineno: int, col: int) -> ConstraintAtom:
         if name is None:
             raise ConstraintSyntaxError(f"unsupported operator {tokens[1]!r} for {head}", lineno, col)
         try:
-            bound = int(tokens[2])
+            bound = plain_int(tokens[2].removeprefix("-"))
         except ValueError:
             raise ConstraintSyntaxError(f"bound {tokens[2]!r} is not an integer", lineno, col) from None
-        if bound < 0:
+        if tokens[2].startswith("-"):
             raise ConstraintSyntaxError("bound must be nonnegative", lineno, col)
         return ConstraintAtom(name, bound=bound)
     if head in ("contains", "excludes"):
@@ -159,18 +147,6 @@ def parse_constraints(text: str) -> ConstraintExpr:
     return ConstraintExpr(tuple(clauses))
 
 
-def _element_ids(rec: PatternRecord) -> tuple[int, ...]:
-    # Occurrence list: items once each, sequence symbols per position,
-    # graph vertex labels per vertex.
-    p = rec.pattern
-    if isinstance(p, Itemset):
-        return p.items
-    if isinstance(p, Sequence):
-        return p.symbols
-    assert isinstance(p, LabeledGraph)
-    return tuple(lbl for _, lbl in p.vertices)
-
-
 def _resolve(symbols: SymbolTable | None, label: str) -> int | None:
     if symbols is None:
         raise InputError("constraint references symbols but no symbol table was provided")
@@ -180,7 +156,6 @@ def _resolve(symbols: SymbolTable | None, label: str) -> int | None:
 def _sequence_symbols(rec: PatternRecord, atom_name: str) -> tuple[int, ...]:
     if rec.kind != "sequence":
         raise KindMismatchError(f"{atom_name} applies only to sequence patterns, got {rec.kind}")
-    assert isinstance(rec.pattern, Sequence)
     return rec.pattern.symbols
 
 
@@ -202,13 +177,13 @@ def _atom_holds(
     if name == "cost_max":
         if weights is None:
             raise InputError("cost constraint requires a weight table")
-        return sum(weights.cost_of(i) for i in _element_ids(rec)) <= atom.bound
+        return sum(map(weights.cost_of, rec.pattern.elements)) <= atom.bound
     if name == "contains":
         sid = _resolve(symbols, atom.symbols[0])
-        return sid is not None and sid in set(_element_ids(rec))
+        return sid is not None and sid in rec.pattern.elements
     if name == "excludes":
         sid = _resolve(symbols, atom.symbols[0])
-        return sid is None or sid not in set(_element_ids(rec))
+        return sid is None or sid not in rec.pattern.elements
 
     seq = _sequence_symbols(rec, name)
     first = _resolve(symbols, atom.symbols[0])

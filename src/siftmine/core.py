@@ -10,13 +10,21 @@ supported:
 * labeled graphs: simple undirected graphs with vertex labels and an
   optional edge label (id 0 is reserved for the default edge label "0").
 
+Every pattern class answers the same questions itself, so no other module
+tests which kind a pattern is: `kind` ("itemset", "sequence" or "graph"),
+`size` (items, sequence length, or edges), and `elements`, the symbols a
+container must hold at least as often (the items, the sequence symbols, or
+one vertex label per vertex). A graph also carries `label_pairs`, its edges
+as (smaller, larger) vertex label pairs, which encode a unique-labeled graph
+faithfully.
+
 The inclusion primitives at the bottom of the module (cover_itemset,
 find_embedding, subgraph_isomorphic, graph_included) define what "pattern p
 occurs in object x" means for each kind; everything else in the package is
 built on top of them. MinSupport, the threshold every miner takes,
-mine_patterns, the frame every miner's search runs in, and mask_at, which
-builds the Python-int bitsets of the miners and the tiling kernel, live
-here too.
+mine_patterns, the frame every miner's search runs in, mask_at, which
+builds the Python-int bitsets of the miners and the tiling kernel, and
+plain_int, the one reader of integers in input text, live here too.
 """
 
 from __future__ import annotations
@@ -169,6 +177,13 @@ def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[P
     ]
 
 
+def plain_int(text: str) -> int:
+    """A plain ASCII decimal; signs, underscores and other digits raise ValueError."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(text)
+
+
 def mask_at(positions: Iterable[int], n_bits: int) -> int:
     """The int with exactly the given bit positions set, all below n_bits.
 
@@ -186,6 +201,7 @@ class Itemset:
     """A nonempty set of item ids, stored as a strictly increasing tuple."""
 
     items: tuple[int, ...]
+    kind = "itemset"
 
     def __post_init__(self):
         if not self.items:
@@ -204,6 +220,10 @@ class Itemset:
     def size(self) -> int:
         return len(self.items)
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return self.items
+
     def as_set(self) -> frozenset[int]:
         return frozenset(self.items)
 
@@ -213,6 +233,7 @@ class Sequence:
     """A nonempty ordered tuple of symbol ids; repeats are meaningful."""
 
     symbols: tuple[int, ...]
+    kind = "sequence"
 
     def __post_init__(self):
         if not self.symbols:
@@ -227,6 +248,10 @@ class Sequence:
     @property
     def size(self) -> int:
         return len(self.symbols)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return self.symbols
 
 
 @dataclass(frozen=True)
@@ -256,6 +281,7 @@ class LabeledGraph:
 
     vertices: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int, int], ...] = ()
+    kind = "graph"
 
     def __post_init__(self):
         if not self.vertices:
@@ -309,6 +335,13 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    size = edge_count
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """One vertex label id per vertex, in vertex order."""
+        return tuple(lbl for _, lbl in self.vertices)
+
     @cached_property
     def label_map(self) -> dict[int, int]:
         return dict(self.vertices)
@@ -316,7 +349,17 @@ class LabeledGraph:
     @cached_property
     def label_counts(self) -> Counter[int]:
         """Vertex label id -> how many vertices carry it."""
-        return Counter(lbl for _, lbl in self.vertices)
+        return Counter(self.elements)
+
+    @cached_property
+    def label_pairs(self) -> frozenset[tuple[int, int]]:
+        """The edges as (smaller, larger) pairs of endpoint label ids.
+
+        Unique labels make the pair set a faithful encoding: subgraph
+        inclusion between unique-labeled graphs is exactly pair-set inclusion.
+        """
+        lbl = self.label_map
+        return frozenset((lbl[u], lbl[v]) if lbl[u] <= lbl[v] else (lbl[v], lbl[u]) for u, v, _ in self.edges)
 
     @cached_property
     def neighbors(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -334,8 +377,7 @@ class LabeledGraph:
 
     @cached_property
     def unique_labeled(self) -> bool:
-        labels = [lbl for _, lbl in self.vertices]
-        if len(set(labels)) != len(labels):
+        if len(self.label_counts) != len(self.vertices):
             return False
         return all(lbl == DEFAULT_EDGE_LABEL for _, _, lbl in self.edges)
 
@@ -379,23 +421,11 @@ Pattern = Union[Itemset, Sequence, LabeledGraph]
 
 def pattern_size(pattern: Pattern) -> int:
     """Number of items, sequence length, or edge count."""
-    if isinstance(pattern, Itemset):
-        return len(pattern.items)
-    if isinstance(pattern, Sequence):
-        return len(pattern.symbols)
-    if isinstance(pattern, LabeledGraph):
-        return pattern.edge_count
-    raise InputError(f"not a pattern: {pattern!r}")
+    return pattern.size
 
 
 def pattern_kind(pattern: Pattern) -> str:
-    if isinstance(pattern, Itemset):
-        return "itemset"
-    if isinstance(pattern, Sequence):
-        return "sequence"
-    if isinstance(pattern, LabeledGraph):
-        return "graph"
-    raise InputError(f"not a pattern: {pattern!r}")
+    return pattern.kind
 
 
 @dataclass(frozen=True)
@@ -531,7 +561,9 @@ class PatternRecord:
             raise InputError("support must be nonnegative")
         if cover is not None and len(cover) != support:  # len() of a Cover builds no set
             raise InputError("support must equal the cover cardinality")
-        if size != pattern_size(pattern):
+        if not isinstance(pattern, (Itemset, Sequence, LabeledGraph)):
+            raise InputError(f"not a pattern: {pattern!r}")
+        if size != pattern.size:
             raise InputError("size must match the pattern")
         # One key at a time, in field order, keeps the instance dict key-shared.
         d = self.__dict__
@@ -543,7 +575,7 @@ class PatternRecord:
 
     @property
     def kind(self) -> str:
-        return pattern_kind(self.pattern)
+        return self.pattern.kind
 
     def cover_text(self) -> str | None:
         """The cover as pattern-file text, tids ascending unless read from a file; builds no set."""
@@ -646,30 +678,16 @@ def is_unique_labeled(g: LabeledGraph) -> bool:
 
 
 def edge_itemize(g: LabeledGraph) -> tuple[tuple[int, int], ...]:
-    """Edges of a unique-labeled graph as sorted (label, label) pairs.
-
-    Each edge (u, v) becomes the pair (min, max) of the endpoint label ids.
-    Unique labels make the pair set a faithful encoding: subgraph inclusion
-    between unique-labeled graphs is exactly pair-set inclusion.
-    """
-    if not is_unique_labeled(g):
+    """A unique-labeled graph's label_pairs, sorted; a graph that is not unique-labeled, or has no edge, raises."""
+    if not g.unique_labeled:
         raise InputError("graph is not unique-labeled")
     if not g.edges:
         raise InputError("edgeless graph has no edge items")
-    lbl = g.label_map
-    pairs = sorted((min(lbl[u], lbl[v]), max(lbl[u], lbl[v])) for u, v, _ in g.edges)
-    return tuple(pairs)
+    return tuple(sorted(g.label_pairs))
 
 
 def graph_included(p: LabeledGraph, host: LabeledGraph) -> bool:
     """Subgraph inclusion with a set-inclusion fast path for unique-labeled pairs."""
     if p.unique_labeled and host.unique_labeled:
-        p_lbls = {lbl for _, lbl in p.vertices}
-        h_lbls = {lbl for _, lbl in host.vertices}
-        if not p_lbls <= h_lbls:
-            return False
-        lbl_p, lbl_h = p.label_map, host.label_map
-        p_pairs = {(min(lbl_p[u], lbl_p[v]), max(lbl_p[u], lbl_p[v])) for u, v, _ in p.edges}
-        h_pairs = {(min(lbl_h[u], lbl_h[v]), max(lbl_h[u], lbl_h[v])) for u, v, _ in host.edges}
-        return p_pairs <= h_pairs
+        return p.label_counts.keys() <= host.label_counts.keys() and p.label_pairs <= host.label_pairs
     return subgraph_isomorphic(p, host) is not None

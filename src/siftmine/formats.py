@@ -37,6 +37,7 @@ from .core import (
     SequenceDB,
     SymbolTable,
     TransactionDB,
+    plain_int,
 )
 from .errors import InputError
 from .tiling import BinaryMatrix, Tile, TileSelection, _error_scorer
@@ -52,44 +53,34 @@ def read_text(path) -> str:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _read_lines(path) -> list[str]:
-    return read_text(path).splitlines()
+def _token_lines(path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """Each line's number and whitespace-split tokens, in file order.
 
-
-def _int(text: str) -> int:
-    """A plain ASCII decimal; signs, underscores and other digits raise ValueError."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise ValueError(text)
+    A blank line raises when it is reached, so an earlier malformed line is
+    the one reported; a file with no lines raises after the loop, unless
+    empty_ok.
+    """
+    lineno = 0
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            raise InputError(f"{path}: line {lineno}: blank line")
+        yield lineno, tokens
+    if lineno == 0 and not empty_ok:
+        raise InputError(f"{path}: empty file")
 
 
 def load_transactions(path) -> TransactionDB:
     """One transaction per line, whitespace-separated items, duplicates collapsed."""
-    lines = _read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
     symbols = SymbolTable()
-    transactions: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
-        transactions.append(tuple(sorted({symbols.intern(tok) for tok in tokens})))
+    transactions = [tuple(sorted({symbols.intern(tok) for tok in tokens})) for _, tokens in _token_lines(path)]
     return TransactionDB(tuple(transactions), symbols)
 
 
 def load_sequences(path) -> SequenceDB:
     """One sequence per line, whitespace-separated symbols, repeats preserved."""
-    lines = _read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
     symbols = SymbolTable()
-    sequences: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
-        sequences.append(symbols.intern_all(tokens))
+    sequences = [symbols.intern_all(tokens) for _, tokens in _token_lines(path)]
     return SequenceDB(tuple(sequences), symbols)
 
 
@@ -100,9 +91,6 @@ def load_graphs(path) -> GraphDB:
     nonnegative integers local to their record. The edge label is optional
     and defaults to "0"; that label is always interned first, at id 0.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
     symbols = SymbolTable()
     symbols.intern("0")
     graphs: list[LabeledGraph] = []
@@ -119,17 +107,14 @@ def load_graphs(path) -> GraphDB:
             raise InputError(f"{path}: line {record_line}: graph {len(graphs) + 1} has no vertices")
         graphs.append(LabeledGraph.of(vertices, edges))
 
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
+    for lineno, tokens in _token_lines(path):
         tag = tokens[0]
         if tag == "t":
             finalize()
             if len(tokens) != 3 or tokens[1] != "#":
                 raise InputError(f"{path}: line {lineno}: malformed graph header, expected `t # <gid>`")
             try:
-                gid = _int(tokens[2])
+                gid = plain_int(tokens[2])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: graph id {tokens[2]!r} is not an integer") from None
             if gid != len(graphs) + 1:
@@ -147,7 +132,7 @@ def load_graphs(path) -> GraphDB:
             if len(tokens) != 3:
                 raise InputError(f"{path}: line {lineno}: malformed vertex, expected `v <vid> <label>`")
             try:
-                vid = _int(tokens[1])
+                vid = plain_int(tokens[1])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: vertex id {tokens[1]!r} is not an integer") from None
             if vid in seen_vids:
@@ -160,7 +145,7 @@ def load_graphs(path) -> GraphDB:
             if len(tokens) not in (3, 4):
                 raise InputError(f"{path}: line {lineno}: malformed edge, expected `e <u> <v> [<elabel>]`")
             try:
-                u, v = _int(tokens[1]), _int(tokens[2])
+                u, v = plain_int(tokens[1]), plain_int(tokens[2])
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: edge endpoints must be integers") from None
             if u == v:
@@ -175,8 +160,6 @@ def load_graphs(path) -> GraphDB:
         else:
             raise InputError(f"{path}: line {lineno}: unknown record tag {tag!r}")
     finalize()
-    if not graphs:
-        raise InputError(f"{path}: no graph records")
     return GraphDB(tuple(graphs), symbols)
 
 
@@ -185,15 +168,9 @@ _CELL_VALUES = {"0": 0, "1": 1}
 
 def load_matrix(path) -> BinaryMatrix:
     """Rows of space-separated 0/1 cells, all rows the same length."""
-    lines = _read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
     rows: list[tuple[int, ...]] = []
     width: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
+    for lineno, tokens in _token_lines(path):
         try:
             cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
         except KeyError as exc:
@@ -218,16 +195,12 @@ class WeightTable:
 
 def load_weights(path, symbols: SymbolTable) -> WeightTable:
     """`SYM INT` per line; symbols are interned into the given table."""
-    lines = _read_lines(path)
     costs: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
+    for lineno, tokens in _token_lines(path, empty_ok=True):
         if len(tokens) != 2:
             raise InputError(f"{path}: line {lineno}: expected `SYM WEIGHT`")
         try:
-            weight = _int(tokens[1].removeprefix("-"))
+            weight = plain_int(tokens[1].removeprefix("-"))
         except ValueError:
             raise InputError(f"{path}: line {lineno}: weight {tokens[1]!r} is not an integer") from None
         if tokens[1].startswith("-"):
@@ -244,14 +217,8 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
 
     Each tile's ones are the data ones inside its rectangle.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
     tiles: list[Tile] = []
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            raise InputError(f"{path}: line {lineno}: blank line")
+    for lineno, tokens in _token_lines(path):
         fields = dict(_split_kv(tok, path, lineno) for tok in tokens)
         if set(fields) != {"rows", "cols"} or len(tokens) != 2:
             raise InputError(f"{path}: line {lineno}: expected `rows=... cols=...`")
@@ -313,15 +280,15 @@ def pattern_lines(
     for rec in records:
         p = rec.pattern
         try:
-            if isinstance(p, LabeledGraph):
+            if p.kind == "graph":
                 body = "vertices=" + ",".join(f"{vid}:{quoted[lbl]}" for vid, lbl in p.vertices)
                 body += " edges=" + ",".join(f"{u}-{v}:{quoted[lbl]}" for u, v, lbl in p.edges)
             else:
-                elements = sorted(p.items, key=label.__getitem__) if isinstance(p, Itemset) else p.symbols
+                elements = sorted(p.elements, key=label.__getitem__) if p.kind == "itemset" else p.elements
                 body = "elements=" + ",".join(map(quoted.__getitem__, elements))
         except KeyError as exc:
             raise InputError(f"unknown symbol id {exc.args[0]}") from None
-        line = f"pid={rec.pid} kind={rec.kind} support={rec.support} size={rec.size} {body}"
+        line = f"pid={rec.pid} kind={p.kind} support={rec.support} size={rec.size} {body}"
         cover = rec.cover_text()
         if cover is not None:
             line += " cover=" + cover
@@ -387,7 +354,7 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         pid, kind, support, size = fields["pid"], fields["kind"], fields["support"], fields["size"]
     except KeyError as exc:  # the first missing one, in the order read
         raise InputError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-    # _int's rule, checked for the three at once
+    # plain_int's rule, checked for the three at once
     if not (pid.isdigit() and support.isdigit() and size.isdigit() and (pid + support + size).isascii()):
         raise InputError(f"{path}: line {lineno}: pid/support/size must be integers")
     pid, support, size = int(pid), int(support), int(size)
@@ -412,7 +379,7 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
             if not sep:
                 raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}")
             try:
-                verts.append((_int(vid_text), _unq(lbl)))
+                verts.append((plain_int(vid_text), _unq(lbl)))
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}") from None
         vertices = tuple(verts)
@@ -426,7 +393,7 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
                 if not sep2:
                     raise InputError(f"{path}: line {lineno}: malformed edge endpoints {pair_text!r}")
                 try:
-                    edge_list.append((_int(u_text), _int(v_text), _unq(lbl)))
+                    edge_list.append((plain_int(u_text), plain_int(v_text), _unq(lbl)))
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}: malformed edge {part!r}") from None
         edges = tuple(edge_list)
@@ -499,10 +466,11 @@ def _records(rows: Iterable[tuple], graphs: bool, path):
                     raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
             elif kind == "sequence":
                 pattern = Sequence(symbols.intern_all(elements))
-            else:
-                vertices = tuple(sorted((vid, symbols.intern(lbl)) for vid, lbl in vertices))
-                edges = tuple(sorted((min(u, v), max(u, v), symbols.intern(lbl)) for u, v, lbl in edges))
-                pattern = LabeledGraph(vertices, edges)
+            else:  # lists, so that vertex labels are interned before edge labels
+                pattern = LabeledGraph.of(
+                    [(vid, symbols.intern(lbl)) for vid, lbl in vertices],
+                    [(u, v, symbols.intern(lbl)) for u, v, lbl in edges],
+                )
             if cover is not None:
                 cover = Cover(text=cover, count=support)
             records[pid] = PatternRecord(pid, pattern, support, cover, size)

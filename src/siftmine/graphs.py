@@ -28,14 +28,11 @@ from typing import Iterator
 from .core import (
     DEFAULT_EDGE_LABEL,
     GraphDB,
-    Itemset,
     LabeledGraph,
     MinSupport,
     PatternRecord,
     SymbolTable,
     TransactionDB,
-    edge_itemize,
-    is_unique_labeled,
     mine_patterns,
     subgraph_isomorphic,  # unused here, but perfbench/tracer.py wraps siftmine.graphs.subgraph_isomorphic
 )
@@ -284,30 +281,15 @@ def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[Pattern
     unique-labeled, naming the offending graph.
     """
     for gid, g in db.records():
-        if not is_unique_labeled(g):
+        if not g.unique_labeled:
             raise InputError(f"graph {gid} is not unique-labeled")
 
-    pair_ids: dict[tuple[int, int], int] = {}
-    pairs_by_id: list[tuple[int, int]] = []
+    # Pair ids in first appearance, each graph's pairs in sorted order: the ids fix the miner's output order.
     pair_table = SymbolTable()
-    transactions: list[tuple[int, ...]] = []
-    for _, g in db.records():
-        items: list[int] = []
-        if g.edges:
-            for pair in edge_itemize(g):
-                pid = pair_ids.get(pair)
-                if pid is None:
-                    pid = len(pairs_by_id)
-                    pair_ids[pair] = pid
-                    pairs_by_id.append(pair)
-                    pair_table.intern(f"{pair[0]}~{pair[1]}")
-                items.append(pid)
-        transactions.append(tuple(sorted(set(items))))
-
-    reduced = TransactionDB(tuple(transactions), pair_table)
+    transactions = tuple(tuple(sorted(pair_table.intern_all(sorted(g.label_pairs)))) for g in db.graphs)
+    pairs_by_id = pair_table.labels
     out: list[PatternRecord] = []
-    for rec in mine_frequent_itemsets(reduced, minsup):
-        assert isinstance(rec.pattern, Itemset)
+    for rec in mine_frequent_itemsets(TransactionDB(transactions, pair_table), minsup):
         pairs = [pairs_by_id[i] for i in rec.pattern.items]
         labels = sorted({lbl for pair in pairs for lbl in pair})
         vid_of = {lbl: vid for vid, lbl in enumerate(labels)}

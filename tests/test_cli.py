@@ -492,6 +492,19 @@ class TestCondense:
         assert code == 3
         assert err == "error: unsupported operator '><' for size (line 1, column 1)\n"
 
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("1_0", "bound '1_0' is not an integer"),
+            ("+3", "bound '+3' is not an integer"),
+            ("\u0661", "bound '\u0661' is not an integer"),
+            ("-1", "bound must be nonnegative"),
+        ],
+    )
+    def test_bound_must_be_plain_decimal(self, run, pats, bound, message):
+        result = run("condense", "--patterns", str(pats), "--rep", "maximal", "--constraints", f"size >= {bound}")
+        assert result == (3, "", f"error: {message} (line 1, column 1)\n")
+
     def test_kind_mismatch(self, run, pats):
         code, _, err = run(
             "condense", "--patterns", str(pats), "--rep", "closed", "--constraints", "adjacent a b"

@@ -1,5 +1,7 @@
 """Constraint language: grammar, atom semantics, clause logic, partitioning."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,20 @@ class TestGrammar:
             with pytest.raises(ConstraintSyntaxError) as err:
                 parse_constraints(text)
             assert "line" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("1_0", "bound '1_0' is not an integer"),
+            ("+3", "bound '+3' is not an integer"),
+            ("\u0661", "bound '\u0661' is not an integer"),
+            ("-1", "bound must be nonnegative"),
+            ("-0", "bound must be nonnegative"),
+        ],
+    )
+    def test_bound_is_a_plain_ascii_decimal(self, bound, message):
+        with pytest.raises(ConstraintSyntaxError, match=re.escape(f"{message} (line 2, column 3)")):
+            parse_constraints(f"size >= 1\n  support >= {bound}\n")
 
     def test_multiline_error_line_number(self):
         with pytest.raises(ConstraintSyntaxError, match="line 3"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from siftmine import (
     Embedding,
+    GraphDB,
     InputError,
     Itemset,
     LabeledGraph,
@@ -31,7 +32,12 @@ from siftmine import (
     subgraph_isomorphic,
 )
 from siftmine.core import Cover, TidTable
-from siftmine.oracle import all_embeddings, embedding_exists, injective_map_exists
+from siftmine.oracle import (
+    all_embeddings,
+    embedding_exists,
+    frequent_graphs_unique_bruteforce,
+    injective_map_exists,
+)
 
 
 class TestSymbolTable:
@@ -378,14 +384,34 @@ class TestUniqueLabeled:
         with pytest.raises(InputError):
             edge_itemize(lonely)
 
-    def test_inclusion_fast_path_equals_general(self, demo_graphs):
-        f = demo_graphs
-        rng = random.Random(7)
-        from helpers import random_unique_graph_db
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), unique=st.booleans())
+    def test_inclusion_fast_path_equals_general(self, rng, unique):
+        """graph_included equals the general search, and each pattern class's attributes their per-kind definitions.
 
-        for _ in range(40):
-            db = random_unique_graph_db(rng, max_graphs=2, n_labels=5)
-            a, b = db.graphs[0], db.graphs[-1]
-            fast = graph_included(a, b)
-            slow = subgraph_isomorphic(a, b) is not None
-            assert fast == slow
+        Graphs come unique-labeled or not (repeated vertex labels, edge labels
+        other than the default), and may be edgeless.
+        """
+        from helpers import random_graph, random_unique_graph_db
+
+        if unique:
+            db = random_unique_graph_db(rng, max_graphs=3, n_labels=5)
+        else:
+            symbols = SymbolTable(["0", "a", "b", "x"])
+            graphs = tuple(random_graph(rng, [1, 2], 5, edge_labels=[0, 0, 3]) for _ in range(rng.randint(1, 3)))
+            db = GraphDB(graphs, symbols)
+        items = Itemset.of(rng.sample(range(8), rng.randint(1, 5)))
+        seq = Sequence.of(rng.choice(range(4)) for _ in range(rng.randint(1, 6)))
+        cases = [(items, "itemset", len(items.items), items.items), (seq, "sequence", len(seq.symbols), seq.symbols)]
+        cases += [(g, "graph", g.edge_count, tuple(lbl for _, lbl in g.vertices)) for g in db.graphs]
+        for p, kind, size, elements in cases:
+            assert p.kind == pattern_kind(p) == kind
+            assert p.size == pattern_size(p) == size
+            assert p.elements == elements
+        for g in db.graphs:
+            if g.unique_labeled:
+                # The oracle's largest frequent pair set in a one-graph database is the graph's own.
+                found = frequent_graphs_unique_bruteforce(GraphDB((g,), db.symbols), 1)
+                assert g.label_pairs == frozenset(max(found, key=len, default=()))
+            for host in db.graphs:
+                assert graph_included(g, host) == (subgraph_isomorphic(g, host) is not None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siftmine import (
+    BinaryMatrix,
     InputError,
     Itemset,
     LabeledGraph,
@@ -231,6 +232,43 @@ class TestLoadTiles:
             load_tiles(write(tmp_path, "t.txt", "rows=1\n"), tiling.matrix)
         with pytest.raises(InputError, match="malformed integer list"):
             load_tiles(write(tmp_path, "t.txt", "rows=1,x cols=1\n"), tiling.matrix)
+
+
+# The six input loaders, each with a line it accepts, one it rejects, that
+# rejection's message, and whether it takes an empty file. Transactions and
+# sequences accept every line with a token, so their first bad line is a
+# blank one.
+LOADERS = [
+    pytest.param(load_transactions, "a b", "", "blank line", False, id="transactions"),
+    pytest.param(load_sequences, "a a", "", "blank line", False, id="sequences"),
+    pytest.param(load_graphs, "t # 1", "v x a", "vertex id 'x' is not an integer", False, id="graphs"),
+    pytest.param(load_matrix, "1 0", "1 2", "non-binary cell '2'", False, id="matrix"),
+    pytest.param(
+        lambda p: load_weights(p, SymbolTable()), "a 1", "b x", "weight 'x' is not an integer", True, id="weights"
+    ),
+    pytest.param(
+        lambda p: load_tiles(p, BinaryMatrix(((1,),))), "rows=1 cols=1", "rows=1", "expected", False, id="tiles"
+    ),
+]
+
+
+class TestTokenLines:
+    """Every input loader reads its lines through one reader, which meets each blank line in file order."""
+
+    @pytest.mark.parametrize("load, good, bad, message, empty_ok", LOADERS)
+    def test_first_bad_line_is_reported(self, tmp_path, load, good, bad, message, empty_ok):
+        path = write(tmp_path, "in.txt", f"{good}\n{bad}\n\n{good}\n")
+        with pytest.raises(InputError, match=re.escape(f"in.txt: line 2: {message}")):
+            load(path)
+
+    @pytest.mark.parametrize("load, good, bad, message, empty_ok", LOADERS)
+    def test_empty_file(self, tmp_path, load, good, bad, message, empty_ok):
+        path = write(tmp_path, "in.txt", "")
+        if empty_ok:
+            assert load(path).costs == {}
+        else:
+            with pytest.raises(InputError, match=re.escape("in.txt: empty file")):
+                load(path)
 
 
 class TestPatternLineCodec:
