@@ -15,7 +15,7 @@ import sys
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import MinSupport
+from .core import MinSupport, plain_int
 from .errors import BoundExceededError, InputError
 from .formats import (
     load_graphs,
@@ -46,6 +46,14 @@ from .tiling import exact_select, generate_candidates, greedy_select
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _int_option(text: str) -> int:
+    """A plain ASCII decimal; a leading "-" is read too, so that the option's own range check reports it."""
+    try:
+        return -plain_int(text[1:]) if text.startswith("-") else plain_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
 
 
 def _constraints_from_arg(arg: str):
@@ -209,15 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mine frequent patterns, condense them under constraints, and tile binary matrices.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker hint; output is identical for any value")
+    common.add_argument("--threads", type=_int_option, default=1, help="worker hint; output is identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mine = sub.add_parser("mine", parents=[common], help="mine frequent patterns into a pattern file")
     p_mine.add_argument("--type", required=True, choices=["itemset", "sequence", "graph-unique", "graph"])
     p_mine.add_argument("--input", required=True)
     p_mine.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
-    p_mine.add_argument("--max-len", type=int, default=None, help="longest sequence pattern")
-    p_mine.add_argument("--max-edges", type=int, default=None, help="largest general graph pattern")
+    p_mine.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
+    p_mine.add_argument("--max-edges", type=_int_option, default=None, help="largest general graph pattern")
     p_mine.add_argument("--out", default=None)
     p_mine.set_defaults(handler=cmd_mine)
 
@@ -231,13 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tile = sub.add_parser("tile", parents=[common], help="cover a binary matrix with tiles under an error budget")
     p_tile.add_argument("--matrix", required=True)
-    p_tile.add_argument("--threshold", type=int, required=True, help="error budget")
+    p_tile.add_argument("--threshold", type=_int_option, required=True, help="error budget")
     p_tile.add_argument("--tau", type=float, default=None, help="confidence threshold for candidate generation")
-    p_tile.add_argument("--max-candidates", type=int, default=None)
+    p_tile.add_argument("--max-candidates", type=_int_option, default=None)
     p_tile.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
     p_tile.add_argument("--method", default="greedy", choices=["greedy", "first", "all", "optimal"])
     p_tile.add_argument("--error-mode", default="coverable", choices=["full", "coverable"])
-    p_tile.add_argument("--bound", type=int, default=20, help="exact-search candidate limit")
+    p_tile.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
     p_tile.add_argument("--out", default=None)
     p_tile.set_defaults(handler=cmd_tile)
 
@@ -248,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--rep", required=True, choices=["maximal", "closed", "free", "skyline"])
     p_ver.add_argument("--constraints", default=None)
     p_ver.add_argument("--weights", default=None)
-    p_ver.add_argument("--max-len", type=int, default=None)
-    p_ver.add_argument("--max-edges", type=int, default=None)
+    p_ver.add_argument("--max-len", type=_int_option, default=None)
+    p_ver.add_argument("--max-edges", type=_int_option, default=None)
     p_ver.set_defaults(handler=cmd_verify)
     return parser
 

@@ -9,10 +9,10 @@ still in the set, so constraints change the outcome, not just trim it.
 
 condense never compares every record with every other. Skyline is a sort
 and sweep over supports. For the inclusion relations an inverted index
-maps each element (item, sequence symbol or vertex label, counted with
-multiplicity) to a bitset of records; intersecting a record's postings
-gives the few records that can include it, and the exact dominates() test
-runs only on those.
+maps each element (item, sequence symbol, or a graph's vertex labels and
+edge types (la, el, lb) with la <= lb, counted with multiplicity) to a
+bitset of records; intersecting a record's postings gives the few records
+that can include it, and the exact dominates() test runs only on those.
 """
 
 from __future__ import annotations
@@ -84,14 +84,22 @@ def _check_kinds(records) -> None:
         raise KindMismatchError(f"records mix pattern kinds: {sorted(kinds)}")
 
 
-def _elements(pattern: Pattern) -> list[tuple[int, int]]:
+def _elements(pattern: Pattern) -> list[tuple]:
     # The pattern's elements, each paired with its occurrence number so
     # that repeats are distinct index keys. An itemset never repeats an item.
+    # A graph adds its edge types (la, el, lb), la <= lb: an inclusion maps
+    # edges to distinct edges of the same type (gIndex's edge features).
     if isinstance(pattern, Itemset):
         return [(item, 1) for item in pattern.items]
-    seen: Counter[int] = Counter()
+    symbols: tuple = pattern.elements
+    if isinstance(pattern, LabeledGraph):
+        lbl = pattern.label_map
+        symbols += tuple(
+            (lbl[u], el, lbl[v]) if lbl[u] <= lbl[v] else (lbl[v], el, lbl[u]) for u, v, el in pattern.edges
+        )
+    seen: Counter = Counter()
     elements = []
-    for sym in pattern.elements:
+    for sym in symbols:
         seen[sym] += 1
         elements.append((sym, seen[sym]))
     return elements
@@ -109,8 +117,9 @@ def _dominated_in(group: list[PatternRecord], rel: DominanceRelation) -> list[bo
 
     If p is properly included in q, q's elements contain p's and q's
     (size, element count) is lexicographically greater: itemsets and
-    sequences have as many elements as their size, and a graph included in
-    one with as many edges and vertices is isomorphic to it. So an inverted
+    sequences have as many elements as their size, a graph has one per
+    vertex and per edge, and a graph included in one with as many edges and
+    vertices is isomorphic to it. So an inverted
     index from element to a bitset of positions yields each record's
     candidate containers, and dominates() runs only on those.
     """
@@ -160,11 +169,11 @@ def condense(valid: list[PatternRecord], rel: DominanceRelation) -> list[Pattern
     Input order (canonical from the miners) is preserved. Skyline is a sort
     and sweep over supports with no pairwise test. Maximal, closed and free
     look each record's possible dominators up in an inverted index over its
-    elements (items, sequence symbols or vertex labels, with multiplicity)
-    and run dominates() only on those. Closed and free build one index per
-    support value, since their dominators need equal support; they group by
-    support, not by cover, because covers read from files may be absent or
-    disagree with the data.
+    elements (items, sequence symbols, or vertex labels and edge types, with
+    multiplicity) and run dominates() only on those. Closed and free build
+    one index per support value, since their dominators need equal support;
+    they group by support, not by cover, because covers read from files may
+    be absent or disagree with the data.
     """
     _check_kinds(valid)
     if rel is DominanceRelation.SKYLINE:

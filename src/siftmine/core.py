@@ -127,19 +127,20 @@ class MinSupport:
 
     @classmethod
     def parse(cls, text: str) -> "MinSupport":
-        """Integer text means absolute; decimal in (0, 1] means relative; only ASCII without `_` is read."""
-        if not text.isascii() or "_" in text:
-            raise InputError(f"cannot parse minimum support {text!r}")
-        text = text.strip()
-        try:
-            return cls.absolute(int(text))
-        except ValueError:
-            pass
-        try:
-            value = float(text)
-        except ValueError:
-            raise InputError(f"cannot parse minimum support {text!r}") from None
-        return cls.relative(value)
+        """ASCII digits mean absolute; ASCII digits with one decimal point, a decimal in (0, 1], mean relative.
+
+        Signs, spaces, exponents, underscores and other digits do not parse.
+        """
+        whole, point, fraction = text.partition(".")
+        if point:
+            if (whole + fraction).isascii() and (whole + fraction).isdigit():
+                return cls.relative(float(text))
+        else:
+            try:
+                return cls.absolute(plain_int(text))
+            except ValueError:
+                pass
+        raise InputError(f"cannot parse minimum support {text!r}")
 
     def effective(self, db_size: int) -> int:
         """Absolute threshold for a database of db_size objects, at least 1.

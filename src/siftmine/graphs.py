@@ -18,7 +18,12 @@ A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
 code is the lexicographically smallest one over all traversals. Two graphs
 share a canonical code exactly when they are isomorphic, since the code
-reconstructs the graph up to renaming.
+reconstructs the graph up to renaming. canonical_code finds it in one
+search per component over sorted adjacency rows: a state is the DFS stack,
+the discovery indices, the emitted edges as an int bitmask and the code so
+far; only ties on the smallest next tuple branch, and the growing code is
+compared with the best complete code tuple by tuple, a paused branch
+rechecking its whole prefix when it resumes.
 """
 
 from __future__ import annotations
@@ -51,90 +56,120 @@ TypedNeighbors = dict[tuple[int, int, int], list[int]]
 _VERTEX_SENTINEL = -1
 
 
-def _components(g: LabeledGraph) -> list[list[int]]:
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for vid, _ in g.vertices:
-        if vid in seen:
-            continue
-        comp = [vid]
-        seen.add(vid)
-        queue = [vid]
-        while queue:
-            u = queue.pop()
-            for n, _ in g.neighbors[u]:
-                if n not in seen:
-                    seen.add(n)
-                    comp.append(n)
-                    queue.append(n)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_min_code(comp: list[int], g: LabeledGraph) -> tuple:
-    label = g.label_map
-    elabel = g.edge_lookup
-    adj = {v: [n for n, _ in g.neighbors[v]] for v in comp}
-    n_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
-    if n_edges == 0:
-        return ((0, 0, label[comp[0]], _VERTEX_SENTINEL, _VERTEX_SENTINEL),)
-
-    def ekey(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
-    # A search state is (DFS vertex stack, discovery indices, emitted edges,
-    # code so far). Forced steps update the state in place; a branch point
-    # pushes the later ties on `pending` and goes on with the first, so ties
-    # are searched depth-first in ranked order. A state whose code exceeds
-    # the prefix of `best` cannot complete to a smaller code and is dropped.
-    best: list[tuple] | None = None
-    start_label = min(label[v] for v in comp)
-    pending = [([v0], {v0: 0}, set(), []) for v0 in reversed(comp) if label[v0] == start_label]
-    while pending:
-        stack, disc, emitted, code = pending.pop()
-        while best is None or code <= best[: len(code)]:
-            if len(code) == n_edges:
-                if best is None or code < best:
-                    best = code
-                break
-            if not stack:
-                break
-            u = stack[-1]
-            # Backward edges from the current vertex are forced, emitted in
-            # ascending discovery index of the target.
-            back = sorted((disc[w], w) for w in adj[u] if w in disc and ekey(u, w) not in emitted)
-            if back:
-                code.extend((disc[u], dw, label[u], elabel[ekey(u, w)], label[w]) for dw, w in back)
-                emitted.update(ekey(u, w) for _, w in back)
-                continue
-            fwd = set(w for w in adj[u] if w not in disc)
-            if not fwd:
-                stack.pop()
-                continue
-            # Only minimal next tuples can start a minimal completion; ties
-            # still branch because their futures differ.
-            ranked = sorted((elabel[ekey(u, w)], label[w], w) for w in fwd)
-            ties = [t for t in ranked if t[:2] == ranked[0][:2]]
-            for el, lw, w in reversed(ties[1:]):
-                step = (stack + [w], {**disc, w: len(disc)}, emitted | {ekey(u, w)})
-                pending.append((*step, code + [(disc[u], len(disc), label[u], el, lw)]))
-            el, lw, w = ties[0]
-            code.append((disc[u], len(disc), label[u], el, lw))
-            disc[w] = len(disc)
-            stack.append(w)
-            emitted.add(ekey(u, w))
-    assert best is not None
-    return tuple(best)
-
-
 def canonical_code(g: LabeledGraph) -> tuple:
     """Canonical form of g: the sorted tuple of per-component minimum DFS codes.
 
     Equal codes characterize isomorphism, including for disconnected graphs,
     because each component code rebuilds its component up to vertex renaming
     and sorting makes the component multiset order-free.
+
+    One search per component finds its minimum code. A search state is
+    (DFS vertex stack, discovery indices, emitted edges as a bitmask, code so
+    far). A newly discovered vertex first emits its backward edges, forced,
+    in ascending discovery index of the target; then the top of the stack
+    steps forward along its smallest (edge label, neighbor label) to an
+    undiscovered neighbor, or is popped when it has none. Ties on that pair
+    branch, because their futures differ: the search goes on with the first
+    and pushes the rest on `pending`. Searches start only at the vertices
+    whose (label, smallest incident edge label and neighbor label) is the
+    minimum, since the first edge's tuple is (0, 1, that triple).
+
+    `best` is the smallest complete code so far, and the code under
+    construction is compared with it as it grows. Until the code is strictly
+    smaller than best's prefix, each emitted tuple is compared with best's
+    tuple at that position; a larger one drops the state. A pending branch
+    compares its whole code with best's prefix once when it resumes, not
+    when it was pushed, because best may have shrunk in between.
     """
-    return tuple(sorted(_component_min_code(comp, g) for comp in _components(g)))
+    label = dict(g.vertices)
+    # Per vertex, (edge label, neighbor label, neighbor, edge bit), sorted:
+    # the first undiscovered entry is the smallest forward step.
+    rows: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in label}
+    for i, (u, v, el) in enumerate(g.edges):
+        rows[u].append((el, label[v], v, 1 << i))
+        rows[v].append((el, label[u], u, 1 << i))
+    for row in rows.values():
+        row.sort()
+
+    codes = []
+    placed: set[int] = set()
+    for root in label:
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:
+            for _, _, w, _ in rows[v]:
+                if w not in placed:
+                    placed.add(w)
+                    comp.append(w)
+        if len(comp) == 1:
+            codes.append(((0, 0, label[root], _VERTEX_SENTINEL, _VERTEX_SENTINEL),))
+            continue
+        n_edges = sum(len(rows[v]) for v in comp) // 2
+        first = min((label[v], *rows[v][0][:2]) for v in comp)
+        best: list[tuple] | None = None
+        pending = [([v], {v: 0}, 0, []) for v in reversed(comp) if (label[v], *rows[v][0][:2]) == first]
+        while pending:
+            stack, disc, emitted, code = pending.pop()
+            if best is None:
+                smaller = True
+            else:
+                head = best[: len(code)]
+                if code > head:
+                    continue
+                smaller = code < head
+            while True:
+                w = stack[-1]  # just discovered
+                back = [(disc[x], el, lx, bit) for el, lx, x, bit in rows[w] if x in disc and not emitted & bit]
+                if back:
+                    back.sort()
+                    k = len(code)
+                    dw, lw = disc[w], label[w]
+                    code += [(dw, dx, lw, el, lx) for dx, el, lx, _ in back]
+                    for *_, bit in back:
+                        emitted |= bit
+                    if not smaller:
+                        head, tail = best[k : len(code)], code[k:]
+                        if tail > head:
+                            break
+                        smaller = tail < head
+                if len(code) == n_edges:
+                    best = code
+                    break
+                # Backtrack to the deepest vertex with an undiscovered
+                # neighbor; one exists while edges remain.
+                while True:
+                    u = stack[-1]
+                    rest = iter(rows[u])
+                    for el, lv, v, bit in rest:
+                        if v not in disc:
+                            break
+                    else:
+                        stack.pop()
+                        continue
+                    break
+                t = (disc[u], len(disc), label[u], el, lv)
+                if not smaller:
+                    b = best[len(code)]
+                    if t > b:
+                        break
+                    smaller = t < b
+                ties = []  # they follow the chosen entry in its sorted row
+                for el2, lv2, v2, bit2 in rest:
+                    if el2 != el or lv2 != lv:
+                        break
+                    if v2 not in disc:
+                        ties.append((stack + [v2], {**disc, v2: len(disc)}, emitted | bit2, code + [t]))
+                pending += reversed(ties)
+                code.append(t)
+                disc[v] = len(disc)
+                stack.append(v)
+                emitted |= bit
+        assert best is not None
+        codes.append(tuple(best))
+    codes.sort()
+    return tuple(codes)
 
 
 # A growth step adds one pattern edge (u, v, edge label) and says what it
@@ -156,7 +191,7 @@ def _extensions(g: LabeledGraph, edge_types: list[tuple[int, int, int]]) -> Iter
                 yield vid, next_vid, el, lb
             if lb == lv and la != lb:
                 yield vid, next_vid, el, la
-    present = set(g.edge_lookup)
+    present = {(u, v) for u, v, _ in g.edges}
     verts = g.vertices
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed and shares no search logic
 with the miners or selectors it checks: subsequence tests enumerate index
-tuples, graph containment enumerates injective vertex maps, miners
+tuples, graph containment enumerates injective vertex maps, the minimum
+DFS code enumerates every depth-first traversal, miners
 enumerate candidate patterns from the data and count supports directly,
 condensation tests every ordered pair of records with dominates(), tiling
 errors are counted cell by cell, greedy selection rescores every trial that
@@ -27,6 +28,7 @@ MAX_SEQUENCES = 8
 MAX_SEQUENCE_LEN = 12
 MAX_GRAPHS = 6
 MAX_GRAPH_EDGES = 10
+MAX_CODE_VERTICES = 8
 MAX_UNIQUE_EDGES = 12
 MAX_TILE_CANDIDATES = 12
 
@@ -210,6 +212,58 @@ def frequent_graphs_general_bruteforce(
                     classes.append((sig, sub, {gid}))
                     seen_here.add(len(classes) - 1)
     return [(rep, frozenset(cover)) for _, rep, cover in classes if len(cover) >= sigma]
+
+
+def min_dfs_code_bruteforce(g: LabeledGraph) -> tuple:
+    """The canonical code by exhaustion: each component's minimum over all its DFS codes, sorted.
+
+    Every vertex of a component is tried as the start, and at each step the
+    top of the DFS stack goes to each of its undiscovered neighbors in turn,
+    so every order of forward neighbors is tried. A newly discovered vertex
+    writes its forward edge (i, j, l_i, l_e, l_j) over discovery indices,
+    then its backward edges to earlier vertices in ascending discovery
+    index. Whole codes are compared, with no pruning. An isolated vertex
+    with label l codes as ((0, 0, l, -1, -1),).
+    """
+    if g.vertex_count > MAX_CODE_VERTICES:
+        raise BoundExceededError(f"{g.vertex_count} vertices exceed oracle bound {MAX_CODE_VERTICES}")
+    label = dict(g.vertices)
+    edge = {}
+    for u, v, el in g.edges:
+        edge[u, v] = edge[v, u] = el
+
+    def traversals(order: list[int], stack: list[int], code: tuple):
+        if not stack:
+            yield code
+            return
+        u = stack[-1]
+        fresh = [w for w in label if (u, w) in edge and w not in order]
+        if not fresh:
+            yield from traversals(order, stack[:-1], code)
+        for w in fresh:
+            j = len(order)
+            forward = ((order.index(u), j, label[u], edge[u, w], label[w]),)
+            back = tuple(
+                (j, i, label[w], edge[w, x], label[x]) for i, x in enumerate(order) if x != u and (w, x) in edge
+            )
+            yield from traversals(order + [w], stack + [w], code + forward + back)
+
+    components: list[set[int]] = []
+    for v in label:
+        if any(v in comp for comp in components):
+            continue
+        comp = {v}
+        while grown := {w for x in comp for w in label if (x, w) in edge} - comp:
+            comp |= grown
+        components.append(comp)
+    return tuple(
+        sorted(
+            min(code for v in comp for code in traversals([v], [v], ()))
+            if len(comp) > 1
+            else ((0, 0, label[min(comp)], -1, -1),)
+            for comp in components
+        )
+    )
 
 
 def tiling_error_bruteforce(

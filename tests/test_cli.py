@@ -361,9 +361,18 @@ class TestMine:
             stdout = run_cli_process(
                 seed, "mine", "--type", "graph", "--input", str(workdir / "labeled.txt"), "--minsup", "2"
             ).stdout
-            seen.append((proc.returncode, proc.stderr, proc.stdout, out_file.read_bytes(), stdout))
+            # condense indexes graphs by vertex labels and edge-type tuples
+            condensed = [
+                run_cli_process(seed, "condense", "--patterns", str(out_file), "--rep", rep)
+                for rep in ("maximal", "closed", "free")
+            ]
+            seen.append(
+                (proc.returncode, proc.stderr, proc.stdout, out_file.read_bytes(), stdout)
+                + tuple((c.returncode, c.stderr, c.stdout) for c in condensed)
+            )
         assert seen[0] == seen[1]
         assert seen[0][:2] == (0, "")
+        assert all(c[:2] == (0, "") and c[2].count("\n") > 3 for c in seen[0][5:])
 
     def test_itemset_and_sequence_output_independent_of_hash_seed(self, workdir):
         rng = random.Random(77)
@@ -427,6 +436,11 @@ class TestMine:
         code, _, err = run("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "0")
         assert code == 3
         assert err == "error: absolute minimum support must be a positive integer\n"
+
+    @pytest.mark.parametrize("minsup", ["+3", " 3", "3 ", "1e0", "5e-1", "-1", ".", "1.2.3"])
+    def test_minsup_must_be_plain_decimal(self, run, minsup):
+        code, out, err = run("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", minsup)
+        assert (code, out, err) == (3, "", f"error: cannot parse minimum support {minsup!r}\n")
 
     def test_missing_input(self, run, workdir):
         code, _, err = run(
@@ -771,6 +785,40 @@ class TestThreads:
         )
         assert code == 2
         assert err == "error: --threads must be at least 1\n"
+
+
+class TestIntegerOptions:
+    # (argv without the option, the option): every integer option reads a plain ASCII decimal
+    OPTIONS = [
+        (("mine", "--type", "sequence", "--input", "seqs.txt", "--minsup", "2"), "--max-len"),
+        (("mine", "--type", "graph", "--input", "graphs.txt", "--minsup", "2"), "--max-edges"),
+        (("verify", "--type", "sequence", "--input", "seqs.txt", "--minsup", "2", "--rep", "closed"), "--max-len"),
+        (("tile", "--matrix", "matrix.txt", "--tau", "0.5"), "--threshold"),
+        (("tile", "--matrix", "matrix.txt", "--threshold", "3", "--tau", "0.5"), "--max-candidates"),
+        (("tile", "--matrix", "matrix.txt", "--threshold", "3", "--candidates", "tiles.txt", "--method", "all"), "--bound"),
+        (("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "2"), "--threads"),
+    ]
+
+    @pytest.mark.parametrize("argv, option", OPTIONS, ids=[f"{argv[0]}{option}" for argv, option in OPTIONS])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "+3", " 3", "3 ", "3.0", "0x3"])
+    def test_rejects_all_but_plain_decimals(self, run, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, option, value)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f"error: argument {option}: {value!r} is not an integer\n")
+
+    @pytest.mark.parametrize(
+        "argv, option, code, message",
+        [
+            (OPTIONS[0][0], "--max-len", 3, "max_len must be positive"),
+            (OPTIONS[4][0], "--max-candidates", 3, "max_candidates must be positive"),
+            (OPTIONS[6][0], "--threads", 2, "--threads must be at least 1"),
+        ],
+    )
+    def test_negative_values_reach_range_checks(self, run, argv, option, code, message):
+        # --bound and --threshold: TestTile's negative-value tests
+        assert run(*argv, option, "-1") == (code, "", f"error: {message}\n")
 
 
 def golden_inputs():

@@ -1,7 +1,10 @@
 """Condensation: the four relations against definitional and brute-force oracles."""
 
+import importlib
 import random
 import zlib
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,9 @@ from siftmine import (
 from siftmine.errors import BoundExceededError
 
 from helpers import DEFINITIONAL, random_records
+
+# The package re-exports the function condense, which hides the module of that name.
+condense_module = importlib.import_module("siftmine.condense")
 
 
 class TestParse:
@@ -165,13 +171,21 @@ class TestOracleEquivalence:
 
 @st.composite
 def graphs(draw):
-    # possibly edgeless; edge labels 0 and 3 keep some graphs off the unique-labeled path
+    # possibly edgeless; two or three edge labels, and labels 3 and 5 keep some graphs off the
+    # unique-labeled path
     n = draw(st.integers(1, 4))
     vertices = list(enumerate(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = [(u, v, draw(st.sampled_from([0, 3]))) for u, v in chosen]
+    edge_labels = draw(st.sampled_from([[0, 3], [0, 3, 5]]))
+    edges = [(u, v, draw(st.sampled_from(edge_labels))) for u, v in chosen]
     return LabeledGraph.of(vertices, edges)
+
+
+def edge_types(g: LabeledGraph) -> Counter:
+    """The multiset of ({endpoint labels}, edge label) over g's edges."""
+    lbl = dict(g.vertices)
+    return Counter((frozenset((lbl[u], lbl[v])), el) for u, v, el in g.edges)
 
 
 @st.composite
@@ -190,6 +204,12 @@ def file_like_records(draw, kind):
         for g in draw(st.lists(st.sampled_from(patterns), max_size=3)) if patterns else []:
             vid = g.vertices[-1][0] + 1
             patterns.append(LabeledGraph(g.vertices + ((vid, draw(st.integers(1, 2))),), g.edges))
+        # plus a new vertex that copies one edge's type: a container that repeats an edge type
+        with_edges = [g for g in patterns if g.edges]
+        for g in draw(st.lists(st.sampled_from(with_edges), max_size=3)) if with_edges else []:
+            u, v, el = draw(st.sampled_from(g.edges))
+            vid = g.vertices[-1][0] + 1
+            patterns.append(LabeledGraph.of(g.vertices + ((vid, g.label_map[v]),), g.edges + ((u, vid, el),)))
     if patterns:
         patterns += draw(st.lists(st.sampled_from(patterns), max_size=3))  # duplicates, new pids
     records = []
@@ -212,3 +232,23 @@ class TestIndexExactness:
             fast = [r.pid for r in condense(records, rel)]
             assert fast == [r.pid for r in brute_force_condense(records, rel)], rel
             assert fast == [r.pid for r in DEFINITIONAL[rel.value](records)], rel
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_graph_candidates_hold_every_edge_type(self, data):
+        # dominates() runs only on pairs whose included side's edge types,
+        # with multiplicity, all occur in the other side
+        records = data.draw(file_like_records("graph"))
+        original = condense_module.dominates
+        for rel in (DominanceRelation.MAXIMAL, DominanceRelation.CLOSED, DominanceRelation.FREE):
+            tested = []
+
+            def recording(p, q, relation):
+                tested.append((p, q))
+                return original(p, q, relation)
+
+            with mock.patch.object(condense_module, "dominates", recording):
+                condense(records, rel)
+            for p, q in tested:
+                small, large = (q, p) if rel is DominanceRelation.FREE else (p, q)
+                assert edge_types(small.pattern) <= edge_types(large.pattern), (rel, small.pid, large.pid)

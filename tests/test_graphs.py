@@ -17,9 +17,11 @@ from siftmine import (
     mine_frequent_graphs_unique,
     subgraph_isomorphic,
 )
+from siftmine.errors import BoundExceededError
 from siftmine.oracle import (
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
+    min_dfs_code_bruteforce,
 )
 
 from helpers import random_graph, random_graph_db, random_unique_graph_db
@@ -33,7 +35,45 @@ def relabel(g: LabeledGraph, perm: dict[int, int]) -> LabeledGraph:
     )
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1-7 vertices with scattered ids: random ones over 1-3 vertex and 1-2 edge labels,
+    often disconnected or with isolated vertices, and one-label cycles, stars and cliques."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shape = draw(st.sampled_from(["random", "cycle", "star", "clique"]))
+    if shape == "random":
+        labels = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = [(u, v, draw(st.integers(0, 1))) for u, v in chosen]
+    else:
+        labels = [1] * n
+        if shape == "cycle":
+            chosen = [(v, v + 1) for v in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+        elif shape == "star":
+            chosen = [(0, v) for v in range(1, n)]
+        else:
+            chosen = pairs
+        edges = [(u, v, 0) for u, v in chosen]
+    vids = draw(st.permutations(range(0, 3 * n, 3)))
+    return LabeledGraph.of(
+        [(vids[v], lbl) for v, lbl in enumerate(labels)], [(vids[u], vids[v], el) for u, v, el in edges]
+    )
+
+
 class TestCanonicalCode:
+    @settings(max_examples=300, deadline=None)
+    @given(g=small_graphs())
+    def test_equals_exhaustive_minimum(self, g):
+        # exact equality, not just invariance: a different canonical code
+        # would reorder pattern files and renumber pids
+        assert canonical_code(g) == min_dfs_code_bruteforce(g)
+
+    def test_exhaustive_minimum_is_bounded(self):
+        path = LabeledGraph.of([(v, 1) for v in range(9)], [(v, v + 1) for v in range(8)])
+        with pytest.raises(BoundExceededError):
+            min_dfs_code_bruteforce(path)
+
     def test_permutation_invariance(self, demo_graphs):
         rng = random.Random(99)
         for g in (demo_graphs.g1, demo_graphs.g2, demo_graphs.g3):

@@ -46,8 +46,9 @@ class TestMinSupport:
             MinSupport.relative(0.0)
         with pytest.raises(InputError):
             MinSupport.relative(1.1)
-        # int() and float() read these; a threshold is plain ASCII, as pattern-file integers are
-        for text in ("1_0", "0.5_0", "\u0661", "\u0660.\u0665", "\uff11", "2\u00a0"):
+        # int() and float() read or strip these; a threshold is ASCII digits with at most one point
+        for text in ("1_0", "0.5_0", "\u0661", "\u0660.\u0665", "\uff11", "2\u00a0", "+3", " 3", "3\n", "1e0", "5e-1",
+                     "-1", "-0.5", ".", "1.2.3"):
             with pytest.raises(InputError, match="cannot parse minimum support"):
                 MinSupport.parse(text)
 
