@@ -32,9 +32,6 @@ from .core import (
     edge_itemize,
     find_embedding,
     graph_included,
-    is_unique_labeled,
-    pattern_kind,
-    pattern_size,
     subgraph_isomorphic,
 )
 from .errors import (
@@ -120,7 +117,6 @@ __all__ = [
     "generate_candidates",
     "graph_included",
     "greedy_select",
-    "is_unique_labeled",
     "load_graphs",
     "load_matrix",
     "load_patterns",
@@ -134,8 +130,6 @@ __all__ = [
     "mine_frequent_sequences",
     "parse_constraints",
     "partition_valid",
-    "pattern_kind",
-    "pattern_size",
     "subgraph_isomorphic",
     "tile_of",
     "write_patterns",

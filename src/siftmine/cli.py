@@ -15,7 +15,7 @@ import sys
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import MinSupport, plain_int
+from .core import LabeledGraph, MinSupport, plain_int
 from .errors import BoundExceededError, InputError
 from .formats import (
     load_graphs,
@@ -30,14 +30,16 @@ from .formats import (
     write_patterns,
     write_tiling,
 )
-from .graphs import canonical_code, mine_frequent_graphs_general, mine_frequent_graphs_unique
+from .graphs import mine_frequent_graphs_general, mine_frequent_graphs_unique
 from .itemsets import mine_frequent_itemsets
 from .oracle import (
+    _iso_signature,
     brute_force_condense,
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
     frequent_itemsets_bruteforce,
     frequent_sequences_bruteforce,
+    injective_map_exists,
 )
 from .sequences import mine_frequent_sequences
 from .tiling import exact_select, generate_candidates, greedy_select
@@ -69,8 +71,27 @@ def _emit_patterns(records, symbols, out_path, valid=None, condensed=None) -> No
             print(line)
 
 
+class _IsoClass(tuple):
+    """A graph as (shape, vertices, edges), equal to the key of every graph isomorphic to it.
+
+    verify keys general graphs by it, not by the miner's canonical_code. Keys
+    of equal shape, the oracle's isomorphism signature, compare by its
+    injective_map_exists: between graphs of equal sizes, an injective map is
+    an isomorphism.
+    """
+
+    def __new__(cls, g):
+        return super().__new__(cls, (_iso_signature(g), g.vertices, g.edges))
+
+    def __eq__(self, other):
+        return self[0] == other[0] and injective_map_exists(LabeledGraph(*self[1:]), LabeledGraph(*other[1:]))
+
+    def __hash__(self):
+        return hash(self[0])
+
+
 def _general_graphs_bruteforce(db, sigma, max_edges):
-    return {canonical_code(rep): cover for rep, cover in frequent_graphs_general_bruteforce(db, sigma, max_edges)}
+    return {_IsoClass(rep): cover for rep, cover in frequent_graphs_general_bruteforce(db, sigma, max_edges)}
 
 
 # --type -> (loader, miner, the option the miner and oracle take, oracle, key of a
@@ -82,7 +103,7 @@ _TYPES = {
                  lambda p: p.symbols),
     "graph-unique": ("load_graphs", "mine_frequent_graphs_unique", None, "frequent_graphs_unique_bruteforce",
                      lambda p: tuple(sorted(p.label_pairs))),
-    "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "_general_graphs_bruteforce", canonical_code),
+    "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "_general_graphs_bruteforce", _IsoClass),
 }
 
 
@@ -169,16 +190,13 @@ def cmd_tile(args) -> int:
     return 0
 
 
-def _diff_maps(mined: dict, oracle: dict, describe) -> list[str]:
-    problems = []
-    for key in sorted(oracle):
-        if key not in mined:
-            problems.append(f"missing: {describe(key)}")
+def _diff_maps(mined: dict, oracle: dict) -> list[str]:
+    problems = [f"missing: {key!r}" for key in sorted(oracle) if key not in mined]
     for key in sorted(mined):
         if key not in oracle:
-            problems.append(f"extra: {describe(key)}")
+            problems.append(f"extra: {key!r}")
         elif mined[key] != oracle[key]:
-            problems.append(f"cover mismatch: {describe(key)} {sorted(mined[key])} != {sorted(oracle[key])}")
+            problems.append(f"cover mismatch: {key!r} {sorted(mined[key])} != {sorted(oracle[key])}")
     return problems
 
 
@@ -190,8 +208,9 @@ def cmd_verify(args) -> int:
     expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
     db, records, extra = _mine(args, minsup)
     oracle, key = _TYPES[args.type][3:]
-    mined = {key(rec.pattern): rec.cover for rec in records}
-    problems = _diff_maps(mined, globals()[oracle](db, minsup.effective(len(db)), *extra), describe=repr)
+    expected = globals()[oracle](db, minsup.effective(len(db)), *extra)
+    mined = {key(rec.pattern): rec.cover for rec in records}  # after the oracle's bound checks
+    problems = _diff_maps(mined, expected)
     weights = load_weights(args.weights, db.symbols) if args.weights else None
     valid, _ = partition_valid(records, expr, weights, symbols=db.symbols)
     fast = [rec.pid for rec in condense(valid, rel)]

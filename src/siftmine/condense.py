@@ -1,18 +1,19 @@
 """Condensed representations: keep the valid patterns nothing dominates.
 
-The four relations pick different survivors from the same valid set:
-maximal keeps patterns no valid pattern properly contains; closed and free
-additionally tie support (closed drops into larger equals, free into smaller
-equals); skyline keeps the support/size Pareto front. Validity filtering
-must happen first: which patterns survive depends on which competitors are
-still in the set, so constraints change the outcome, not just trim it.
+Skyline keeps the support/size Pareto front. Maximal, closed and free are
+one rule over one inclusion test: closed drops a pattern into a properly
+including one of equal support, maximal drops it without the support tie,
+and free is closed with the two sides swapped. p is properly included in q
+when p occurs in q and p's rank (size, element count) is below q's. Validity
+filtering comes first: which patterns survive depends on which competitors
+are still in the set, so constraints change the outcome, not just trim it.
 
 condense never compares every record with every other. Skyline is a sort
 and sweep over supports. For the inclusion relations an inverted index
 maps each element (item, sequence symbol, or a graph's vertex labels and
 edge types (la, el, lb) with la <= lb, counted with multiplicity) to a
 bitset of records; intersecting a record's postings gives the few records
-that can include it, and the exact dominates() test runs only on those.
+that can include it, and dominates() runs only on those of higher rank.
 """
 
 from __future__ import annotations
@@ -21,17 +22,9 @@ from collections import Counter
 from enum import Enum
 from functools import reduce
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core import (
-    Itemset,
-    LabeledGraph,
-    Pattern,
-    PatternRecord,
-    Sequence,
-    find_embedding,
-    graph_included,
-)
+from .core import Pattern, PatternRecord, find_embedding, graph_included
 from .errors import InputError, KindMismatchError
 
 
@@ -50,32 +43,41 @@ class DominanceRelation(Enum):
             raise InputError(f"unknown representation {text!r} (expected one of: {names})") from None
 
 
-def _properly_included(a: Pattern, b: Pattern) -> bool:
-    # a is a proper sub-pattern of b, per kind.
-    if isinstance(a, Itemset) and isinstance(b, Itemset):
-        return a.as_set() < b.as_set()
-    if isinstance(a, Sequence) and isinstance(b, Sequence):
-        return a.symbols != b.symbols and find_embedding(a, b) is not None
-    if isinstance(a, LabeledGraph) and isinstance(b, LabeledGraph):
-        return graph_included(a, b) and not graph_included(b, a)
-    raise KindMismatchError("patterns are of different kinds")
+# Whether pattern a occurs in pattern b, by kind; the lambdas look this module's bindings up when called.
+_INCLUDED = {
+    "itemset": lambda a, b: a.as_set() <= b.as_set(),
+    "sequence": lambda a, b: find_embedding(a, b) is not None,
+    "graph": lambda a, b: graph_included(a, b),
+}
+
+
+def _rank(rec: PatternRecord) -> tuple[int, int]:
+    # A pattern included in one of equal rank is that pattern up to isomorphism.
+    return rec.size, len(rec.pattern.elements)
 
 
 def dominates(p: PatternRecord, q: PatternRecord, rel: DominanceRelation) -> bool:
-    """True when q dominates p under rel, so p drops out of the condensed set."""
-    if p.kind != q.kind:
-        raise KindMismatchError(f"cannot compare {p.kind} with {q.kind}")
-    if rel is DominanceRelation.MAXIMAL:
-        return _properly_included(p.pattern, q.pattern)
-    if rel is DominanceRelation.CLOSED:
-        return p.support == q.support and _properly_included(p.pattern, q.pattern)
-    if rel is DominanceRelation.FREE:
-        return p.support == q.support and _properly_included(q.pattern, p.pattern)
+    """True when q dominates p under rel, so p drops out of the condensed set.
+
+    Skyline compares support and size. The others share one rule: closed
+    drops p into a q of equal support that properly includes it, maximal
+    is closed without the support tie, and free is closed with p and q
+    swapped. Proper inclusion is inclusion into a pattern of higher rank.
+    """
+    kind = p.pattern.kind
+    if kind != q.pattern.kind:
+        raise KindMismatchError(f"cannot compare {kind} with {q.kind}")
     if rel is DominanceRelation.SKYLINE:
-        return (p.support <= q.support and p.size < q.size) or (
-            p.support < q.support and p.size <= q.size
-        )
-    raise InputError(f"unknown relation {rel!r}")
+        return (p.support <= q.support and p.size < q.size) or (p.support < q.support and p.size <= q.size)
+    if rel is DominanceRelation.FREE:
+        p, q = q, p
+    elif rel not in (DominanceRelation.MAXIMAL, DominanceRelation.CLOSED):
+        raise InputError(f"unknown relation {rel!r}")
+    return (
+        (rel is DominanceRelation.MAXIMAL or p.support == q.support)
+        and _rank(p) < _rank(q)
+        and _INCLUDED[kind](p.pattern, q.pattern)
+    )
 
 
 def _check_kinds(records) -> None:
@@ -89,10 +91,10 @@ def _elements(pattern: Pattern) -> list[tuple]:
     # that repeats are distinct index keys. An itemset never repeats an item.
     # A graph adds its edge types (la, el, lb), la <= lb: an inclusion maps
     # edges to distinct edges of the same type (gIndex's edge features).
-    if isinstance(pattern, Itemset):
+    if pattern.kind == "itemset":
         return [(item, 1) for item in pattern.items]
     symbols: tuple = pattern.elements
-    if isinstance(pattern, LabeledGraph):
+    if pattern.kind == "graph":
         lbl = pattern.label_map
         symbols += tuple(
             (lbl[u], el, lbl[v]) if lbl[u] <= lbl[v] else (lbl[v], el, lbl[u]) for u, v, el in pattern.edges
@@ -115,35 +117,29 @@ def _positions(mask: int) -> Iterator[int]:
 def _dominated_in(group: list[PatternRecord], rel: DominanceRelation) -> list[bool]:
     """Which records of group another one dominates under maximal, closed or free.
 
-    If p is properly included in q, q's elements contain p's and q's
-    (size, element count) is lexicographically greater: itemsets and
-    sequences have as many elements as their size, a graph has one per
-    vertex and per edge, and a graph included in one with as many edges and
-    vertices is isomorphic to it. So an inverted
-    index from element to a bitset of positions yields each record's
-    candidate containers, and dominates() runs only on those.
+    One pass over the included side i of each candidate pair serves every
+    relation: under maximal and closed i may drop, and its scan stops at
+    its first dominator; under free the container drops, and one already
+    dominated is not tested again.
     """
     elements = [_elements(rec.pattern) for rec in group]
-    keys = [(rec.size, len(elems)) for rec, elems in zip(group, elements)]
-    postings: dict[tuple[int, int], int] = {}
+    ranks = list(map(_rank, group))
+    postings: dict[tuple, int] = {}
     for pos, elems in enumerate(elements):
         for elem in elems:
             postings[elem] = postings.get(elem, 0) | 1 << pos
 
-    def containers(i: int) -> Iterator[int]:
-        mask = reduce(and_, (postings[elem] for elem in elements[i]))
-        return (j for j in _positions(mask) if keys[j] > keys[i])
-
-    if rel is DominanceRelation.FREE:
-        # A free record's dominators are included in it: invert the lookup.
-        contained: list[list[int]] = [[] for _ in group]
-        for i in range(len(group)):
-            for j in containers(i):
-                contained[j].append(i)
-        candidates: Iterable[Iterable[int]] = contained
-    else:
-        candidates = map(containers, range(len(group)))
-    return [any(dominates(p, group[j], rel) for j in cands) for p, cands in zip(group, candidates)]
+    dominated = [False] * len(group)
+    for i, elems in enumerate(elements):
+        for j in _positions(reduce(and_, (postings[elem] for elem in elems))):
+            if ranks[j] <= ranks[i]:
+                continue
+            drop, keep = (j, i) if rel is DominanceRelation.FREE else (i, j)
+            if not dominated[drop] and dominates(group[drop], group[keep], rel):
+                dominated[drop] = True
+                if drop == i:
+                    break
+    return dominated
 
 
 def _skyline_dominated(valid: list[PatternRecord]) -> list[bool]:
@@ -168,12 +164,11 @@ def condense(valid: list[PatternRecord], rel: DominanceRelation) -> list[Pattern
 
     Input order (canonical from the miners) is preserved. Skyline is a sort
     and sweep over supports with no pairwise test. Maximal, closed and free
-    look each record's possible dominators up in an inverted index over its
-    elements (items, sequence symbols, or vertex labels and edge types, with
-    multiplicity) and run dominates() only on those. Closed and free build
-    one index per support value, since their dominators need equal support;
-    they group by support, not by cover, because covers read from files may
-    be absent or disagree with the data.
+    share one pass over an inverted index of elements, and run dominates()
+    only on records of higher rank that hold all of a record's elements.
+    Closed and free build one index per support value, since their
+    dominators need equal support; they group by support, not by cover,
+    because covers read from files may be absent or disagree with the data.
     """
     _check_kinds(valid)
     if rel is DominanceRelation.SKYLINE:

@@ -33,6 +33,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -105,14 +106,14 @@ class MinSupport:
     """Minimum support threshold, absolute count or relative fraction."""
 
     kind: str
-    value: int | float
+    value: int | float | Fraction
 
     def __post_init__(self):
         if self.kind == "absolute":
             if not isinstance(self.value, int) or self.value < 1:
                 raise InputError("absolute minimum support must be a positive integer")
         elif self.kind == "relative":
-            if not 0 < float(self.value) <= 1:
+            if not 0 < self.value <= 1:
                 raise InputError("relative minimum support must lie in (0, 1]")
         else:
             raise InputError(f"unknown minimum support kind {self.kind!r}")
@@ -122,7 +123,7 @@ class MinSupport:
         return cls("absolute", value)
 
     @classmethod
-    def relative(cls, value: float) -> "MinSupport":
+    def relative(cls, value: float | Fraction) -> "MinSupport":
         return cls("relative", value)
 
     @classmethod
@@ -130,11 +131,12 @@ class MinSupport:
         """ASCII digits mean absolute; ASCII digits with one decimal point, a decimal in (0, 1], mean relative.
 
         Signs, spaces, exponents, underscores and other digits do not parse.
+        A decimal is read exactly, every digit, through Decimal (no digit limit) into a Fraction.
         """
         whole, point, fraction = text.partition(".")
         if point:
             if (whole + fraction).isascii() and (whole + fraction).isdigit():
-                return cls.relative(float(text))
+                return cls.relative(Fraction(Decimal(text)))
         else:
             try:
                 return cls.absolute(plain_int(text))
@@ -145,12 +147,13 @@ class MinSupport:
     def effective(self, db_size: int) -> int:
         """Absolute threshold for a database of db_size objects, at least 1.
 
-        Relative thresholds go through Fraction(str(value)) so the ceiling is
-        exact for decimal input (no float-epsilon drift).
+        A relative threshold is exact: a parsed one is a Fraction, and a float
+        goes through Fraction(str(value)) (no float-epsilon drift).
         """
         if self.kind == "absolute":
             return max(1, int(self.value))
-        return max(1, math.ceil(Fraction(str(self.value)) * db_size))
+        exact = self.value if isinstance(self.value, Fraction) else Fraction(str(self.value))
+        return max(1, math.ceil(exact * db_size))
 
 
 def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[PatternRecord]:
@@ -420,15 +423,6 @@ class LabeledGraph:
 Pattern = Union[Itemset, Sequence, LabeledGraph]
 
 
-def pattern_size(pattern: Pattern) -> int:
-    """Number of items, sequence length, or edge count."""
-    return pattern.size
-
-
-def pattern_kind(pattern: Pattern) -> str:
-    return pattern.kind
-
-
 @dataclass(frozen=True)
 class TransactionDB:
     """Transactions as sorted id-tuples; tids are the 1-based positions."""
@@ -671,11 +665,6 @@ def subgraph_isomorphic(p: LabeledGraph, host: LabeledGraph) -> dict[int, int] |
         i += 1
         resume[i] = 0
     return {pv: hv for (pv, _, _, _), hv in zip(plan, image)}
-
-
-def is_unique_labeled(g: LabeledGraph) -> bool:
-    """True when vertex labels are pairwise distinct and all edges carry the default label."""
-    return g.unique_labeled
 
 
 def edge_itemize(g: LabeledGraph) -> tuple[tuple[int, int], ...]:

@@ -42,7 +42,7 @@ from .core import (
     subgraph_isomorphic,  # unused here, but perfbench/tracer.py wraps siftmine.graphs.subgraph_isomorphic
 )
 from .errors import InputError
-from .itemsets import mine_frequent_itemsets
+from .itemsets import _eclat
 
 # An embedding maps pattern vertex i (pattern vids are 0..n-1) to host
 # vertex m[i]; occurrence lists hold every embedding per covering graph id.
@@ -308,9 +308,10 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
 def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[PatternRecord]:
     """Frequent subgraph patterns of a database of unique-labeled graphs.
 
-    Each graph becomes the itemset of its label-pair edges; the itemset miner
-    enumerates frequent pair sets; each result maps back to a graph whose
-    vertices are exactly the labels its edges touch. Patterns may be
+    Each graph becomes the itemset of its label-pair edges; the itemset
+    search enumerates frequent pair sets in the miner frame, mine_patterns,
+    and each maps back to a graph whose vertices are exactly the labels its
+    edges touch. Covers stay packed tid masks. Patterns may be
     disconnected. An edgeless graph contributes an empty transaction but still
     counts toward the database size. Raises when any input graph is not
     unique-labeled, naming the offending graph.
@@ -319,19 +320,20 @@ def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[Pattern
         if not g.unique_labeled:
             raise InputError(f"graph {gid} is not unique-labeled")
 
+    return mine_patterns(db, minsup, _pair_sets)
+
+
+def _pair_sets(db: GraphDB, sigma: int) -> list[tuple]:
+    """Eclat over the graphs' label pairs, each frequent pair set as mine_patterns' entry for its graph."""
     # Pair ids in first appearance, each graph's pairs in sorted order: the ids fix the miner's output order.
     pair_table = SymbolTable()
     transactions = tuple(tuple(sorted(pair_table.intern_all(sorted(g.label_pairs)))) for g in db.graphs)
     pairs_by_id = pair_table.labels
-    out: list[PatternRecord] = []
-    for rec in mine_frequent_itemsets(TransactionDB(transactions, pair_table), minsup):
-        pairs = [pairs_by_id[i] for i in rec.pattern.items]
+    found = []
+    for size, ids, _, support, cover in _eclat(TransactionDB(transactions, pair_table), sigma):
+        pairs = [pairs_by_id[i] for i in ids]
         labels = sorted({lbl for pair in pairs for lbl in pair})
         vid_of = {lbl: vid for vid, lbl in enumerate(labels)}
-        vertices = tuple(enumerate(labels))
         edges = tuple(sorted((vid_of[a], vid_of[b], DEFAULT_EDGE_LABEL) for a, b in pairs))
-        pattern = LabeledGraph(vertices, edges)
-        out.append(
-            PatternRecord(pid=rec.pid, pattern=pattern, support=rec.support, cover=rec.cover, size=rec.size)
-        )
-    return out
+        found.append((size, ids, LabeledGraph(tuple(enumerate(labels)), edges), support, cover))
+    return found

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .condense import DominanceRelation, _check_kinds, dominates
-from .core import GraphDB, LabeledGraph, PatternRecord, SequenceDB, TransactionDB, is_unique_labeled
+from .core import GraphDB, LabeledGraph, PatternRecord, SequenceDB, TransactionDB
 from .errors import BoundExceededError, InputError
 from .tiling import BinaryMatrix, Tile
 
@@ -129,7 +129,7 @@ def frequent_graphs_unique_bruteforce(
         raise BoundExceededError(f"{len(db)} graphs exceed oracle bound {MAX_GRAPHS}")
     pair_sets: list[tuple[int, frozenset[tuple[int, int]]]] = []
     for gid, g in db.records():
-        if not is_unique_labeled(g):
+        if not g.unique_labeled:
             raise InputError(f"graph {gid} is not unique-labeled")
         if g.edge_count > MAX_UNIQUE_EDGES:
             raise BoundExceededError(f"graph {gid} exceeds oracle bound of {MAX_UNIQUE_EDGES} edges")
@@ -171,9 +171,9 @@ def _connected_edge_subgraph(g: LabeledGraph, edge_idx: tuple[int, ...]) -> Labe
 
 
 def _iso_signature(g: LabeledGraph) -> tuple:
-    degrees = sorted((lbl, g.degree(vid)) for vid, lbl in g.vertices)
-    edge_labels = sorted(el for _, _, el in g.edges)
-    return (g.vertex_count, g.edge_count, tuple(degrees), tuple(edge_labels))
+    # Each vertex's label with the multiset of its (edge label, neighbour label) pairs.
+    lbl = g.label_map
+    return g.edge_count, tuple(sorted((lbl[v], tuple(sorted((el, lbl[w]) for w, el in g.neighbors[v]))) for v in lbl))
 
 
 def frequent_graphs_general_bruteforce(

@@ -1,6 +1,7 @@
 """Command line interface, exercised in-process through cli.main."""
 
 import hashlib
+import importlib
 import os
 import random
 import subprocess
@@ -760,6 +761,20 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "verify itemset closed: 5 problem(s)"
         assert all(line.strip().startswith("extra:") for line in lines[1:])
+
+    def test_graph_oracle_does_not_rest_on_canonical_code(self, run, monkeypatch):
+        # A code that only counts vertices and edges merges the one-edge
+        # classes a-b, a-c and c-e in the miner. The oracle's classes are
+        # keyed by isomorphism, so the loss shows wherever the code is bound.
+        original = importlib.import_module("siftmine.graphs").canonical_code
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "siftmine" and getattr(module, "canonical_code", None) is original:
+                monkeypatch.setattr(module, "canonical_code", lambda g: ((g.vertex_count, g.edge_count),))
+        code, out, _ = run("verify", "--type", "graph", "--input", "graphs.txt", "--minsup", "2", "--rep", "maximal")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "verify graph maximal: 3 problem(s)"
+        assert all(line.strip().startswith("missing:") for line in lines[1:])
 
     def test_flag_misuse(self, run):
         code, _, err = run(

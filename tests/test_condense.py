@@ -24,11 +24,10 @@ from siftmine import (
     condense,
     dominates,
     mine_frequent_itemsets,
-    pattern_size,
 )
 from siftmine.errors import BoundExceededError
 
-from helpers import DEFINITIONAL, random_records
+from helpers import DEFINITIONAL, included, random_records
 
 # The package re-exports the function condense, which hides the module of that name.
 condense_module = importlib.import_module("siftmine.condense")
@@ -218,8 +217,25 @@ def file_like_records(draw, kind):
         # covers are never checked against data, and may be absent
         covers = st.frozensets(st.integers(1, 6), min_size=support, max_size=support)
         cover = draw(st.none() | covers)
-        records.append(PatternRecord(pid, pattern, support, cover, pattern_size(pattern)))
+        records.append(PatternRecord(pid, pattern, support, cover, pattern.size))
     return records
+
+
+INCLUSION_RELATIONS = (DominanceRelation.MAXIMAL, DominanceRelation.CLOSED, DominanceRelation.FREE)
+
+
+def dominance_pairs(records, rel):
+    """(included side, container) of every pair condense hands dominates() under rel."""
+    tested = []
+    original = condense_module.dominates
+
+    def recording(p, q, relation):
+        tested.append((q, p) if relation is DominanceRelation.FREE else (p, q))
+        return original(p, q, relation)
+
+    with mock.patch.object(condense_module, "dominates", recording):
+        condense(records, rel)
+    return tested
 
 
 class TestIndexExactness:
@@ -239,16 +255,39 @@ class TestIndexExactness:
         # dominates() runs only on pairs whose included side's edge types,
         # with multiplicity, all occur in the other side
         records = data.draw(file_like_records("graph"))
-        original = condense_module.dominates
-        for rel in (DominanceRelation.MAXIMAL, DominanceRelation.CLOSED, DominanceRelation.FREE):
-            tested = []
-
-            def recording(p, q, relation):
-                tested.append((p, q))
-                return original(p, q, relation)
-
-            with mock.patch.object(condense_module, "dominates", recording):
-                condense(records, rel)
-            for p, q in tested:
-                small, large = (q, p) if rel is DominanceRelation.FREE else (p, q)
+        for rel in INCLUSION_RELATIONS:
+            for small, large in dominance_pairs(records, rel):
                 assert edge_types(small.pattern) <= edge_types(large.pattern), (rel, small.pid, large.pid)
+
+    @pytest.mark.parametrize("kind", ["itemset", "sequence", "graph"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_candidates_have_higher_rank(self, kind, data):
+        # dominates() never sees a pair whose container's (size, element count) is not above the included side's
+        records = data.draw(file_like_records(kind))
+        for rel in INCLUSION_RELATIONS:
+            for small, large in dominance_pairs(records, rel):
+                rank = (small.size, len(small.pattern.elements)), (large.size, len(large.pattern.elements))
+                assert rank[0] < rank[1], (rel, small.pid, large.pid)
+
+
+class TestDominatesPairwise:
+    @pytest.mark.parametrize("kind", ["itemset", "sequence", "graph"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_pair_agrees_with_literal_inclusion(self, kind, data):
+        # Pairs include a record with itself, duplicates under new pids, and
+        # graph containers that add an isolated vertex or repeat an edge type.
+        records = data.draw(file_like_records(kind))
+        for p in records:
+            for q in records:
+                tie = p.support == q.support
+                want = {
+                    DominanceRelation.MAXIMAL: included(p, q),
+                    DominanceRelation.CLOSED: tie and included(p, q),
+                    DominanceRelation.FREE: tie and included(q, p),
+                    DominanceRelation.SKYLINE: (q.support >= p.support and q.size > p.size)
+                    or (q.support > p.support and q.size >= p.size),
+                }
+                for rel, expected in want.items():
+                    assert dominates(p, q, rel) == expected, (rel, p.pid, q.pid)

@@ -23,12 +23,9 @@ from siftmine import (
     edge_itemize,
     find_embedding,
     graph_included,
-    is_unique_labeled,
     mine_frequent_graphs_general,
     mine_frequent_itemsets,
     mine_frequent_sequences,
-    pattern_kind,
-    pattern_size,
     subgraph_isomorphic,
 )
 from siftmine.core import Cover, TidTable
@@ -136,12 +133,12 @@ class TestLabeledGraph:
 
 class TestPatternHelpers:
     def test_kind_and_size(self, demo_graphs):
-        assert pattern_kind(Itemset.of((1,))) == "itemset"
-        assert pattern_kind(Sequence.of((1, 1))) == "sequence"
-        assert pattern_kind(demo_graphs.g1) == "graph"
-        assert pattern_size(Itemset.of((1, 2))) == 2
-        assert pattern_size(Sequence.of((1, 1, 1))) == 3
-        assert pattern_size(demo_graphs.g1) == 4  # edge count
+        assert Itemset.of((1,)).kind == "itemset"
+        assert Sequence.of((1, 1)).kind == "sequence"
+        assert demo_graphs.g1.kind == "graph"
+        assert Itemset.of((1, 2)).size == 2
+        assert Sequence.of((1, 1, 1)).size == 3
+        assert demo_graphs.g1.size == 4  # edge count
 
     def test_record_validation(self):
         pat = Itemset.of((0, 1))
@@ -361,9 +358,9 @@ class TestSubgraphIsomorphic:
 
 class TestUniqueLabeled:
     def test_examples(self, demo_graphs):
-        assert is_unique_labeled(demo_graphs.g1)
-        assert is_unique_labeled(demo_graphs.g2)
-        assert not is_unique_labeled(demo_graphs.g3)
+        assert demo_graphs.g1.unique_labeled
+        assert demo_graphs.g2.unique_labeled
+        assert not demo_graphs.g3.unique_labeled
 
     def test_edge_itemize(self, demo_graphs):
         f = demo_graphs
@@ -405,8 +402,8 @@ class TestUniqueLabeled:
         cases = [(items, "itemset", len(items.items), items.items), (seq, "sequence", len(seq.symbols), seq.symbols)]
         cases += [(g, "graph", g.edge_count, tuple(lbl for _, lbl in g.vertices)) for g in db.graphs]
         for p, kind, size, elements in cases:
-            assert p.kind == pattern_kind(p) == kind
-            assert p.size == pattern_size(p) == size
+            assert p.kind == kind
+            assert p.size == size
             assert p.elements == elements
         for g in db.graphs:
             if g.unique_labeled:

@@ -17,7 +17,9 @@ from siftmine import (
     mine_frequent_graphs_unique,
     subgraph_isomorphic,
 )
+from siftmine.core import Cover
 from siftmine.errors import BoundExceededError
+from siftmine.formats import pattern_lines
 from siftmine.oracle import (
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
@@ -165,6 +167,16 @@ class TestUniqueMiner:
         db = GraphDB((demo_graphs.g1,), demo_graphs.symbols)
         recs = mine_frequent_graphs_unique(db, MinSupport.absolute(1))
         assert len(recs) == 15  # nonempty subsets of 4 edges
+
+    def test_covers_stay_packed(self, demo_graphs, monkeypatch):
+        db = GraphDB((demo_graphs.g1, demo_graphs.g2, demo_graphs.g1), demo_graphs.symbols)
+        want = list(pattern_lines(mine_frequent_graphs_unique(db, MinSupport.absolute(2)), db.symbols))
+
+        def refuse(self):
+            raise AssertionError("a cover was materialised")
+
+        monkeypatch.setattr(Cover, "as_set", refuse)
+        assert list(pattern_lines(mine_frequent_graphs_unique(db, MinSupport.absolute(2)), db.symbols)) == want
 
     def test_rejects_non_unique_labeled(self, demo_graphs):
         db = GraphDB((demo_graphs.g1, demo_graphs.g3), demo_graphs.symbols)

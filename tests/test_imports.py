@@ -1,4 +1,4 @@
-"""Every module under src/ and tests/ uses each name it imports.
+"""Every module under src/ and tests/ uses each name it imports, and every binding the tracer wraps is read.
 
 Names are matched per module: an import counts as used when its bound name
 is read anywhere in the module, or when a string constant in the module
@@ -6,9 +6,15 @@ equals it (the CLI looks its loaders and miners up in globals() by name, so
 that wrapped bindings are picked up at call time; __all__ lists are strings
 too). Package __init__.py files are skipped, since importing there is how the
 package re-exports its API.
+
+perfbench/tracer.py swaps module attributes of siftmine for wrappers while a
+traced pipeline runs. A binding that no longer exists breaks every traced
+run, and one its module no longer reads leaves a counter at 0 unnoticed.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,11 +25,29 @@ ALLOWED = {
 }
 
 
+# (module, attribute) the tracer wraps -> why the module never reads it
+UNREAD_BINDINGS = {
+    ("siftmine.graphs", "subgraph_isomorphic"): ALLOWED["siftmine.graphs.subgraph_isomorphic"],
+    ("siftmine.tiling", "error"): "greedy_select scores trials on masks, so tiling.greedy_error_calls reads 0",
+}
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name the tree loads, and every string constant in it."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
 def unused_imports(source: str, module: str) -> list[tuple[int, str]]:
     """(line, name) of each name the source imports and never reads."""
+    tree = ast.parse(source)
     imported: dict[str, int] = {}
-    used: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -31,10 +55,7 @@ def unused_imports(source: str, module: str) -> list[tuple[int, str]]:
             for alias in node.names:
                 if alias.name != "*":
                     imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
+    used = names_read(tree)
     return sorted(
         (line, name)
         for name, line in imported.items()
@@ -61,3 +82,22 @@ def test_checker_flags_unused_imports():
     assert unused_imports("from a import b\n__all__ = ['b']\n", "sample") == []
     assert unused_imports("from a import b\nglobals()['b']()\n", "sample") == []
     assert unused_imports("from x import subgraph_isomorphic\n", "siftmine.graphs") == []
+
+
+def test_tracer_bindings_resolve_and_are_read():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = [(module, attr) for module, attr, *_ in tracer.SPANNED + tracer.COUNTED]
+    assert set(UNREAD_BINDINGS) <= set(bindings)
+    for module_name, attr in bindings:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr} does not resolve"
+        read = attr in names_read(ast.parse(Path(module.__file__).read_text(encoding="utf-8")))
+        assert read == ((module_name, attr) not in UNREAD_BINDINGS), f"{module_name}.{attr}"
+
+
+def test_checker_flags_unread_bindings():
+    tree = ast.parse("def error():\n    pass\nclass T:\n    error: int\nx = T().error\n")
+    assert "error" not in names_read(tree)
+    assert "error" in names_read(ast.parse("error()\n"))

@@ -30,6 +30,21 @@ class TestMinSupport:
         assert MinSupport.parse("0.1").effective(30) == 3
         assert MinSupport.parse("0.3").effective(435) == 131
 
+    # A relative threshold is read exactly; through a float, the first would
+    # round to 0.5 (threshold 1 on 2 entries), the second to 1.0 (accepted),
+    # and the third to 0.0 (rejected as out of range).
+    def test_relative_digits_past_float_precision_count(self):
+        assert MinSupport.parse("0.5000000000000000001").effective(2) == 2
+
+    def test_relative_just_above_one_is_rejected(self):
+        with pytest.raises(InputError, match=r"relative minimum support must lie in \(0, 1\]"):
+            MinSupport.parse("1.0000000000000000001")
+
+    def test_relative_below_float_range_is_positive(self):
+        m = MinSupport.parse("0." + "0" * 400 + "1")
+        assert m.kind == "relative"
+        assert m.effective(2) == 1
+
     def test_floor_of_one(self):
         assert MinSupport.relative(0.001).effective(10) == 1
 
