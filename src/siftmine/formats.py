@@ -37,10 +37,11 @@ from .core import (
     SequenceDB,
     SymbolTable,
     TransactionDB,
+    mask_at,
     plain_int,
 )
 from .errors import InputError
-from .tiling import BinaryMatrix, Tile, TileSelection, _error_scorer
+from .tiling import BinaryMatrix, Tile, TileSelection, _cut, _error_scorer
 
 
 def read_text(path) -> str:
@@ -228,14 +229,9 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
             raise InputError(f"{path}: line {lineno}: row index out of range 1..{matrix.n_rows}")
         if any(not 1 <= c <= matrix.n_cols for c in cols):
             raise InputError(f"{path}: line {lineno}: column index out of range 1..{matrix.n_cols}")
-        tiles.append(
-            Tile(
-                tile_id=len(tiles) + 1,
-                row_set=frozenset(rows),
-                col_set=frozenset(cols),
-                ones=matrix.ones_in(rows, cols),
-            )
-        )
+        row_mask = mask_at((r - 1 for r in rows), matrix.n_rows)
+        col_mask = mask_at((c - 1 for c in cols), matrix.n_cols)
+        tiles.append(_cut(matrix, len(tiles) + 1, row_mask, col_mask))
     return tiles
 
 
@@ -538,7 +534,7 @@ def write_tiling(
     for t in sorted(candidates, key=lambda t: t.tile_id):
         rows = ",".join(str(r) for r in sorted(t.row_set))
         cols = ",".join(str(c) for c in sorted(t.col_set))
-        lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={len(t.ones)}")
+        lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={t.n_ones}")
     selections = tuple(selections)
     # One projection of the chosen tiles, with every candidate as the
     # coverable universe, serves every selection line.

@@ -27,6 +27,14 @@ every rectangle (in full mode the ones no tile reaches; in coverable mode
 none). Data ones that are not targets count in neither term and get no
 bits. A selection thus costs a few word-parallel operations over the cells
 the tiles touch instead of over n_rows*n_cols.
+
+A tile cut from a matrix (a generated candidate, a line of a tile file, or
+the tile of an itemset over a BinaryMatrix) is masks over that matrix: it
+keeps the matrix, its row and column masks and its ones count, and its
+`ones` set is built on first read. Scored against the same matrix object
+it was cut from, it holds every one of its rectangle, so it needs no check
+and its target ones are its columns' masks within its rows. Every other
+tile, hand-made ones included, is checked and read cell by cell.
 """
 
 from __future__ import annotations
@@ -108,14 +116,30 @@ class BinaryMatrix:
         return frozenset(filter(self.ones.__contains__, product(rows, cols)))
 
 
+class _LazyOnes:
+    """Tile.ones: a cut tile lists its rectangle's ones from its matrix on first read."""
+
+    def __get__(self, tile, owner=None):
+        if tile is None:
+            raise AttributeError("ones")  # so the dataclass field has no default
+        matrix = tile.__dict__["_cut"][0]
+        ones = tile.__dict__["ones"] = matrix.ones_in(tile.row_set, tile.col_set)
+        return ones
+
+
 @dataclass(frozen=True)
 class Tile:
-    """A rectangle with the ones it contains; ones must be 1 in the source."""
+    """A rectangle with the ones it contains; ones must be 1 in the source.
+
+    A tile cut from a matrix (generated, loaded, or the tile of an itemset)
+    holds every one of its rectangle. It keeps that matrix, its row and
+    column masks and its ones count, and builds `ones` only when read.
+    """
 
     tile_id: int
     row_set: frozenset[int]
     col_set: frozenset[int]
-    ones: frozenset[tuple[int, int]]
+    ones: frozenset[tuple[int, int]] = _LazyOnes()
 
     def __post_init__(self):
         if not self.row_set or not self.col_set:
@@ -131,6 +155,32 @@ class Tile:
     def rectangle(self) -> frozenset[tuple[int, int]]:
         return frozenset((r, c) for r in self.row_set for c in self.col_set)
 
+    @property
+    def n_ones(self) -> int:
+        """How many ones the tile holds; a cut tile answers without building them."""
+        cut = self.__dict__.get("_cut")
+        return len(self.ones) if cut is None else cut[3]
+
+
+def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int, n_ones: int | None = None) -> Tile:
+    """The tile rows x cols holding every one of the matrix inside it.
+
+    rows and cols are masks within the matrix: bit r-1 is row r, bit c-1
+    column c. n_ones, when the caller has it, is the rectangle's ones count.
+    """
+    if not rows or not cols:
+        raise InputError("tile row and column sets must be nonempty")
+    if n_ones is None:
+        col_masks = matrix.col_masks
+        n_ones = sum((col_masks[c - 1] & rows).bit_count() for c in _bits(cols))
+    tile = object.__new__(Tile)
+    d = tile.__dict__
+    d["tile_id"] = tile_id
+    d["row_set"] = frozenset(_bits(rows))
+    d["col_set"] = frozenset(_bits(cols))
+    d["_cut"] = (matrix, rows, cols, n_ones)
+    return tile
+
 
 def tile_of(source: TransactionDB | BinaryMatrix, alpha: Itemset, tile_id: int = 1) -> Tile:
     """The tile of an itemset: its cover times its columns.
@@ -142,20 +192,22 @@ def tile_of(source: TransactionDB | BinaryMatrix, alpha: Itemset, tile_id: int =
     """
     if isinstance(source, TransactionDB):
         rows = cover_itemset(source, alpha)
+        if rows:
+            cols = frozenset(alpha.items)
+            return Tile(tile_id=tile_id, row_set=rows, col_set=cols, ones=frozenset(product(rows, cols)))
     elif isinstance(source, BinaryMatrix):
         for c in alpha.items:
             if not 1 <= c <= source.n_cols:
                 raise InputError(f"column {c} out of range 1..{source.n_cols}")
-        both = (1 << source.n_rows) - 1
+        rows = (1 << source.n_rows) - 1
         for c in alpha.items:
-            both &= source.col_masks[c - 1]
-        rows = frozenset(_bits(both))
+            rows &= source.col_masks[c - 1]
+        if rows:
+            cols = mask_at((c - 1 for c in alpha.items), source.n_cols)
+            return _cut(source, tile_id, rows, cols, rows.bit_count() * len(alpha.items))
     else:
         raise InputError(f"cannot build a tile over {type(source).__name__}")
-    if not rows:
-        raise InputError("itemset has an empty cover; the tile would have no rows")
-    cols = frozenset(alpha.items)
-    return Tile(tile_id=tile_id, row_set=frozenset(rows), col_set=cols, ones=frozenset(product(rows, cols)))
+    raise InputError("itemset has an empty cover; the tile would have no rows")
 
 
 def area(tiles: list[Tile]) -> int:
@@ -166,8 +218,16 @@ def area(tiles: list[Tile]) -> int:
     return len(covered)
 
 
-def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int]:
-    """(row mask, column mask) of a tile, checked against the matrix: bit r-1 is row r."""
+def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int, bool]:
+    """(row mask, column mask, cut) of a tile: bit r-1 is row r.
+
+    A tile cut from this very matrix object (`is`, not `==`) holds every one
+    of its rectangle: its stored masks come back unchecked, with cut True.
+    Any other tile is checked against the matrix, with cut False.
+    """
+    cut = tile.__dict__.get("_cut")
+    if cut is not None and cut[0] is matrix:
+        return cut[1], cut[2], True
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     rows, cols = tile.row_set, tile.col_set
     if min(rows) < 1 or max(rows) > n_rows or min(cols) < 1 or max(cols) > n_cols:
@@ -176,7 +236,7 @@ def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int]:
         raise InputError(f"tile {tile.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
     if not tile.ones <= matrix.ones:
         raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
-    return mask_at((r - 1 for r in rows), n_rows), mask_at((c - 1 for c in cols), n_cols)
+    return mask_at((r - 1 for r in rows), n_rows), mask_at((c - 1 for c in cols), n_cols), False
 
 
 def _refine(parts: list[tuple[int, int]], mask: int, bit: int) -> list[tuple[int, int]]:
@@ -199,7 +259,8 @@ def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[lis
     projected target ones and zeros; constant counts the target ones outside
     every rectangle. The target is every data one in full mode and the union
     of the universe's ones in coverable mode; universe defaults to tiles.
-    Every tile involved is checked against the matrix.
+    Every tile involved is checked against the matrix, except a tile cut
+    from it, whose target is its columns' masks within its rows.
     """
     if mode not in ERROR_MODES:
         raise InputError(f"unknown error mode {mode!r}")
@@ -213,13 +274,17 @@ def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[lis
     row_masks = []
     col_parts = [((1 << matrix.n_cols) - 1, 0)]
     for i, tile in enumerate(entries):
-        rows, cols = _shape(matrix, tile)
+        rows, cols, cut = _shape(matrix, tile)
         row_masks.append(rows)
         col_parts = _refine(col_parts, cols, 1 << i)
         if mode == "full" or i < first_target:
             continue
-        for r, c in tile.ones:
-            targets[c - 1] |= 1 << (r - 1)
+        if cut:
+            for c in tile.col_set:
+                targets[c - 1] |= col_masks[c - 1] & rows
+        else:  # a hand-made tile may hold only some of its rectangle's ones
+            for r, c in tile.ones:
+                targets[c - 1] |= 1 << (r - 1)
 
     # (tile set) -> [target ones, zeros] over the cells lying in exactly
     # those tiles. Columns in the same tiles share a split of the rows by
@@ -337,7 +402,7 @@ def generate_candidates(
     num, den = tau_frac.numerator, tau_frac.denominator
     col_rows = matrix.col_masks
     all_rows = (1 << matrix.n_rows) - 1
-    found: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
+    found: dict[tuple[int, int], tuple[int, list[int], list[int], int, int]] = {}
     for support in col_rows:
         if not support:
             continue
@@ -359,19 +424,14 @@ def generate_candidates(
         rows = _rows_at_least(planes, (cols.bit_count() + 1) // 2, all_rows)
         if rows and (rows, cols) not in found:
             n_ones = sum((plane & rows).bit_count() << b for b, plane in enumerate(planes))
-            found[rows, cols] = (-n_ones, _bits(cols), _bits(rows))
+            found[rows, cols] = (-n_ones, _bits(cols), _bits(rows), rows, cols)
 
     ordered = sorted(found.values())
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
     return [
-        Tile(
-            tile_id=tid,
-            row_set=frozenset(row_list),
-            col_set=frozenset(col_list),
-            ones=matrix.ones_in(row_list, col_list),
-        )
-        for tid, (_, col_list, row_list) in enumerate(ordered, start=1)
+        _cut(matrix, tid, rows, cols, -neg_ones)
+        for tid, (neg_ones, _, _, rows, cols) in enumerate(ordered, start=1)
     ]
 
 

@@ -702,6 +702,23 @@ class TestTile:
         matrix = load_matrix(workdir / "noisy.txt")
         assert check_report_terms(report.read_text(), matrix, generate_candidates(matrix, 0.7), mode) == 127
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            (("--error-mode", "full"), "de462f7fbc5529ce1f6d0044ce6158eda20045f69f1d53f3ef9de90af7d61df5"),
+            (("--method", "optimal"), "d4ea1ce0487d6e33b1cbd08df78ffe5ef4e4ccf4aa3a4d6e5744fa771916c808"),
+        ],
+    )
+    def test_generated_candidate_report_bytes(self, run, workdir, extra, digest):
+        # greedy (full) and optimal (coverable) over seven generated candidates
+        (workdir / "noisy.txt").write_text(noisy_matrix(), encoding="utf-8")
+        report = workdir / "generated.out"
+        code, _, err = run(
+            "tile", "--matrix", "noisy.txt", "--tau", "0.7", "--threshold", "40", *extra, "--out", str(report),
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
     def test_exact_search_deeper_than_recursion_limit(self, run, workdir):
         # 1100 single-cell candidates: one search level per candidate
         (workdir / "tall.txt").write_text("1\n" * 1100, encoding="utf-8")

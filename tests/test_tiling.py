@@ -22,6 +22,7 @@ from siftmine import (
     exact_select,
     generate_candidates,
     greedy_select,
+    load_tiles,
     tile_of,
     write_tiling,
 )
@@ -31,7 +32,7 @@ from siftmine.oracle import (
     greedy_select_bruteforce,
     tiling_error_bruteforce,
 )
-from siftmine.tiling import ERROR_MODES
+from siftmine.tiling import ERROR_MODES, _project
 
 
 def random_matrix(rng: random.Random, max_side=6) -> BinaryMatrix:
@@ -446,6 +447,107 @@ class TestGenerateCandidates:
             generate_candidates(tiling.matrix, 1.5)
         with pytest.raises(InputError):
             generate_candidates(tiling.matrix, 0.5, max_candidates=0)
+
+
+def checked_twins(m: BinaryMatrix, tiles: list[Tile]) -> list[Tile]:
+    """Each tile rebuilt through the public, checked constructor, its ones listed from the matrix."""
+    return [Tile(t.tile_id, t.row_set, t.col_set, m.ones_in(t.row_set, t.col_set)) for t in tiles]
+
+
+def data_ones(m: BinaryMatrix) -> int:
+    return sum(mask.bit_count() for mask in m.col_masks)
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cut-reports")
+
+
+class TestCutTiles:
+    """Tiles cut from a matrix keep its masks and build their ones only when read."""
+
+    def assert_cut_equals_checked(self, m, cands, share, out_dir):
+        twins = checked_twins(m, cands)
+        # the stored count, read before the cut tiles build their ones
+        assert [t.n_ones for t in cands] == [len(t.ones) for t in twins]
+        few = len(cands) // 2
+        budget = int(share * data_ones(m))
+        for mode in ERROR_MODES:
+            assert _project(m, mode, cands) == _project(m, mode, twins)
+            assert _project(m, mode, cands[:few], cands) == _project(m, mode, twins[:few], twins)
+            assert greedy_select(m, cands, budget, mode) == greedy_select(m, twins, budget, mode)
+            result = exact_select(m, cands[:6], budget, "all", mode)
+            assert result == exact_select(m, twins[:6], budget, "all", mode)
+            for name, tiles in (("cut", cands), ("twin", twins)):
+                write_tiling(out_dir / name, m, tiles, "all", mode, budget, result.status, result.selections)
+            assert (out_dir / "cut").read_bytes() == (out_dir / "twin").read_bytes()
+        assert cands == twins
+        assert list(map(hash, cands)) == list(map(hash, twins))
+        assert [t.ones for t in cands] == [t.ones for t in twins]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=candidate_matrices(),
+        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]),
+        share=st.sampled_from([0, 0.25, 0.5]),
+    )
+    def test_equal_checked_twins(self, m, tau, share, report_dir):
+        self.assert_cut_equals_checked(m, generate_candidates(m, tau), share, report_dir)
+
+    @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(
+        m=wide_candidate_matrices(),
+        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]),
+        share=st.sampled_from([0, 0.25, 0.5]),
+    )
+    def test_equal_checked_twins_on_wide_matrices(self, m, tau, share, report_dir):
+        self.assert_cut_equals_checked(m, generate_candidates(m, tau), share, report_dir)
+
+    def test_loaded_and_itemset_tiles_equal_checked_twins(self, tiling, tmp_path):
+        m = tiling.matrix
+        (tmp_path / "tiles.txt").write_text("rows=1,2 cols=1,2,3\nrows=3,3 cols=1\n", encoding="utf-8")
+        loaded = load_tiles(tmp_path / "tiles.txt", m)
+        assert [t.n_ones for t in loaded] == [4, 0]
+        assert loaded == checked_twins(m, loaded)
+        of_items = [tile_of(m, Itemset.of(cols), tid) for tid, cols in enumerate([(1,), (2,), (1, 2)], 1)]
+        assert [t.n_ones for t in of_items] == [2, 2, 2]
+        assert of_items == checked_twins(m, of_items)
+
+    def test_scored_by_identity_of_the_matrix(self):
+        rng = random.Random(31)
+        a = BinaryMatrix(tuple(tuple(int(rng.random() < 0.6) for _ in range(9)) for _ in range(14)))
+        cands = generate_candidates(a, 0.6)
+        budget = data_ones(a) // 3
+        # an equal-content copy is another object: its tiles are checked and score the same
+        copy = BinaryMatrix(a.cells)
+        assert copy == a and copy is not a
+        for mode in ERROR_MODES:
+            assert _project(copy, mode, cands) == _project(a, mode, cands)
+            assert greedy_select(copy, cands, budget, mode) == greedy_select(a, cands, budget, mode)
+            assert exact_select(copy, cands[:8], budget, "all", mode) == exact_select(a, cands[:8], budget, "all", mode)
+        assert "ones" in copy.__dict__  # the copy's cells were checked against the tiles
+        # a matrix with a 0 inside the rectangle, where a has a one
+        t = cands[-1]
+        r, c = min(t.ones)
+        cells = [list(row) for row in a.cells]
+        cells[r - 1][c - 1] = 0
+        holed = BinaryMatrix(tuple(map(tuple, cells)))
+        with pytest.raises(InputError, match=f"tile {t.tile_id} marks cells that are 0 in the matrix"):
+            error(holed, [t], mode="full")
+        with pytest.raises(InputError, match="marks cells that are 0 in the matrix"):
+            greedy_select(holed, cands, budget, "coverable")
+
+    def test_pipeline_builds_no_set_of_cells(self, tmp_path):
+        rng = random.Random(5)
+        m = BinaryMatrix(tuple(tuple(int(rng.random() < 0.5) for _ in range(10)) for _ in range(30)))
+        cands = generate_candidates(m, 0.5)
+        budget = data_ones(m) // 2
+        assert 1 < len(cands) <= 20
+        greedy_select(m, cands, budget, "full")
+        result = exact_select(m, cands, budget, "optimal")
+        write_tiling(tmp_path / "report.txt", m, cands, "optimal", "coverable", budget, result.status, result.selections)
+        assert "ones" not in m.__dict__
+        assert not any("ones" in t.__dict__ for t in cands)
 
 
 class TestGreedySelect:
