@@ -37,7 +37,6 @@ _NUMERIC_ATOMS = {
     ("support", "<="): "support_max",
     ("cost", "<="): "cost_max",
 }
-_SEQUENCE_ONLY = ("adjacent", "before", "none_between")
 
 _NONE_BETWEEN = re.compile(r"none_between\s*\{([^{}]*)\}\s+(\S+)\s+(\S+)$")
 

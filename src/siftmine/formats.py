@@ -225,6 +225,8 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
             raise InputError(f"{path}: line {lineno}: expected `rows=... cols=...`")
         rows = _parse_int_list(fields["rows"], path, lineno)
         cols = _parse_int_list(fields["cols"], path, lineno)
+        if not rows or not cols:
+            raise InputError(f"{path}: line {lineno}: tile row and column sets must be nonempty")
         if any(not 1 <= r <= matrix.n_rows for r in rows):
             raise InputError(f"{path}: line {lineno}: row index out of range 1..{matrix.n_rows}")
         if any(not 1 <= c <= matrix.n_cols for c in cols):

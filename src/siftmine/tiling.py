@@ -28,13 +28,14 @@ none). Data ones that are not targets count in neither term and get no
 bits. A selection thus costs a few word-parallel operations over the cells
 the tiles touch instead of over n_rows*n_cols.
 
-A tile cut from a matrix (a generated candidate, a line of a tile file, or
-the tile of an itemset over a BinaryMatrix) is masks over that matrix: it
-keeps the matrix, its row and column masks and its ones count, and its
-`ones` set is built on first read. Scored against the same matrix object
-it was cut from, it holds every one of its rectangle, so it needs no check
-and its target ones are its columns' masks within its rows. Every other
-tile, hand-made ones included, is checked and read cell by cell.
+Every tile is held in one mask form: a row mask, a column mask, and for
+each of its columns a row mask of its ones there. A tile cut from a matrix
+(a generated candidate, a line of a tile file, or the tile of an itemset
+over a BinaryMatrix) is built in that form and stores no matrix: its ones
+are its columns' masks within its rows, and its `ones` set of cells is
+built from the masks on first read. A hand-made tile derives the masks
+from its `ones` on first use. Scoring checks every tile the same way: its
+rectangle lies inside the matrix and each column's ones are ones there.
 """
 
 from __future__ import annotations
@@ -111,19 +112,15 @@ class BinaryMatrix:
         """Column c's ones at index c-1: bit r-1 is cell (r, c)."""
         return tuple(map(_mask_of, zip(*self.cells)))
 
-    def ones_in(self, rows, cols) -> frozenset[tuple[int, int]]:
-        """The ones of the rectangle rows x cols."""
-        return frozenset(filter(self.ones.__contains__, product(rows, cols)))
-
 
 class _LazyOnes:
-    """Tile.ones: a cut tile lists its rectangle's ones from its matrix on first read."""
+    """Tile.ones: a cut tile lists its ones from its masks on first read."""
 
     def __get__(self, tile, owner=None):
         if tile is None:
             raise AttributeError("ones")  # so the dataclass field has no default
-        matrix = tile.__dict__["_cut"][0]
-        ones = tile.__dict__["ones"] = matrix.ones_in(tile.row_set, tile.col_set)
+        col_ones = tile.__dict__["_masks"][2]
+        ones = tile.__dict__["ones"] = frozenset((r, j + 1) for j, rows in col_ones for r in _bits(rows))
         return ones
 
 
@@ -131,9 +128,9 @@ class _LazyOnes:
 class Tile:
     """A rectangle with the ones it contains; ones must be 1 in the source.
 
-    A tile cut from a matrix (generated, loaded, or the tile of an itemset)
-    holds every one of its rectangle. It keeps that matrix, its row and
-    column masks and its ones count, and builds `ones` only when read.
+    Internally a tile is masks (bit r-1 is row r, bit c-1 column c): see
+    `_masks`. A tile cut from a matrix holds every one of its rectangle and
+    builds `ones` only when read.
     """
 
     tile_id: int
@@ -155,30 +152,42 @@ class Tile:
     def rectangle(self) -> frozenset[tuple[int, int]]:
         return frozenset((r, c) for r in self.row_set for c in self.col_set)
 
+    @cached_property
+    def _masks(self) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+        """(row mask, column mask, (c-1, row mask of the ones in column c) per column).
+
+        None when a row or column index is below 1, which no mask can hold.
+        """
+        if min(self.row_set) < 1 or min(self.col_set) < 1:
+            return None
+        col_ones = dict.fromkeys(self.col_set, 0)
+        for r, c in self.ones:
+            col_ones[c] |= 1 << (r - 1)
+        rows = mask_at((r - 1 for r in self.row_set), max(self.row_set))
+        cols = mask_at((c - 1 for c in self.col_set), max(self.col_set))
+        return rows, cols, tuple((c - 1, ones) for c, ones in col_ones.items())
+
     @property
     def n_ones(self) -> int:
-        """How many ones the tile holds; a cut tile answers without building them."""
-        cut = self.__dict__.get("_cut")
-        return len(self.ones) if cut is None else cut[3]
+        """How many ones the tile holds, counted on its masks when it has them."""
+        masks = self._masks
+        return len(self.ones) if masks is None else sum(ones.bit_count() for _, ones in masks[2])
 
 
-def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int, n_ones: int | None = None) -> Tile:
+def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int) -> Tile:
     """The tile rows x cols holding every one of the matrix inside it.
 
-    rows and cols are masks within the matrix: bit r-1 is row r, bit c-1
-    column c. n_ones, when the caller has it, is the rectangle's ones count.
+    rows and cols are nonempty masks within the matrix: bit r-1 is row r,
+    bit c-1 column c.
     """
-    if not rows or not cols:
-        raise InputError("tile row and column sets must be nonempty")
-    if n_ones is None:
-        col_masks = matrix.col_masks
-        n_ones = sum((col_masks[c - 1] & rows).bit_count() for c in _bits(cols))
+    col_masks = matrix.col_masks
+    col_bits = _bits(cols)
     tile = object.__new__(Tile)
     d = tile.__dict__
     d["tile_id"] = tile_id
     d["row_set"] = frozenset(_bits(rows))
-    d["col_set"] = frozenset(_bits(cols))
-    d["_cut"] = (matrix, rows, cols, n_ones)
+    d["col_set"] = frozenset(col_bits)
+    d["_masks"] = (rows, cols, tuple((c - 1, col_masks[c - 1] & rows) for c in col_bits))
     return tile
 
 
@@ -203,8 +212,7 @@ def tile_of(source: TransactionDB | BinaryMatrix, alpha: Itemset, tile_id: int =
         for c in alpha.items:
             rows &= source.col_masks[c - 1]
         if rows:
-            cols = mask_at((c - 1 for c in alpha.items), source.n_cols)
-            return _cut(source, tile_id, rows, cols, rows.bit_count() * len(alpha.items))
+            return _cut(source, tile_id, rows, mask_at((c - 1 for c in alpha.items), source.n_cols))
     else:
         raise InputError(f"cannot build a tile over {type(source).__name__}")
     raise InputError("itemset has an empty cover; the tile would have no rows")
@@ -218,25 +226,19 @@ def area(tiles: list[Tile]) -> int:
     return len(covered)
 
 
-def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int, bool]:
-    """(row mask, column mask, cut) of a tile: bit r-1 is row r.
-
-    A tile cut from this very matrix object (`is`, not `==`) holds every one
-    of its rectangle: its stored masks come back unchecked, with cut True.
-    Any other tile is checked against the matrix, with cut False.
-    """
-    cut = tile.__dict__.get("_cut")
-    if cut is not None and cut[0] is matrix:
-        return cut[1], cut[2], True
+def _shape(matrix: BinaryMatrix, tile: Tile) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The masks of a tile (see Tile._masks), checked against the matrix."""
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
-    rows, cols = tile.row_set, tile.col_set
-    if min(rows) < 1 or max(rows) > n_rows or min(cols) < 1 or max(cols) > n_cols:
+    masks = tile._masks
+    if masks is None or masks[0].bit_length() > n_rows or masks[1].bit_length() > n_cols:
         if any(not (1 <= r <= n_rows and 1 <= c <= n_cols) for r, c in tile.ones):
             raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
         raise InputError(f"tile {tile.tile_id} reaches outside the {n_rows}x{n_cols} matrix")
-    if not tile.ones <= matrix.ones:
-        raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
-    return mask_at((r - 1 for r in rows), n_rows), mask_at((c - 1 for c in cols), n_cols), False
+    col_masks = matrix.col_masks
+    for j, ones in masks[2]:
+        if ones & col_masks[j] != ones:
+            raise InputError(f"tile {tile.tile_id} marks cells that are 0 in the matrix")
+    return masks
 
 
 def _refine(parts: list[tuple[int, int]], mask: int, bit: int) -> list[tuple[int, int]]:
@@ -259,8 +261,7 @@ def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[lis
     projected target ones and zeros; constant counts the target ones outside
     every rectangle. The target is every data one in full mode and the union
     of the universe's ones in coverable mode; universe defaults to tiles.
-    Every tile involved is checked against the matrix, except a tile cut
-    from it, whose target is its columns' masks within its rows.
+    Every tile involved is checked against the matrix.
     """
     if mode not in ERROR_MODES:
         raise InputError(f"unknown error mode {mode!r}")
@@ -274,17 +275,12 @@ def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[lis
     row_masks = []
     col_parts = [((1 << matrix.n_cols) - 1, 0)]
     for i, tile in enumerate(entries):
-        rows, cols, cut = _shape(matrix, tile)
+        rows, cols, col_ones = _shape(matrix, tile)
         row_masks.append(rows)
         col_parts = _refine(col_parts, cols, 1 << i)
-        if mode == "full" or i < first_target:
-            continue
-        if cut:
-            for c in tile.col_set:
-                targets[c - 1] |= col_masks[c - 1] & rows
-        else:  # a hand-made tile may hold only some of its rectangle's ones
-            for r, c in tile.ones:
-                targets[c - 1] |= 1 << (r - 1)
+        if mode == "coverable" and i >= first_target:
+            for j, ones in col_ones:
+                targets[j] |= ones
 
     # (tile set) -> [target ones, zeros] over the cells lying in exactly
     # those tiles. Columns in the same tiles share a split of the rows by
@@ -429,10 +425,7 @@ def generate_candidates(
     ordered = sorted(found.values())
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
-    return [
-        _cut(matrix, tid, rows, cols, -neg_ones)
-        for tid, (neg_ones, _, _, rows, cols) in enumerate(ordered, start=1)
-    ]
+    return [_cut(matrix, tid, rows, cols) for tid, (*_, rows, cols) in enumerate(ordered, start=1)]
 
 
 @dataclass(frozen=True)

@@ -975,6 +975,13 @@ class TestRejectedInputs:
         argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(workdir / "t.txt"), "--threshold", "1")
         self.check(run_cli_process("0", *argv), "line 1")
 
+    @pytest.mark.parametrize("line", ["rows= cols=1", "rows=1 cols="])
+    def test_empty_tile_sets(self, workdir, line):
+        tiles = workdir / "t.txt"
+        tiles.write_text(f"rows=1 cols=1\n{line}\n", encoding="utf-8")
+        argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(tiles), "--threshold", "1")
+        self.check(run_cli_process("0", *argv), f"{tiles}: line 2: tile row and column sets must be nonempty")
+
     @pytest.mark.parametrize("minsup", ["1_0", "0.5_0", "\u0661", "\u0660.\u0665"])
     def test_minsup(self, workdir, minsup):
         argv = ("mine", "--type", "itemset", "--input", str(workdir / "txns.txt"), "--minsup", minsup)

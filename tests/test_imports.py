@@ -1,4 +1,4 @@
-"""Every module under src/ and tests/ uses each name it imports, and every binding the tracer wraps is read.
+"""Modules under src/ and tests/ use their imports; src/'s private names and the tracer's bindings are read.
 
 Names are matched per module: an import counts as used when its bound name
 is read anywhere in the module, or when a string constant in the module
@@ -6,6 +6,10 @@ equals it (the CLI looks its loaders and miners up in globals() by name, so
 that wrapped bindings are picked up at call time; __all__ lists are strings
 too). Package __init__.py files are skipped, since importing there is how the
 package re-exports its API.
+
+A private module-level name in src/ (one with a leading underscore) counts
+as read when any module under src/, tests/ or perfbench/ loads it as a
+name or an attribute, or holds a string constant equal to it.
 
 perfbench/tracer.py swaps module attributes of siftmine for wrappers while a
 traced pipeline runs. A binding that no longer exists breaks every traced
@@ -61,6 +65,59 @@ def unused_imports(source: str, module: str) -> list[tuple[int, str]]:
         for name, line in imported.items()
         if name not in used and f"{module}.{name}" not in ALLOWED
     )
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """name -> line of each private name the module binds at top level."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+    return {name: line for name, line in bound.items() if name.startswith("_") and not name.endswith("__")}
+
+
+def names_and_attributes_read(tree: ast.AST) -> set[str]:
+    """names_read plus every attribute the tree loads."""
+    attrs = {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return names_read(tree) | attrs
+
+
+def unread_private_names(sources: dict[str, str], defining: list[str]) -> list[tuple[str, int, str]]:
+    """(path, line, name) of each private top-level name of a defining source that no source reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set().union(*map(names_and_attributes_read, trees.values()))
+    return sorted(
+        (path, line, name)
+        for path in defining
+        for name, line in private_names(trees[path]).items()
+        if name not in read
+    )
+
+
+def test_no_unread_private_names():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    assert unread_private_names(sources, [path for path in sources if path.startswith("src")]) == []
+
+
+def test_checker_flags_unread_private_names():
+    defining = "_A = 1\n_B, _C = 2, 3\n_D: int = 4\ndef _f():\n    return _A\nclass _K:\n    pass\n__all__ = []\n"
+    reader = "import m\nm._B\nsetattr(m, '_C', 0)\n"
+    assert unread_private_names({"m.py": defining, "r.py": reader}, ["m.py"]) == [
+        ("m.py", 3, "_D"),
+        ("m.py", 4, "_f"),
+        ("m.py", 6, "_K"),
+    ]
 
 
 def test_no_unused_imports():

@@ -1,6 +1,8 @@
 """Tiling: matrices, tiles, error accounting, candidate generation, selection."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -344,6 +346,31 @@ class TestErrorAccounting:
         with pytest.raises(InputError, match="tile 6 marks cells that are 0 in the matrix"):
             greedy_select(tiling.matrix, [past], 0)
 
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda m, tiles: error(m, tiles, mode="full"),
+            lambda m, tiles: greedy_select(m, tiles, 0),
+            lambda m, tiles: exact_select(m, tiles, 0),
+        ],
+        ids=["error", "greedy", "exact"],
+    )
+    def test_rows_and_columns_outside_rejected(self, tiling, toy_items, score):
+        # a row past the edge has no ones, yet its cells would count as zeros
+        with pytest.raises(InputError, match="tile 2 reaches outside the 3x3 matrix"):
+            score(tiling.matrix, [Tile(2, frozenset({1, 4}), frozenset({1}), frozenset({(1, 1)}))])
+        # no mask bit stands for a row or column below 1
+        with pytest.raises(InputError, match="tile 1 reaches outside the 3x3 matrix"):
+            score(tiling.matrix, [Tile(1, frozenset({0}), frozenset({1}), frozenset())])
+        below = Tile(3, frozenset({-1}), frozenset({1}), frozenset({(-1, 1)}))
+        assert below.n_ones == 1
+        with pytest.raises(InputError, match="tile 3 marks cells that are 0 in the matrix"):
+            score(tiling.matrix, [below])
+        items = tile_of(toy_items.db, Itemset.of(toy_items.itemset_ids("ae")), 4)
+        assert min(items.col_set) == 0  # item ids are 0-based
+        with pytest.raises(InputError, match="tile 4 marks cells that are 0 in the matrix"):
+            score(tiling.matrix, [items])
+
 
 class TestGenerateCandidates:
     def test_all_columns_merge_at_low_tau(self, tiling):
@@ -451,7 +478,7 @@ class TestGenerateCandidates:
 
 def checked_twins(m: BinaryMatrix, tiles: list[Tile]) -> list[Tile]:
     """Each tile rebuilt through the public, checked constructor, its ones listed from the matrix."""
-    return [Tile(t.tile_id, t.row_set, t.col_set, m.ones_in(t.row_set, t.col_set)) for t in tiles]
+    return [Tile(t.tile_id, t.row_set, t.col_set, t.rectangle & m.ones) for t in tiles]
 
 
 def data_ones(m: BinaryMatrix) -> int:
@@ -464,7 +491,7 @@ def report_dir(tmp_path_factory):
 
 
 class TestCutTiles:
-    """Tiles cut from a matrix keep its masks and build their ones only when read."""
+    """Tiles cut from a matrix are masks, hold no matrix, and build their ones only when read."""
 
     def assert_cut_equals_checked(self, m, cands, share, out_dir):
         twins = checked_twins(m, cands)
@@ -525,7 +552,7 @@ class TestCutTiles:
             assert _project(copy, mode, cands) == _project(a, mode, cands)
             assert greedy_select(copy, cands, budget, mode) == greedy_select(a, cands, budget, mode)
             assert exact_select(copy, cands[:8], budget, "all", mode) == exact_select(a, cands[:8], budget, "all", mode)
-        assert "ones" in copy.__dict__  # the copy's cells were checked against the tiles
+        assert "ones" not in copy.__dict__  # the tiles were checked on the copy's column masks
         # a matrix with a 0 inside the rectangle, where a has a one
         t = cands[-1]
         r, c = min(t.ones)
@@ -536,6 +563,20 @@ class TestCutTiles:
             error(holed, [t], mode="full")
         with pytest.raises(InputError, match="marks cells that are 0 in the matrix"):
             greedy_select(holed, cands, budget, "coverable")
+
+    def test_tiles_hold_no_matrix(self, tiling):
+        rng = random.Random(7)
+        m = BinaryMatrix(tuple(tuple(int(rng.random() < 0.5) for _ in range(8)) for _ in range(20)))
+        ref = weakref.ref(m)
+        cands = generate_candidates(m, 0.5)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert cands and all(t.n_ones == len(t.ones) for t in cands)
+        # hand-made tiles are checked on the matrix's column masks, not on its set of ones
+        fresh = BinaryMatrix(tiling.matrix.cells)
+        assert greedy_select(fresh, tiling.tiles, 3, "full") == TileSelection((1, 3), 2)
+        assert "ones" not in fresh.__dict__
 
     def test_pipeline_builds_no_set_of_cells(self, tmp_path):
         rng = random.Random(5)
