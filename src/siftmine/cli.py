@@ -42,7 +42,7 @@ from .oracle import (
     injective_map_exists,
 )
 from .sequences import mine_frequent_sequences
-from .tiling import exact_select, generate_candidates, greedy_select
+from .tiling import ERROR_MODES, EXACT_MODES, exact_select, generate_candidates, greedy_select
 
 
 def _usage(message: str) -> int:
@@ -238,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_int_option, default=1, help="worker hint; output is identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
+    reps = [rel.value for rel in DominanceRelation]
 
     p_mine = sub.add_parser("mine", parents=[common], help="mine frequent patterns into a pattern file")
-    p_mine.add_argument("--type", required=True, choices=["itemset", "sequence", "graph-unique", "graph"])
+    p_mine.add_argument("--type", required=True, choices=_TYPES)
     p_mine.add_argument("--input", required=True)
     p_mine.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
     p_mine.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("condense", parents=[common], help="filter a pattern file and condense it")
     p_cond.add_argument("--patterns", required=True)
-    p_cond.add_argument("--rep", required=True, choices=["maximal", "closed", "free", "skyline"])
+    p_cond.add_argument("--rep", required=True, choices=reps)
     p_cond.add_argument("--constraints", default=None, help="constraint file path or inline text")
     p_cond.add_argument("--weights", default=None)
     p_cond.add_argument("--out", default=None)
@@ -262,17 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tile.add_argument("--tau", type=float, default=None, help="confidence threshold for candidate generation")
     p_tile.add_argument("--max-candidates", type=_int_option, default=None)
     p_tile.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
-    p_tile.add_argument("--method", default="greedy", choices=["greedy", "first", "all", "optimal"])
-    p_tile.add_argument("--error-mode", default="coverable", choices=["full", "coverable"])
+    p_tile.add_argument("--method", default="greedy", choices=("greedy", *EXACT_MODES))
+    p_tile.add_argument("--error-mode", default="coverable", choices=ERROR_MODES)
     p_tile.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
     p_tile.add_argument("--out", default=None)
     p_tile.set_defaults(handler=cmd_tile)
 
     p_ver = sub.add_parser("verify", parents=[common], help="check miners and condensation against brute force")
-    p_ver.add_argument("--type", required=True, choices=["itemset", "sequence", "graph-unique", "graph"])
+    p_ver.add_argument("--type", required=True, choices=_TYPES)
     p_ver.add_argument("--input", required=True)
     p_ver.add_argument("--minsup", required=True)
-    p_ver.add_argument("--rep", required=True, choices=["maximal", "closed", "free", "skyline"])
+    p_ver.add_argument("--rep", required=True, choices=reps)
     p_ver.add_argument("--constraints", default=None)
     p_ver.add_argument("--weights", default=None)
     p_ver.add_argument("--max-len", type=_int_option, default=None)

@@ -525,7 +525,10 @@ class _LazyCover:
             raise AttributeError("cover")  # so the dataclass field has no default
         held = rec.__dict__["_cover"]
         if isinstance(held, Cover):
-            held = held.as_set()
+            try:
+                held = held.as_set()
+            except ValueError:  # a file's tid with more digits than int() reads
+                raise InputError(f"pattern {rec.pid}: cover lists a tid too long to read") from None
             if len(held) != rec.support:
                 raise InputError(f"pattern {rec.pid}: cover lists a tid more than once")
             rec.__dict__["_cover"] = held

@@ -13,7 +13,12 @@ back to records that write the same bytes. load_patterns and
 write_patterns (with pattern_lines for stdout) are the whole pattern-file
 codec: one field parser reads a line, straight into its record, and one
 renderer writes it; an itemset or sequence line in the renderer's own
-layout takes one compiled match instead, to the same result. Covers stay
+layout takes one compiled match instead, to the same result. One field
+loop reads the key=value tokens of pattern and tile lines alike and names
+the first bad one, and every integer is read by plain_int, so a number too
+long for int() is malformed input like any other. The default edge label
+"0" is interned at each graph record, before that record's own labels, so
+a file of graph records gives it id 0 as load_graphs does. Covers stay
 checked text from reader to writer; a set of tids is built only for a
 record whose cover is read.
 """
@@ -220,8 +225,8 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
     """
     tiles: list[Tile] = []
     for lineno, tokens in _token_lines(path):
-        fields = dict(_split_kv(tok, path, lineno) for tok in tokens)
-        if set(fields) != {"rows", "cols"} or len(tokens) != 2:
+        fields = _fields(tokens, path, lineno, _TILE_KEYS)
+        if len(fields) != len(_TILE_KEYS):
             raise InputError(f"{path}: line {lineno}: expected `rows=... cols=...`")
         rows = _parse_int_list(fields["rows"], path, lineno)
         cols = _parse_int_list(fields["cols"], path, lineno)
@@ -297,13 +302,6 @@ def pattern_lines(
         yield line
 
 
-def _split_kv(token: str, path, lineno: int) -> tuple[str, str]:
-    key, sep, value = token.partition("=")
-    if not sep or not key:
-        raise InputError(f"{path}: line {lineno}: malformed field {token!r}")
-    return key, value
-
-
 def _is_int_list(text: str) -> bool:
     """True exactly for ASCII `\\d+(?:,\\d+)*`: plain decimals joined by single commas."""
     ends_in_digits = text[:1].isdigit() and text[-1:].isdigit()
@@ -311,27 +309,24 @@ def _is_int_list(text: str) -> bool:
 
 
 def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
-    if value and not _is_int_list(value):
-        raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}")
-    return tuple(map(int, value.split(","))) if value else ()
-
-
-_ALLOWED_KEYS = frozenset("pid kind support size elements vertices edges cover valid condensed".split())
-
-
-def _fields(tokens: list[str], path, lineno: int) -> dict[str, str]:
-    """A line's key=value tokens as a dict of known, distinct keys."""
     try:
-        fields = dict(tok.split("=", 1) for tok in tokens)  # ValueError when a token has no "="
-        if len(fields) == len(tokens) and fields.keys() <= _ALLOWED_KEYS:
-            return fields
+        return tuple(map(plain_int, value.split(","))) if value else ()
     except ValueError:
-        pass
-    # A bad line: go token by token to name the first bad one.
+        raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}") from None
+
+
+_PATTERN_KEYS = frozenset("pid kind support size elements vertices edges cover valid condensed".split())
+_TILE_KEYS = frozenset(("rows", "cols"))
+
+
+def _fields(tokens: list[str], path, lineno: int, allowed: frozenset[str]) -> dict[str, str]:
+    """A line's key=value tokens as a dict of allowed, distinct keys; the first bad token raises, named."""
     fields = {}
     for tok in tokens:
-        key, value = _split_kv(tok, path, lineno)
-        if key not in _ALLOWED_KEYS:
+        key, sep, value = tok.partition("=")
+        if not sep or not key:
+            raise InputError(f"{path}: line {lineno}: malformed field {tok!r}")
+        if key not in allowed:
             raise InputError(f"{path}: line {lineno}: unknown field {key!r}")
         if key in fields:
             raise InputError(f"{path}: line {lineno}: duplicate field {key!r}")
@@ -347,15 +342,15 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
     tokens = line.split()
     if not tokens:
         raise InputError(f"{path}: line {lineno}: blank line")
-    fields = _fields(tokens, path, lineno)
+    fields = _fields(tokens, path, lineno, _PATTERN_KEYS)
     try:
         pid, kind, support, size = fields["pid"], fields["kind"], fields["support"], fields["size"]
     except KeyError as exc:  # the first missing one, in the order read
         raise InputError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-    # plain_int's rule, checked for the three at once
-    if not (pid.isdigit() and support.isdigit() and size.isdigit() and (pid + support + size).isascii()):
-        raise InputError(f"{path}: line {lineno}: pid/support/size must be integers")
-    pid, support, size = int(pid), int(support), int(size)
+    try:
+        pid, support, size = plain_int(pid), plain_int(support), plain_int(size)
+    except ValueError:
+        raise InputError(f"{path}: line {lineno}: pid/support/size must be integers") from None
     elements = vertices = edges = None
     if kind in ("itemset", "sequence"):
         if "elements" not in fields or "vertices" in fields or "edges" in fields:
@@ -373,10 +368,8 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         if fields["vertices"] == "":
             raise InputError(f"{path}: line {lineno}: empty vertices")
         for part in fields["vertices"].split(","):
-            vid_text, sep, lbl = part.partition(":")
-            if not sep:
-                raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}")
             try:
+                vid_text, lbl = part.split(":", 1)  # ValueError without a ":"
                 verts.append((plain_int(vid_text), _unq(lbl)))
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}") from None
@@ -404,12 +397,10 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
-    valid = condensed = None
-    if "valid" in fields or "condensed" in fields:
-        for flag in ("valid", "condensed"):
-            if fields.get(flag, "0") not in ("0", "1"):
-                raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
-        valid, condensed = (fields[flag] == "1" if flag in fields else None for flag in ("valid", "condensed"))
+    for flag in ("valid", "condensed"):
+        if fields.get(flag, "0") not in ("0", "1"):
+            raise InputError(f"{path}: line {lineno}: flag {flag} must be 0 or 1")
+    valid, condensed = (fields[flag] == "1" if flag in fields else None for flag in ("valid", "condensed"))
     return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
@@ -430,25 +421,26 @@ def _parse_canonical(line: str) -> tuple | None:
     if m is None:
         return None
     pid, kind, support, size, elements, cover, valid, condensed = m.groups()
-    support = int(support)
+    try:
+        pid, support, size = int(pid), int(support), int(size)
+    except ValueError:  # more digits than int() reads: _parse_line reports the line
+        return None
     if cover is not None and (
         ",," in cover or cover[:1] == "," or cover[-1:] == "," or (cover.count(",") + 1 if cover else 0) != support
     ):
         return None
     valid = None if valid is None else valid == "1"
     condensed = None if condensed is None else condensed == "1"
-    return int(pid), kind, support, int(size), tuple(elements.split(",")), None, None, cover, valid, condensed
+    return pid, kind, support, size, tuple(elements.split(",")), None, None, cover, valid, condensed
 
 
-def _records(rows: Iterable[tuple], graphs: bool, path):
-    """Records, symbols, and valid and condensed flags from parsed lines; with graphs, "0" is interned first.
+def _records(rows: Iterable[tuple], path):
+    """Records, symbols, and valid and condensed flags from parsed lines.
 
     A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
     or _parse_canonical has matched each cover's count to its support, so the count is not taken again.
     """
     symbols = SymbolTable()
-    if graphs:
-        symbols.intern("0")
     records: dict[int, PatternRecord] = {}  # by pid, in file order
     valid: dict[int, bool] = {}
     condensed: dict[int, bool] = {}
@@ -464,7 +456,8 @@ def _records(rows: Iterable[tuple], graphs: bool, path):
                     raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
             elif kind == "sequence":
                 pattern = Sequence(symbols.intern_all(elements))
-            else:  # lists, so that vertex labels are interned before edge labels
+            else:  # "0" first, then lists, so that vertex labels are interned before edge labels
+                symbols.intern("0")
                 pattern = LabeledGraph.of(
                     [(vid, symbols.intern(lbl)) for vid, lbl in vertices],
                     [(u, v, symbols.intern(lbl)) for u, v, lbl in edges],
@@ -494,13 +487,9 @@ def write_patterns(
 
 def load_patterns(path) -> LoadedPatterns:
     """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list."""
-    text = read_text(path)
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(read_text(path).splitlines(), start=1)
     rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in numbered)
-    # Only a graph record has a token `kind=graph`; the substring test spares other files the regex's scan.
-    graphs = "kind=graph" in text and re.search(r"(?<!\S)kind=graph(?!\S)", text) is not None
-    records, symbols, valid, condensed = _records(rows, graphs, path)
-    return LoadedPatterns(records=records, symbols=symbols, valid=valid, condensed=condensed)
+    return LoadedPatterns(*_records(rows, path))
 
 
 def _write_text(path, text: str) -> None:

@@ -32,12 +32,15 @@ from typing import Iterator
 
 from .core import (
     DEFAULT_EDGE_LABEL,
+    Cover,
     GraphDB,
     LabeledGraph,
     MinSupport,
     PatternRecord,
     SymbolTable,
+    TidTable,
     TransactionDB,
+    mask_at,
     mine_patterns,
     subgraph_isomorphic,  # unused here, but perfbench/tracer.py wraps siftmine.graphs.subgraph_isomorphic
 )
@@ -235,7 +238,7 @@ def mine_frequent_graphs_general(
     the threshold. Only a frequent candidate is built and canonicalised;
     the first of each isomorphism class stands for it and alone drains its
     extensions into lists. Results come ordered by (edge count, canonical
-    code) with pids 1..n.
+    code) with pids 1..n; covers stay packed graph-id masks.
     """
     return mine_patterns(db, minsup, _grow_patterns, max_edges=max_edges)
 
@@ -270,10 +273,12 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
             level[canonical_code(pat)] = (pat, occ)
     edge_types = sorted(seeds)
 
+    tids = TidTable(range(len(db) + 1))
     collected = []
     k = 1  # the edge count of every pattern in level
     while level:
-        collected.extend((k, code, pat, len(occ), frozenset(occ)) for code, (pat, occ) in level.items())
+        for code, (pat, occ) in level.items():
+            collected.append((k, code, pat, len(occ), Cover(mask_at(occ, len(tids)), tids)))
         if k == max_edges:
             break
         grown: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}

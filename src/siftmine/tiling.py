@@ -50,6 +50,7 @@ from .core import Itemset, TransactionDB, cover_itemset, mask_at
 from .errors import BoundExceededError, InputError
 
 ERROR_MODES = ("full", "coverable")
+EXACT_MODES = ("first", "all", "optimal")
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -511,7 +512,7 @@ def exact_select(
     """
     if budget < 0:
         raise InputError("error budget must be nonnegative")
-    if mode not in ("first", "all", "optimal"):
+    if mode not in EXACT_MODES:
         raise InputError(f"unknown selection mode {mode!r}")
     if error_mode not in ERROR_MODES:
         raise InputError(f"unknown error mode {error_mode!r}")

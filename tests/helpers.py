@@ -6,6 +6,9 @@ brute_force_condense(), so the three agreeing is meaningful.
 """
 
 import random
+import sys
+
+import pytest
 
 from siftmine import (
     GraphDB,
@@ -167,3 +170,18 @@ def random_records(rng: random.Random, kind="itemset", max_patterns=15):
         keep = sorted(rng.sample(range(len(records)), max_patterns))
         records = [records[k] for k in keep]
     return records
+
+
+LONG_NUMBER = "9" * 5000
+# int() refuses a decimal this long where the interpreter limits its digits (3.11, and 3.10 from 3.10.7).
+long_numbers = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length")
+# A canonical itemset line, one with a %-quoted label, and a graph line, each with one long number field.
+LONG_NUMBER_LINES = [
+    line.replace(f"{key}=1", f"{key}={LONG_NUMBER}", 1)
+    for line in (
+        "pid=1 kind=itemset support=1 size=1 elements=a cover=1",
+        "pid=1 kind=itemset support=1 size=1 elements=%61 cover=1",
+        "pid=1 kind=graph support=1 size=1 vertices=0:a,1:b edges=0-1:x cover=1",
+    )
+    for key in ("pid", "support", "size")
+]

@@ -1,15 +1,21 @@
 """Command line interface, exercised in-process through cli.main."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import siftmine
 
@@ -18,6 +24,7 @@ from siftmine.core import Cover
 from siftmine import (
     DominanceRelation,
     EMPTY_EXPR,
+    InputError,
     MinSupport,
     condense,
     generate_candidates,
@@ -27,8 +34,11 @@ from siftmine import (
     load_transactions,
     mine_frequent_itemsets,
     partition_valid,
+    write_patterns,
 )
 from siftmine.oracle import tiling_error_bruteforce
+
+from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
 
 TXNS = "a b d e\nb c e\na e\n"
 SEQS = "a b c d a e b\nb c e b\na a e\n"
@@ -975,6 +985,22 @@ class TestRejectedInputs:
         argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(workdir / "t.txt"), "--threshold", "1")
         self.check(run_cli_process("0", *argv), "line 1")
 
+    @long_numbers
+    @pytest.mark.parametrize("line", LONG_NUMBER_LINES, ids=range(len(LONG_NUMBER_LINES)))
+    def test_long_pattern_numbers(self, tmp_path, line):
+        pats = tmp_path / "p.pat"
+        pats.write_text(line + "\n", encoding="utf-8")
+        proc = run_cli_process("0", "condense", "--patterns", str(pats), "--rep", "maximal")
+        self.check(proc, f"{pats}: line 1: pid/support/size must be integers")
+
+    @long_numbers
+    @pytest.mark.parametrize("line", [f"rows=1,{LONG_NUMBER} cols=1", f"rows=1 cols={LONG_NUMBER}"], ids=["row", "column"])
+    def test_long_tile_indices(self, workdir, line):
+        tiles = workdir / "t.txt"
+        tiles.write_text(line + "\n", encoding="utf-8")
+        argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(tiles), "--threshold", "1")
+        self.check(run_cli_process("0", *argv), f"{tiles}: line 1: malformed integer list")
+
     @pytest.mark.parametrize("line", ["rows= cols=1", "rows=1 cols="])
     def test_empty_tile_sets(self, workdir, line):
         tiles = workdir / "t.txt"
@@ -1003,3 +1029,131 @@ class TestRejectedInputs:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and where in proc.stderr
+
+
+# Commands and their input files; each file name in argv stands for the file's path.
+FUZZ_CONSTRAINTS = "size >= 1 | support <= 99\ncost <= 9, excludes zz # a comment\n"
+FUZZ_WEIGHTS = "a 1\nb 2\ne 3\n"
+FUZZ_RUNS = [
+    (("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "2"), {"txns.txt": TXNS}),
+    (("mine", "--type", "sequence", "--input", "seqs.txt", "--minsup", "2", "--max-len", "3"), {"seqs.txt": SEQS}),
+    (("mine", "--type", "graph-unique", "--input", "graphs.txt", "--minsup", "2"), {"graphs.txt": GRAPHS}),
+    (
+        ("mine", "--type", "graph", "--input", "labeled.txt", "--minsup", "2", "--max-edges", "3"),
+        {"labeled.txt": LABELED_GRAPHS},
+    ),
+    (
+        ("condense", "--patterns", "items.pat", "--rep", "closed", "--constraints", "c.txt", "--weights", "w.txt"),
+        {
+            "items.pat": "\n".join(ITEMSET_LINES + ["pid=6 kind=itemset support=1 size=2 elements=a,c%2Cd cover=3"]),
+            "c.txt": FUZZ_CONSTRAINTS,
+            "w.txt": FUZZ_WEIGHTS,
+        },
+    ),
+    (
+        ("condense", "--patterns", "seqs.pat", "--rep", "maximal", "--constraints", "c.txt", "--weights", "w.txt"),
+        {
+            "seqs.pat": "pid=1 kind=sequence support=3 size=1 elements=a cover=1,2,3\n"
+            "pid=2 kind=sequence support=2 size=2 elements=b,e cover=1,2 valid=1 condensed=0\n"
+            "pid=3 kind=sequence support=1 size=3 elements=%C3%A9,b,%25 cover=2\n",
+            "c.txt": FUZZ_CONSTRAINTS,
+            "w.txt": FUZZ_WEIGHTS,
+        },
+    ),
+    (("condense", "--patterns", "graphs.pat", "--rep", "free"), {"graphs.pat": "\n".join(LABELED_MINSUP_2_LINES)}),
+    (("tile", "--matrix", "noisy.txt", "--threshold", "40", "--tau", "0.7"), {"noisy.txt": noisy_matrix()}),
+    (
+        ("tile", "--matrix", "matrix.txt", "--threshold", "9", "--candidates", "tiles.txt", "--method", "optimal",
+         "--error-mode", "full"),
+        {"matrix.txt": MATRIX, "tiles.txt": TILES},
+    ),
+    (("verify", "--type", "sequence", "--input", "seqs.txt", "--minsup", "2", "--rep", "closed", "--max-len", "3"),
+     {"seqs.txt": SEQS}),
+    (("verify", "--type", "graph", "--input", "graphs.txt", "--minsup", "2", "--rep", "skyline", "--constraints",
+      "c.txt"), {"graphs.txt": GRAPHS, "c.txt": "size >= 2\n"}),
+]
+# Inserted text: characters that split, end or escape a field, another script's digits, escapes, a long number.
+FUZZ_PIECES = [" ", "\n", "\t", "=", ",", ":", "-", "#", "%", "0", "7", "a", "\xe9", "\u0661", "%41", "%zz", "%C3",
+               LONG_NUMBER]
+# (kind, position, inserted text); a position past the end wraps around.
+FUZZ_EDITS = st.tuples(
+    st.sampled_from(["insert", "delete", "repeat", "long"]), st.integers(0, 1 << 16), st.sampled_from(FUZZ_PIECES)
+)
+
+
+def mutated(text, edits):
+    """text after each edit: a piece inserted, a character deleted or repeated, or a digit run made 5,000 digits."""
+    for kind, at, piece in edits:
+        i = at % (len(text) + 1)
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif kind == "repeat":
+            text = text[:i] + text[i : i + 1] + text[i:]
+        elif runs := [m.span() for m in re.finditer(r"[0-9]+", text)]:
+            start, end = runs[at % len(runs)]
+            text = text[:start] + LONG_NUMBER + text[end:]
+    return text
+
+
+def fuzz_argv(directory, run, target, edits):
+    """Write run's input files into directory, the target-th one mutated; the run's argv with their paths."""
+    argv, files = FUZZ_RUNS[run]
+    names = list(files)
+    for name, text in files.items():
+        if name == names[target % len(names)]:
+            text = mutated(text, edits)
+        (directory / name).write_text(text, encoding="utf-8")
+    return [str(directory / a) if a in files else a for a in argv]
+
+
+def rewrite(path, out):
+    """The bytes of path's pattern file loaded and written to out."""
+    loaded = load_patterns(path)
+    write_patterns(loaded.records, out, loaded.symbols, valid=loaded.valid, condensed=loaded.condensed)
+    return out.read_bytes()
+
+
+class TestCliFuzz:
+    """Mutated input files never crash a command: each exits 0-3 with no traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=st.integers(0, len(FUZZ_RUNS) - 1), target=st.integers(0, 2), edits=st.lists(FUZZ_EDITS, max_size=3))
+    @example(run=4, target=0, edits=[("long", 0, "")])  # a 5,000-digit pid on a canonical line
+    @example(run=6, target=0, edits=[("long", 2, "")])  # a 5,000-digit support on a graph line
+    @example(run=8, target=1, edits=[("long", 1, "")])  # a 5,000-digit tile column
+    def test_exit_codes_and_round_trip(self, run, target, edits):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d)
+            argv = fuzz_argv(directory, run, target, edits)
+            if argv[0] == "condense":
+                argv += ["--out", str(directory / "out.pat")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+            if not edits:
+                assert code == 0, err.getvalue()
+            if code == 3:
+                assert err.getvalue().startswith("error: ")
+            if argv[0] == "condense":
+                try:
+                    once = rewrite(directory / argv[2], directory / "once.pat")
+                except InputError:
+                    assert code == 3
+                else:
+                    assert rewrite(directory / "once.pat", directory / "twice.pat") == once
+                if code == 0:
+                    kept = (directory / "out.pat").read_bytes()
+                    assert rewrite(directory / "out.pat", directory / "again.pat") == kept
+
+    # Every command's output, and one error, in fresh interpreters with different hash seeds.
+    @pytest.mark.parametrize(
+        "run, edits", [(3, []), (5, []), (6, []), (7, []), (10, []), (4, [("long", 0, "")])], ids=range(6)
+    )
+    def test_output_independent_of_hash_seed(self, tmp_path, run, edits):
+        argv = fuzz_argv(tmp_path, run, 0, edits)
+        one, two = (run_cli_process(seed, *argv) for seed in ("1", "2"))
+        assert one.returncode == (3 if edits else 0) and "Traceback" not in one.stderr
+        assert (one.returncode, one.stdout, one.stderr) == (two.returncode, two.stdout, two.stderr)

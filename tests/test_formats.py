@@ -36,6 +36,8 @@ from siftmine import (
 )
 from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines
 
+from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -232,6 +234,21 @@ class TestLoadTiles:
             load_tiles(write(tmp_path, "t.txt", "rows=1\n"), tiling.matrix)
         with pytest.raises(InputError, match="malformed integer list"):
             load_tiles(write(tmp_path, "t.txt", "rows=1,x cols=1\n"), tiling.matrix)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("rows=1 cols=1 x=1", "unknown field 'x'"),
+            ("x=1 cols=1", "unknown field 'x'"),
+            ("rows=1 rows=2", "duplicate field 'rows'"),
+            ("rows=1 cols=1 cols=2", "duplicate field 'cols'"),
+            ("rows=1 cols", "malformed field 'cols'"),
+            ("cols=1", "expected `rows=... cols=...`"),
+        ],
+    )
+    def test_keys_read_by_the_pattern_field_loop(self, tiling, tmp_path, line, message):
+        with pytest.raises(InputError, match=re.escape(f"t.txt: line 2: {message}") + "$"):
+            load_tiles(write(tmp_path, "t.txt", f"rows=1 cols=1\n{line}\n"), tiling.matrix)
 
 
 # The six input loaders, each with a line it accepts, one it rejects, that
@@ -578,14 +595,18 @@ class TestPatternFiles:
         write_patterns(loaded.records, p2, loaded.symbols, valid=loaded.valid, condensed=loaded.condensed)
         assert p1.read_text() == p2.read_text()
 
-    def test_edge_label_interned_first_only_when_a_graph_is_present(self, tmp_path):
+    def test_edge_label_interned_at_each_graph_record(self, tmp_path):
         itemset = "pid=1 kind=itemset support=1 size=1 elements=b\n"
         graph = "pid=2 kind=graph support=1 size=1 vertices=0:a,1:b edges=0-1:x\n"
+        # as load_graphs numbers them: "0" first, then the first record's labels
+        assert load_patterns(write(tmp_path, "graphs.pat", graph)).symbols.labels == ("0", "a", "b", "x")
         mixed = load_patterns(write(tmp_path, "mixed.pat", itemset + graph))
-        assert mixed.symbols.labels == ("0", "b", "a", "x")
-        # "kind=graph" inside a label is no graph record
+        assert mixed.symbols.labels == ("b", "0", "a", "x")
+        # "kind=graph" inside a label is no graph record, and only a label "0" interns "0"
         lookalike = "pid=3 kind=itemset support=1 size=1 elements=kind=graph\n"
         assert load_patterns(write(tmp_path, "items.pat", itemset + lookalike)).symbols.labels == ("b", "kind=graph")
+        zero = "pid=3 kind=itemset support=1 size=1 elements=0\n"
+        assert load_patterns(write(tmp_path, "zero.pat", itemset + zero)).symbols.labels == ("b", "0")
 
     def test_load_reports_path_on_semantic_error(self, tmp_path):
         p = write(
@@ -683,6 +704,29 @@ class TestStrictIntegersAndEscapes:
             load_graphs(write(tmp_path, "g.txt", "t # 1\nv -1 a\n"))
         with pytest.raises(InputError, match="malformed integer list"):
             load_tiles(write(tmp_path, "t.txt", "rows=1_0 cols=1\n"), tiling.matrix)
+
+
+@long_numbers
+class TestLongNumbers:
+    """A number too long for int() is malformed input, never a ValueError."""
+
+    @pytest.mark.parametrize("line", LONG_NUMBER_LINES, ids=range(len(LONG_NUMBER_LINES)))
+    def test_pattern_numbers(self, tmp_path, line):
+        assert _parse_canonical(line) is None
+        with pytest.raises(InputError, match=r"p\.pat: line 1: pid/support/size must be integers$"):
+            load_line(tmp_path, line)
+
+    @pytest.mark.parametrize("line", [f"rows=1,{LONG_NUMBER} cols=1", f"rows=1 cols={LONG_NUMBER}"], ids=["row", "column"])
+    def test_tile_indices(self, tiling, tmp_path, line):
+        with pytest.raises(InputError, match=r"t\.txt: line 1: malformed integer list"):
+            load_tiles(write(tmp_path, "t.txt", line + "\n"), tiling.matrix)
+
+    def test_cover_tid(self, tmp_path):
+        line = f"pid=3 kind=itemset support=2 size=1 elements=a cover=1,{LONG_NUMBER}"
+        loaded = load_line(tmp_path, line)
+        assert list(pattern_lines(loaded.records, loaded.symbols)) == [line]
+        with pytest.raises(InputError, match="^pattern 3: cover lists a tid too long to read$"):
+            loaded.records[0].cover
 
 
 # Any label but a surrogate: the codec must quote whitespace, "%", ",", "=", ":" and "-".
