@@ -16,16 +16,22 @@ are separated by "|"; "#" starts a comment. Atoms:
                         symbol strictly between; an empty block set makes it
                         equivalent to before)
 
-Atoms carry symbol labels as text; evaluation resolves them against the
-dataset's symbol table, and labels the table has never seen simply never
-match. Filtering happens after mining, never inside it, so a record's
-validity depends only on its own fields.
+Atoms carry symbol labels as text. partition_valid and evaluate compile an
+expression once per call into one test per record: each bound becomes a
+constant of that test, and each label is resolved against the dataset's
+symbol table once, so a command resolves its labels once, not once per
+record. Labels the table has never seen simply never match. An atom that
+cannot be evaluated (no symbol table, no weight table, an order atom on
+another kind) raises when the first record reaches it. Filtering happens
+after mining, never inside it, so a record's validity depends only on its
+own fields; oracle.constraints_hold_bruteforce is the reference semantics.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import PatternRecord, SymbolTable, plain_int
 from .errors import ConstraintSyntaxError, InputError, KindMismatchError
@@ -146,65 +152,103 @@ def parse_constraints(text: str) -> ConstraintExpr:
     return ConstraintExpr(tuple(clauses))
 
 
-def _resolve(symbols: SymbolTable | None, label: str) -> int | None:
-    if symbols is None:
-        raise InputError("constraint references symbols but no symbol table was provided")
-    return symbols.get(label)
+_NO_SYMBOLS = "constraint references symbols but no symbol table was provided"
 
 
-def _sequence_symbols(rec: PatternRecord, atom_name: str) -> tuple[int, ...]:
-    if rec.kind != "sequence":
-        raise KindMismatchError(f"{atom_name} applies only to sequence patterns, got {rec.kind}")
-    return rec.pattern.symbols
+def _failing(error: type[Exception], message: str) -> Callable[[PatternRecord], bool]:
+    """A test that raises error(message) at the first record that reaches it."""
+
+    def test(rec: PatternRecord) -> bool:
+        raise error(message)
+
+    return test
 
 
-def _atom_holds(
-    rec: PatternRecord,
-    atom: ConstraintAtom,
-    weights,
-    symbols: SymbolTable | None,
-) -> bool:
-    name = atom.name
+def _order_test(name: str, first: int | None, second: int | None, blocked: frozenset[int]) -> Callable:
+    """The order atom as a test of a symbol tuple; a label the table lacks never matches."""
+    if first is None or second is None:
+        return lambda seq: False
+    if name == "adjacent":
+        return lambda seq: (first, second) in zip(seq, seq[1:])
+    if name == "before":
+        return lambda seq: first in seq and second in seq[seq.index(first) + 1 :]
+    if name != "none_between":
+        return _failing(InputError, f"unknown atom {name!r}")
+
+    def none_between(seq: tuple[int, ...]) -> bool:
+        # open: a first has occurred since the last blocked symbol, so a second here ends a clean pair
+        open_ = False
+        for sym in seq:
+            if open_ and sym == second:
+                return True
+            if sym in blocked:
+                open_ = False
+            if sym == first:
+                open_ = True
+        return False
+
+    return none_between
+
+
+def _compile_atom(atom: ConstraintAtom, weights, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
+    """One atom as a test of one record, its bound and labels resolved now."""
+    name, bound = atom.name, atom.bound
     if name == "size_min":
-        return rec.size >= atom.bound
+        return lambda rec: rec.size >= bound
     if name == "size_max":
-        return rec.size <= atom.bound
+        return lambda rec: rec.size <= bound
     if name == "support_min":
-        return rec.support >= atom.bound
+        return lambda rec: rec.support >= bound
     if name == "support_max":
-        return rec.support <= atom.bound
+        return lambda rec: rec.support <= bound
     if name == "cost_max":
         if weights is None:
-            raise InputError("cost constraint requires a weight table")
-        return sum(map(weights.cost_of, rec.pattern.elements)) <= atom.bound
-    if name == "contains":
-        sid = _resolve(symbols, atom.symbols[0])
-        return sid is not None and sid in rec.pattern.elements
-    if name == "excludes":
-        sid = _resolve(symbols, atom.symbols[0])
-        return sid is None or sid not in rec.pattern.elements
+            return _failing(InputError, "cost constraint requires a weight table")
+        cost_of = weights.cost_of
+        return lambda rec: sum(map(cost_of, rec.pattern.elements)) <= bound
+    if name in ("contains", "excludes"):
+        if symbols is None:
+            return _failing(InputError, _NO_SYMBOLS)
+        sid = symbols.get(atom.symbols[0])
+        if name == "contains":
+            return (lambda rec: False) if sid is None else (lambda rec: sid in rec.pattern.elements)
+        return (lambda rec: True) if sid is None else (lambda rec: sid not in rec.pattern.elements)
+    # adjacent, before, none_between, and any other name: sequences only
+    if symbols is None:
+        seq_holds = _failing(InputError, _NO_SYMBOLS)
+    else:
+        first, second = symbols.get(atom.symbols[0]), symbols.get(atom.symbols[1])
+        blocked = frozenset(sid for sid in map(symbols.get, atom.blocked) if sid is not None)
+        seq_holds = _order_test(name, first, second, blocked)
 
-    seq = _sequence_symbols(rec, name)
-    first = _resolve(symbols, atom.symbols[0])
-    second = _resolve(symbols, atom.symbols[1])
-    if first is None or second is None:
-        return False
-    if name == "adjacent":
-        return any(seq[i] == first and seq[i + 1] == second for i in range(len(seq) - 1))
-    if name == "before":
-        return any(
-            seq[i] == first and seq[j] == second for i in range(len(seq)) for j in range(i + 1, len(seq))
-        )
-    if name == "none_between":
-        blocked = {sid for sid in (_resolve(symbols, b) for b in atom.blocked) if sid is not None}
-        for i in range(len(seq)):
-            if seq[i] != first:
-                continue
-            for j in range(i + 1, len(seq)):
-                if seq[j] == second and not any(seq[k] in blocked for k in range(i + 1, j)):
-                    return True
-        return False
-    raise InputError(f"unknown atom {name!r}")
+    def order_holds(rec: PatternRecord) -> bool:
+        pattern = rec.pattern
+        if pattern.kind != "sequence":
+            raise KindMismatchError(f"{name} applies only to sequence patterns, got {pattern.kind}")
+        return seq_holds(pattern.symbols)
+
+    return order_holds
+
+
+def _compile(expr: ConstraintExpr, weights, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
+    """expr as one test per record: clauses in order, each atom in order until one holds.
+
+    Every label is resolved once, here. An atom that cannot be evaluated (no
+    symbol table, no weight table, an order atom on another kind) raises
+    when the first record reaches it, as evaluating it there would.
+    """
+    clauses = []
+    for clause in expr.clauses:
+        tests = tuple(_compile_atom(atom, weights, symbols) for atom in clause)
+        clauses.append(tests[0] if len(tests) == 1 else (lambda rec, tests=tests: any(t(rec) for t in tests)))
+
+    def holds(rec: PatternRecord) -> bool:
+        for clause in clauses:
+            if not clause(rec):
+                return False
+        return True
+
+    return holds
 
 
 def evaluate(
@@ -219,7 +263,7 @@ def evaluate(
     weights is required when expr has a cost atom; symbols is required when
     any atom names a symbol. Symbols absent from the table never match.
     """
-    return all(any(_atom_holds(rec, atom, weights, symbols) for atom in clause) for clause in expr.clauses)
+    return _compile(expr, weights, symbols)(rec)
 
 
 def partition_valid(
@@ -229,9 +273,10 @@ def partition_valid(
     *,
     symbols: SymbolTable | None = None,
 ) -> tuple[list[PatternRecord], list[PatternRecord]]:
-    """Split records into (valid, invalid), both preserving input order."""
+    """Split records into (valid, invalid), both preserving input order; expr is compiled once per call."""
+    holds = _compile(expr, weights, symbols)
     valid: list[PatternRecord] = []
     invalid: list[PatternRecord] = []
     for rec in records:
-        (valid if evaluate(rec, expr, weights, symbols=symbols) else invalid).append(rec)
+        (valid if holds(rec) else invalid).append(rec)
     return valid, invalid

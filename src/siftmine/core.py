@@ -175,8 +175,9 @@ def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[P
         return []
     found = search(db, sigma, **limit)
     found.sort(key=operator.itemgetter(0, 1))
+    # Pids count from 1, each support is its cover's count, and each size is the search's own count.
     return [
-        PatternRecord(pid, pattern, support, cover, size)
+        PatternRecord._proved(pid, pattern, support, cover, size)
         for pid, (size, _, pattern, support, cover) in enumerate(found, start=1)
     ]
 
@@ -220,6 +221,13 @@ class Itemset:
         """Build from any iterable; duplicates collapse, order is normalized."""
         return cls(tuple(sorted(set(items))))
 
+    @classmethod
+    def _proved(cls, items: tuple[int, ...]) -> "Itemset":
+        """An itemset of items the caller proved nonempty, nonnegative and strictly increasing; nothing is checked."""
+        itemset = object.__new__(cls)
+        object.__setattr__(itemset, "items", items)  # as the dataclass __init__ stores it: no dict is built
+        return itemset
+
     @property
     def size(self) -> int:
         return len(self.items)
@@ -248,6 +256,13 @@ class Sequence:
     @classmethod
     def of(cls, symbols: Iterable[int]) -> "Sequence":
         return cls(tuple(symbols))
+
+    @classmethod
+    def _proved(cls, symbols: tuple[int, ...]) -> "Sequence":
+        """A sequence of symbols the caller proved nonempty and nonnegative; nothing is checked."""
+        sequence = object.__new__(cls)
+        object.__setattr__(sequence, "symbols", symbols)  # as the dataclass __init__ stores it: no dict is built
+        return sequence
 
     @property
     def size(self) -> int:
@@ -544,6 +559,8 @@ class PatternRecord:
     which is read as a frozenset, built on the first read. The constructor
     checks and stores every field in one frame, and its support check is
     the only count of the cover: producers pass the count they hold.
+    _proved stores fields that its caller has already proved, the miner
+    frame and the pattern-file reader, and checks none of them.
     """
 
     pid: int
@@ -570,6 +587,18 @@ class PatternRecord:
         d["support"] = support
         d["_cover"] = cover
         d["size"] = size
+
+    @classmethod
+    def _proved(cls, pid: int, pattern: Pattern, support: int, cover: frozenset[int] | Cover | None, size: int):
+        """A record of fields that pass __init__'s checks, as its caller has proved; nothing is checked again."""
+        rec = object.__new__(cls)
+        d = rec.__dict__  # filled in __init__'s key order, so it shares keys as __init__'s does
+        d["pid"] = pid
+        d["pattern"] = pattern
+        d["support"] = support
+        d["_cover"] = cover
+        d["size"] = size
+        return rec
 
     @property
     def kind(self) -> str:

@@ -59,6 +59,13 @@ def read_text(path) -> str:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
+def _shown(token: str) -> str:
+    """An input token for an error message: quoted by repr(), cut to its first 40 characters and its length when longer."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def _token_lines(path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]]:
     """Each line's number and whitespace-split tokens, in file order.
 
@@ -122,7 +129,7 @@ def load_graphs(path) -> GraphDB:
             try:
                 gid = plain_int(tokens[2])
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: graph id {tokens[2]!r} is not an integer") from None
+                raise InputError(f"{path}: line {lineno}: graph id {_shown(tokens[2])} is not an integer") from None
             if gid != len(graphs) + 1:
                 raise InputError(
                     f"{path}: line {lineno}: graph id {gid} out of order, expected {len(graphs) + 1}"
@@ -140,7 +147,7 @@ def load_graphs(path) -> GraphDB:
             try:
                 vid = plain_int(tokens[1])
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: vertex id {tokens[1]!r} is not an integer") from None
+                raise InputError(f"{path}: line {lineno}: vertex id {_shown(tokens[1])} is not an integer") from None
             if vid in seen_vids:
                 raise InputError(f"{path}: line {lineno}: duplicate vertex id {vid}")
             seen_vids.add(vid)
@@ -164,7 +171,7 @@ def load_graphs(path) -> GraphDB:
             seen_pairs.add(pair)
             edges.append((pair[0], pair[1], symbols.intern(tokens[3] if len(tokens) == 4 else "0")))
         else:
-            raise InputError(f"{path}: line {lineno}: unknown record tag {tag!r}")
+            raise InputError(f"{path}: line {lineno}: unknown record tag {_shown(tag)}")
     finalize()
     return GraphDB(tuple(graphs), symbols)
 
@@ -180,7 +187,7 @@ def load_matrix(path) -> BinaryMatrix:
         try:
             cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
         except KeyError as exc:
-            raise InputError(f"{path}: line {lineno}: non-binary cell {exc.args[0]!r}") from None
+            raise InputError(f"{path}: line {lineno}: non-binary cell {_shown(exc.args[0])}") from None
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -208,12 +215,12 @@ def load_weights(path, symbols: SymbolTable) -> WeightTable:
         try:
             weight = plain_int(tokens[1].removeprefix("-"))
         except ValueError:
-            raise InputError(f"{path}: line {lineno}: weight {tokens[1]!r} is not an integer") from None
+            raise InputError(f"{path}: line {lineno}: weight {_shown(tokens[1])} is not an integer") from None
         if tokens[1].startswith("-"):
             raise InputError(f"{path}: line {lineno}: negative weight")
         sid = symbols.intern(tokens[0])
         if sid in costs:
-            raise InputError(f"{path}: line {lineno}: duplicate weight for {tokens[0]!r}")
+            raise InputError(f"{path}: line {lineno}: duplicate weight for {_shown(tokens[0])}")
         costs[sid] = weight
     return WeightTable(costs)
 
@@ -312,7 +319,7 @@ def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
     try:
         return tuple(map(plain_int, value.split(","))) if value else ()
     except ValueError:
-        raise InputError(f"{path}: line {lineno}: malformed integer list {value!r}") from None
+        raise InputError(f"{path}: line {lineno}: malformed integer list {_shown(value)}") from None
 
 
 _PATTERN_KEYS = frozenset("pid kind support size elements vertices edges cover valid condensed".split())
@@ -325,11 +332,11 @@ def _fields(tokens: list[str], path, lineno: int, allowed: frozenset[str]) -> di
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key:
-            raise InputError(f"{path}: line {lineno}: malformed field {tok!r}")
+            raise InputError(f"{path}: line {lineno}: malformed field {_shown(tok)}")
         if key not in allowed:
-            raise InputError(f"{path}: line {lineno}: unknown field {key!r}")
+            raise InputError(f"{path}: line {lineno}: unknown field {_shown(key)}")
         if key in fields:
-            raise InputError(f"{path}: line {lineno}: duplicate field {key!r}")
+            raise InputError(f"{path}: line {lineno}: duplicate field {_shown(key)}")
         fields[key] = value
     return fields
 
@@ -360,7 +367,7 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         try:
             elements = tuple(map(_unq, fields["elements"].split(",")))
         except ValueError:
-            raise InputError(f"{path}: line {lineno}: bad percent escape in {fields['elements']!r}") from None
+            raise InputError(f"{path}: line {lineno}: bad percent escape in {_shown(fields['elements'])}") from None
     elif kind == "graph":
         if "vertices" not in fields or "edges" not in fields or "elements" in fields:
             raise InputError(f"{path}: line {lineno}: graph records carry vertices and edges")
@@ -372,28 +379,28 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
                 vid_text, lbl = part.split(":", 1)  # ValueError without a ":"
                 verts.append((plain_int(vid_text), _unq(lbl)))
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: malformed vertex {part!r}") from None
+                raise InputError(f"{path}: line {lineno}: malformed vertex {_shown(part)}") from None
         vertices = tuple(verts)
         edge_list: list[tuple[int, int, str]] = []
         if fields["edges"]:
             for part in fields["edges"].split(","):
                 pair_text, sep, lbl = part.partition(":")
                 if not sep:
-                    raise InputError(f"{path}: line {lineno}: malformed edge {part!r}")
+                    raise InputError(f"{path}: line {lineno}: malformed edge {_shown(part)}")
                 u_text, sep2, v_text = pair_text.partition("-")
                 if not sep2:
-                    raise InputError(f"{path}: line {lineno}: malformed edge endpoints {pair_text!r}")
+                    raise InputError(f"{path}: line {lineno}: malformed edge endpoints {_shown(pair_text)}")
                 try:
                     edge_list.append((plain_int(u_text), plain_int(v_text), _unq(lbl)))
                 except ValueError:
-                    raise InputError(f"{path}: line {lineno}: malformed edge {part!r}") from None
+                    raise InputError(f"{path}: line {lineno}: malformed edge {_shown(part)}") from None
         edges = tuple(edge_list)
     else:
-        raise InputError(f"{path}: line {lineno}: unknown pattern kind {kind!r}")
+        raise InputError(f"{path}: line {lineno}: unknown pattern kind {_shown(kind)}")
     cover = fields.get("cover")
     if cover is not None:
         if cover and not _is_int_list(cover):
-            raise InputError(f"{path}: line {lineno}: malformed integer list {cover!r}")
+            raise InputError(f"{path}: line {lineno}: malformed integer list {_shown(cover)}")
         listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
@@ -438,7 +445,9 @@ def _records(rows: Iterable[tuple], path):
     """Records, symbols, and valid and condensed flags from parsed lines.
 
     A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
-    or _parse_canonical has matched each cover's count to its support, so the count is not taken again.
+    or _parse_canonical has matched each cover's count to its support and read pid, support and size as
+    nonnegative ints; interning gives nonnegative ids. What remains is checked here, first failure first:
+    a duplicate pid, a repeated itemset label, pid 0, then size against the pattern.
     """
     symbols = SymbolTable()
     records: dict[int, PatternRecord] = {}  # by pid, in file order
@@ -450,21 +459,25 @@ def _records(rows: Iterable[tuple], path):
             if pid in records:
                 raise InputError(f"duplicate pattern id {pid}")
             if kind == "itemset":
-                try:
-                    pattern = Itemset(tuple(sorted(symbols.intern_all(elements))))
-                except InputError:  # _parse_line gives nonempty elements, so sorted ids fail only by a repeat
-                    raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
+                items = tuple(sorted(symbols.intern_all(elements)))
+                if len(set(items)) != len(items):  # the one fault sorted ids of nonempty elements can have
+                    raise InputError(f"pattern {pid}: itemset lists a label more than once")
+                pattern = Itemset._proved(items)
             elif kind == "sequence":
-                pattern = Sequence(symbols.intern_all(elements))
+                pattern = Sequence._proved(symbols.intern_all(elements))
             else:  # "0" first, then lists, so that vertex labels are interned before edge labels
                 symbols.intern("0")
                 pattern = LabeledGraph.of(
                     [(vid, symbols.intern(lbl)) for vid, lbl in vertices],
                     [(u, v, symbols.intern(lbl)) for u, v, lbl in edges],
                 )
+            if pid < 1:
+                raise InputError("pattern ids are 1-based")
+            if size != pattern.size:
+                raise InputError("size must match the pattern")
             if cover is not None:
                 cover = Cover(text=cover, count=support)
-            records[pid] = PatternRecord(pid, pattern, support, cover, size)
+            records[pid] = PatternRecord._proved(pid, pattern, support, cover, size)
         except InputError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
         if is_valid is not None:

@@ -49,8 +49,8 @@ def _eclat(db: TransactionDB, sigma: int) -> list[tuple]:
             mask = prefix_mask & bits[item]
             support = mask.bit_count()
             if support >= sigma:
-                items = prefix + (item,)
-                found.append((len(items), items, Itemset(items), support, Cover(mask, tids)))
+                items = prefix + (item,)  # increasing: item comes after prefix's last in tail
+                found.append((len(items), items, Itemset._proved(items), support, Cover(mask, tids)))
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.

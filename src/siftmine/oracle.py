@@ -7,9 +7,10 @@ DFS code enumerates every depth-first traversal, miners
 enumerate candidate patterns from the data and count supports directly,
 condensation tests every ordered pair of records with dominates(), tiling
 errors are counted cell by cell, greedy selection rescores every trial that
-way, and candidate tiles come from row sets and Fraction confidences. Size
-bounds keep the enumeration honest; exceeding one raises BoundExceededError
-rather than silently taking forever.
+way, candidate tiles come from row sets and Fraction confidences, and
+constraint atoms are read afresh for every record, order atoms over index
+pairs. Size bounds keep the enumeration honest; exceeding one raises
+BoundExceededError rather than silently taking forever.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations, permutations
 
 from .condense import DominanceRelation, _check_kinds, dominates
 from .core import GraphDB, LabeledGraph, PatternRecord, SequenceDB, TransactionDB
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, KindMismatchError
 from .tiling import BinaryMatrix, Tile
 
 MAX_ITEMS = 16
@@ -396,6 +397,60 @@ def generate_candidates_bruteforce(
         Tile(tile_id=tid, row_set=t.row_set, col_set=t.col_set, ones=t.ones)
         for tid, t in enumerate(ordered, start=1)
     ]
+
+
+def _atom_holds_bruteforce(rec: PatternRecord, atom, weights, symbols) -> bool:
+    """One constraint atom on one record, its bound read and its labels looked up on this call."""
+
+    def resolve(label: str) -> int | None:
+        if symbols is None:
+            raise InputError("constraint references symbols but no symbol table was provided")
+        return symbols.get(label)
+
+    name = atom.name
+    if name == "size_min":
+        return rec.size >= atom.bound
+    if name == "size_max":
+        return rec.size <= atom.bound
+    if name == "support_min":
+        return rec.support >= atom.bound
+    if name == "support_max":
+        return rec.support <= atom.bound
+    if name == "cost_max":
+        if weights is None:
+            raise InputError("cost constraint requires a weight table")
+        return sum(weights.cost_of(sid) for sid in rec.pattern.elements) <= atom.bound
+    if name == "contains":
+        sid = resolve(atom.symbols[0])
+        return sid is not None and sid in rec.pattern.elements
+    if name == "excludes":
+        sid = resolve(atom.symbols[0])
+        return sid is None or sid not in rec.pattern.elements
+
+    if rec.kind != "sequence":
+        raise KindMismatchError(f"{name} applies only to sequence patterns, got {rec.kind}")
+    seq = rec.pattern.symbols
+    first, second = resolve(atom.symbols[0]), resolve(atom.symbols[1])
+    if first is None or second is None:
+        return False
+    pairs = [(i, j) for i, j in combinations(range(len(seq)), 2) if seq[i] == first and seq[j] == second]
+    if name == "adjacent":
+        return any(j == i + 1 for i, j in pairs)
+    if name == "before":
+        return bool(pairs)
+    if name == "none_between":
+        blocked = {sid for sid in map(resolve, atom.blocked) if sid is not None}
+        return any(not any(seq[k] in blocked for k in range(i + 1, j)) for i, j in pairs)
+    raise InputError(f"unknown atom {name!r}")
+
+
+def constraints_hold_bruteforce(rec: PatternRecord, expr, weights=None, *, symbols=None) -> bool:
+    """Reference semantics of a constraint expression: every clause has an atom that holds on rec.
+
+    Clauses are tried in order and a clause's atoms in order until one
+    holds, so an atom that cannot be evaluated raises exactly when reached.
+    """
+    return all(any(_atom_holds_bruteforce(rec, atom, weights, symbols) for atom in clause) for clause in expr.clauses)
 
 
 def brute_force_condense(

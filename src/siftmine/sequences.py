@@ -91,7 +91,7 @@ def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
             if support >= sigma:
                 pattern = prefix + (sym,)
                 digits = (guards ^ missed | filler).to_bytes(n_bytes, "little").translate(_GUARD_DIGITS, b"\x01")
-                found.append((len(pattern), pattern, Sequence(pattern), support, Cover(int(digits[::-1], 2), sids)))
+                found.append((len(pattern), pattern, Sequence._proved(pattern), support, Cover(int(digits[::-1], 2), sids)))
                 if grow:
                     kids.append((pattern, full ^ upto | guards))
         kid_syms = [pattern[-1] for pattern, _ in kids]

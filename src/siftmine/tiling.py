@@ -79,18 +79,23 @@ class BinaryMatrix:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.cells or not self.cells[0]:
+        cells = self.cells
+        if not cells or not cells[0]:
             raise InputError("matrix must have at least one row and one column")
-        width = len(self.cells[0])
-        for r, row in enumerate(map(tuple, self.cells), start=1):
+        width = len(cells[0])
+        try:  # bytes() takes ints and bools in 0..255 only
+            binary = not bytes(chain.from_iterable(cells)).translate(None, b"\x00\x01")
+        except (TypeError, ValueError):
+            binary = False
+        if binary and set(map(len, cells)) == {width}:
+            return
+        # Something is off: name the first bad row, or store cells equal to 0 or 1 as the ints they equal.
+        for r, row in enumerate(map(tuple, cells), start=1):
             if len(row) != width:
                 raise InputError(f"row {r} has {len(row)} cells, expected {width}")
             if row.count(0) + row.count(1) != width:
                 raise InputError(f"row {r} contains a non-binary cell")
-        try:  # bytes() takes ints and bools only
-            bytes(chain.from_iterable(self.cells))
-        except TypeError:
-            object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in self.cells))
+        object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in cells))
 
     @property
     def n_rows(self) -> int:

@@ -530,6 +530,26 @@ class TestCondense:
         result = run("condense", "--patterns", str(pats), "--rep", "maximal", "--constraints", f"size >= {bound}")
         assert result == (3, "", f"error: {message} (line 1, column 1)\n")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["pid=0 kind=itemset support=1 size=1 elements=a"], "line 1: pattern ids are 1-based"),
+            (["pid=1 kind=sequence support=1 size=2 elements=a"], "line 1: size must match the pattern"),
+            (["pid=2 kind=itemset support=1 size=2 elements=a,a"], "line 1: pattern 2: itemset lists a label more than once"),
+            (["pid=1 kind=itemset support=1 size=1 elements=a", "pid=1 kind=sequence support=1 size=1 elements=b"],
+             "line 2: duplicate pattern id 1"),
+            # Two faults in one line: a duplicate pid, then a repeated label, then pid 0, then the size.
+            (["pid=0 kind=itemset support=1 size=3 elements=b,b"], "line 1: pattern 0: itemset lists a label more than once"),
+            (["pid=0 kind=graph support=1 size=2 vertices=0:a,1:b edges=0-1:x"], "line 1: pattern ids are 1-based"),
+            (["pid=3 kind=itemset support=1 size=1 elements=a", "pid=3 kind=itemset support=1 size=1 elements=c,c"],
+             "line 2: duplicate pattern id 3"),
+        ],
+    )
+    def test_malformed_records(self, run, tmp_path, lines, message):
+        pats = tmp_path / "p.pat"
+        pats.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run("condense", "--patterns", str(pats), "--rep", "maximal") == (3, "", f"error: {pats}: {message}\n")
+
     def test_kind_mismatch(self, run, pats):
         code, _, err = run(
             "condense", "--patterns", str(pats), "--rep", "closed", "--constraints", "adjacent a b"
@@ -565,7 +585,7 @@ class TestLongCover:
             assert out.read_text(encoding="utf-8") == line + " valid=1 condensed=1\n"
         else:
             assert code == 3 and not out.exists()
-            assert err == f"error: {pats}: line 1: malformed integer list {cover!r}\n"
+            assert err == f"error: {pats}: line 1: malformed integer list {cover[:40]!r}... ({len(cover)} characters)\n"
 
 
 class TestPipeline:
@@ -1000,6 +1020,26 @@ class TestRejectedInputs:
         tiles.write_text(line + "\n", encoding="utf-8")
         argv = ("tile", "--matrix", str(workdir / "matrix.txt"), "--candidates", str(tiles), "--threshold", "1")
         self.check(run_cli_process("0", *argv), f"{tiles}: line 1: malformed integer list")
+
+    @long_numbers
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("w.txt", f"a {LONG_NUMBER}\n", ("condense", "--patterns", "p.pat", "--rep", "maximal", "--weights", "w.txt")),
+            ("t.txt", f"rows={LONG_NUMBER} cols=1\n", ("tile", "--matrix", "matrix.txt", "--candidates", "t.txt", "--threshold", "1")),
+            ("p.pat", f"pid=1 kind=itemset support=2 size=1 elements=a cover=1,{LONG_NUMBER}x\n",
+             ("condense", "--patterns", "p.pat", "--rep", "maximal")),
+            ("g.txt", f"t # 1\nv {LONG_NUMBER} a\n", ("mine", "--type", "graph", "--input", "g.txt", "--minsup", "1")),
+        ],
+        ids=["weight", "tile-row", "cover", "vertex-id"],
+    )
+    def test_long_token_errors_stay_short(self, workdir, name, text, argv):
+        (workdir / "p.pat").write_text(PATTERN_LINE + "\n", encoding="utf-8")
+        (workdir / name).write_text(text, encoding="utf-8")
+        proc = run_cli_process("0", *(str(workdir / a) if "." in a else a for a in argv))
+        self.check(proc, f"{workdir / name}: line {text.count(chr(10))}: ")
+        assert re.search(r"'[^']{40}'\.\.\. \(500[0-9] characters\)", proc.stderr)
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.replace(str(workdir), "").encode()) < 200
 
     @pytest.mark.parametrize("line", ["rows= cols=1", "rows=1 cols="])
     def test_empty_tile_sets(self, workdir, line):

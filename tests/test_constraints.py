@@ -12,6 +12,7 @@ from siftmine import (
     InputError,
     Itemset,
     KindMismatchError,
+    LabeledGraph,
     PatternRecord,
     Sequence,
     SymbolTable,
@@ -20,6 +21,7 @@ from siftmine import (
     parse_constraints,
     partition_valid,
 )
+from siftmine.oracle import constraints_hold_bruteforce
 
 
 def seq_record(symbols: SymbolTable, text: str, pid=1, support=1) -> PatternRecord:
@@ -257,3 +259,80 @@ class TestPartition:
         assert [r.pid for r in valid] == [r.pid for r in recs if r.pattern.size >= 2]
         assert [r.pid for r in invalid] == [r.pid for r in recs if r.pattern.size < 2]
         assert len(valid) + len(invalid) == len(recs)
+
+
+# Labels the records use, and "z", which no table holds.
+LABELS = ("a", "b", "x")
+ATOMS = [
+    "size >= 2", "size <= 1", "support >= 2", "support <= 0", "cost <= 3", "cost <= 0",
+    "contains a", "contains z", "excludes b", "excludes z",
+    "adjacent a b", "adjacent b b", "adjacent a z", "before a b", "before b a", "before a a", "before z a",
+    "none_between {} a b", "none_between {x} a b", "none_between {x,z} b a", "none_between {a} a a",
+    "none_between {z} a b", "none_between {b} a z",
+]
+ATOM_TEXTS = st.sampled_from(ATOMS)
+
+
+@st.composite
+def constrained_records(draw):
+    """Records of mixed kinds over one table, an expression naming every atom kind, and maybe weights and table."""
+    symbols = SymbolTable(["0", *LABELS])
+    ids = st.lists(st.sampled_from([symbols.id_of(lbl) for lbl in LABELS]), min_size=1, max_size=6)
+    records = []
+    for pid in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(["sequence", "sequence", "itemset", "graph"]))
+        if kind == "graph":
+            labels = draw(ids)
+            edges = [(v - 1, v) for v in range(1, len(labels)) if draw(st.booleans())]
+            pattern = LabeledGraph.of(list(enumerate(labels)), edges)
+        else:
+            pattern = Sequence.of(draw(ids)) if kind == "sequence" else Itemset.of(draw(ids))
+        support = draw(st.integers(0, 3))
+        records.append(PatternRecord(pid, pattern, support, None, pattern.size))
+    clauses = draw(st.lists(st.lists(ATOM_TEXTS, min_size=1, max_size=3).map(" | ".join), max_size=3))
+    expr = parse_constraints("\n".join(clauses))
+    weights = draw(st.none() | st.just(WeightTable({symbols.id_of("a"): 2, symbols.id_of("x"): 1})))
+    return records, expr, weights, draw(st.sampled_from([symbols, None]))
+
+
+def outcome(run):
+    """run()'s result, or the type and message of the SiftmineError it raises."""
+    try:
+        return run()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiledParity:
+    """The compiled test agrees with the reference evaluator record by record, errors included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(constrained_records())
+    def test_partition_equals_reference(self, drawn):
+        records, expr, weights, symbols = drawn
+        reached = []
+
+        def fed():
+            for rec in records:
+                reached.append(rec)
+                yield rec
+
+        got = outcome(lambda: partition_valid(fed(), expr, weights, symbols=symbols))
+        want, first_error = ([], []), None
+        for rec in records:  # every atom alone, on every record
+            for atom in map(parse_constraints, ATOMS):
+                want_atom = outcome(lambda: constraints_hold_bruteforce(rec, atom, weights, symbols=symbols))
+                assert outcome(lambda: evaluate(rec, atom, weights, symbols=symbols)) == want_atom
+        for k, rec in enumerate(records):
+            holds = outcome(lambda: constraints_hold_bruteforce(rec, expr, weights, symbols=symbols))
+            assert outcome(lambda: evaluate(rec, expr, weights, symbols=symbols)) == holds
+            if first_error is None:
+                if isinstance(holds, bool):
+                    want[0 if holds else 1].append(rec)
+                else:
+                    first_error = k, holds
+        if first_error is None:
+            assert got == want
+        else:
+            # raised at the same record, with the same type and message
+            assert (len(reached) - 1, got) == first_error

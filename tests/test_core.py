@@ -24,6 +24,7 @@ from siftmine import (
     find_embedding,
     graph_included,
     mine_frequent_graphs_general,
+    mine_frequent_graphs_unique,
     mine_frequent_itemsets,
     mine_frequent_sequences,
     subgraph_isomorphic,
@@ -253,6 +254,31 @@ class TestMinerFrame:
     def test_threshold_above_db_size(self, mine, option, fixture, attr, key, request):
         db = getattr(request.getfixturevalue(fixture), attr)
         assert mine(db, MinSupport.absolute(len(db) + 1)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(["itemset", "sequence", "graph", "graph-unique"]))
+    def test_records_equal_checked_rebuilds(self, rng, kind):
+        """The frame and Eclat/SPAM store what they proved unchecked; every check passes on what they store."""
+        from helpers import random_graph_db, random_sequences, random_transactions, random_unique_graph_db
+
+        if kind == "itemset":
+            records = mine_frequent_itemsets(random_transactions(rng), MinSupport.absolute(1))
+        elif kind == "sequence":
+            records = mine_frequent_sequences(random_sequences(rng), MinSupport.absolute(1), 4)
+        elif kind == "graph":
+            records = mine_frequent_graphs_general(random_graph_db(rng, max_graphs=3, max_vertices=5), MinSupport.absolute(1), 3)
+        else:
+            records = mine_frequent_graphs_unique(random_unique_graph_db(rng), MinSupport.absolute(1))
+        checked_pattern = {
+            "itemset": lambda p: Itemset(p.items),
+            "sequence": lambda p: Sequence(p.symbols),
+            "graph": lambda p: LabeledGraph(p.vertices, p.edges),
+        }
+        for pid, rec in enumerate(records, start=1):
+            text = rec.cover_text()
+            twin = PatternRecord(rec.pid, checked_pattern[rec.kind](rec.pattern), rec.support, rec.cover, rec.size)
+            assert rec.pid == pid and rec == twin and text == twin.cover_text()
+            assert list(rec.__dict__) == list(twin.__dict__) == ["pid", "pattern", "support", "_cover", "size"]
 
     @pytest.mark.parametrize("mine, option, fixture, attr, key", MINERS)
     def test_pids_in_size_then_key_order(self, mine, option, fixture, attr, key, request):

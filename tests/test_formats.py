@@ -34,6 +34,7 @@ from siftmine import (
     write_patterns,
     write_tiling,
 )
+from siftmine.core import Cover
 from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines
 
 from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
@@ -542,6 +543,72 @@ class TestCanonicalFastPath:
             for line in pattern_lines(records, fixture.db.symbols, flags, {records[0].pid: True}):
                 assert _parse_canonical(line) == _parse_line(line, "p.pat", 1)
                 assert _parse_canonical(line) is not None
+
+
+@st.composite
+def graph_lines(draw):
+    """A graph line whose vertices and edges may be out of order, repeated or dangling, and whose numbers may be off."""
+    number = st.sampled_from(["0", "1", "2", "3"])
+    vertices = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["a", "b", "0"])), min_size=1, max_size=4))
+    edges = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(["0", "x"])), max_size=4))
+    cover = draw(st.none() | st.lists(st.sampled_from(["1", "2", "5"]), max_size=3).map(",".join))
+    support = str(cover.count(",") + 1 if cover else 0) if cover is not None else draw(number)
+    line = f"pid={draw(number)} kind=graph support={support} size={draw(number)}"
+    line += " vertices=" + ",".join(f"{vid}:{lbl}" for vid, lbl in vertices)
+    line += " edges=" + ",".join(f"{u}-{v}:{lbl}" for u, v, lbl in edges)
+    return line if cover is None else f"{line} cover={cover}"
+
+
+def checked_records(text):
+    """What load_patterns must give for a file's text, every record built by the checked public constructors."""
+    symbols = SymbolTable()
+    records = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        pid, kind, support, size, elements, vertices, edges, cover, _, _ = _parse_line(line, "p.pat", lineno)
+        try:
+            if pid in records:
+                raise InputError(f"duplicate pattern id {pid}")
+            if kind == "itemset":
+                try:
+                    pattern = Itemset(tuple(sorted(symbols.intern_all(elements))))
+                except InputError:
+                    raise InputError(f"pattern {pid}: itemset lists a label more than once") from None
+            elif kind == "sequence":
+                pattern = Sequence(symbols.intern_all(elements))
+            else:
+                symbols.intern("0")
+                pattern = LabeledGraph.of(
+                    [(vid, symbols.intern(lbl)) for vid, lbl in vertices],
+                    [(u, v, symbols.intern(lbl)) for u, v, lbl in edges],
+                )
+            records[pid] = PatternRecord(pid, pattern, support, None if cover is None else Cover(text=cover, count=support), size)
+        except InputError as exc:
+            raise InputError(f"p.pat: line {lineno}: {exc}") from None
+    return list(records.values()), symbols
+
+
+class TestProvedRecords:
+    """A loaded record equals its checked rebuild, and a line the checks refuse fails with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(itemset_or_sequence_lines() | graph_lines(), min_size=1, max_size=3))
+    def test_loaded_records_equal_checked_rebuilds(self, lines):
+        text = "".join(line + "\n" for line in lines)
+        try:
+            want, symbols = checked_records(text)
+        except InputError as exc:
+            with tempfile.TemporaryDirectory() as d, pytest.raises(InputError) as raised:
+                load_patterns(write(Path(d), "p.pat", text))
+            assert str(raised.value).removeprefix(d + "/") == str(exc)
+            return
+        with tempfile.TemporaryDirectory() as d:
+            loaded = load_patterns(write(Path(d), "p.pat", text))
+        assert loaded.symbols.labels == symbols.labels
+        assert len(loaded.records) == len(want)
+        for rec, twin in zip(loaded.records, want):
+            assert (rec.pid, rec.pattern, rec.support, rec.size) == (twin.pid, twin.pattern, twin.support, twin.size)
+            assert rec.cover_text() == twin.cover_text()
+            assert list(rec.__dict__) == list(twin.__dict__) == ["pid", "pattern", "support", "_cover", "size"]
 
 
 class TestPatternFiles:

@@ -14,6 +14,9 @@ name or an attribute, or holds a string constant equal to it.
 perfbench/tracer.py swaps module attributes of siftmine for wrappers while a
 traced pipeline runs. A binding that no longer exists breaks every traced
 run, and one its module no longer reads leaves a counter at 0 unnoticed.
+
+The `_proved` constructors of Itemset, Sequence and PatternRecord check
+nothing, so only callers that prove every field themselves may use them.
 """
 
 import ast
@@ -158,3 +161,47 @@ def test_checker_flags_unread_bindings():
     tree = ast.parse("def error():\n    pass\nclass T:\n    error: int\nx = T().error\n")
     assert "error" not in names_read(tree)
     assert "error" in names_read(ast.parse("error()\n"))
+
+
+# (path, enclosing function, class) of every use of a _proved constructor that may exist
+PROVED_USES = {
+    ("src/siftmine/core.py", "mine_patterns", "PatternRecord"),
+    ("src/siftmine/itemsets.py", "_eclat", "Itemset"),
+    ("src/siftmine/sequences.py", "_spam", "Sequence"),
+    ("src/siftmine/formats.py", "_records", "Itemset"),
+    ("src/siftmine/formats.py", "_records", "Sequence"),
+    ("src/siftmine/formats.py", "_records", "PatternRecord"),
+}
+
+
+def proved_uses(source: str, path: str) -> set[tuple[str, str, str]]:
+    """(path, innermost enclosing function, object) of each `<object>._proved` the source reads."""
+    uses = set()
+
+    def visit(node: ast.AST, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "_proved":
+            uses.add((path, func, ast.unparse(node.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return uses
+
+
+def test_proved_constructors_have_only_their_callers():
+    uses = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            uses |= proved_uses(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))
+    assert uses == PROVED_USES
+
+
+def test_checker_finds_proved_uses():
+    source = "def f():\n    def g():\n        return core.Itemset._proved(())\n    return Sequence._proved\nx = y._proved\n"
+    assert proved_uses(source, "m.py") == {
+        ("m.py", "g", "core.Itemset"),
+        ("m.py", "f", "Sequence"),
+        ("m.py", "<module>", "y"),
+    }
