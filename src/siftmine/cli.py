@@ -16,7 +16,7 @@ import sys
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
 from .core import LabeledGraph, MinSupport, plain_int
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, shown
 from .formats import (
     load_graphs,
     load_matrix,
@@ -55,7 +55,7 @@ def _int_option(text: str) -> int:
     try:
         return -plain_int(text[1:]) if text.startswith("-") else plain_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{shown(text)} is not an integer") from None
 
 
 def _constraints_from_arg(arg: str):

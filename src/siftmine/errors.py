@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show user text."""
 
 
 class SiftmineError(Exception):
@@ -31,3 +31,16 @@ class KindMismatchError(InputError):
 
 class BoundExceededError(SiftmineError):
     """An exhaustive search was asked to exceed its configured size bound."""
+
+
+def shown(token: str) -> str:
+    """A user token for an error message: quoted by repr(), cut to its first 40 characters and its length when longer."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
+def shown_number(n: int) -> str:
+    """A user number for an error message: its digits, cut to the first 40 and the digit count when longer."""
+    digits = str(n)
+    return digits if len(digits) <= 40 else f"{digits[:40]}... ({len(digits)} digits)"

@@ -7,6 +7,11 @@ and 1-based line number, and no line is ever silently skipped. Interning is
 deterministic (first appearance order), so loading a file twice yields
 identical id assignments.
 
+Every file is read and written a chunk at a time, so memory follows the
+records a command holds, not the size of its files. The reader still gives
+the lines and errors of the whole file read at once: a bad UTF-8 byte
+anywhere in a file is reported before any malformed line.
+
 Pattern files are line-oriented key=value records. Labels are percent-quoted
 so any non-whitespace token round-trips losslessly; a written file loads
 back to records that write the same bytes. load_patterns and
@@ -25,9 +30,13 @@ record whose cover is read.
 
 from __future__ import annotations
 
+import codecs
 import re
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
@@ -45,7 +54,7 @@ from .core import (
     mask_at,
     plain_int,
 )
-from .errors import InputError
+from .errors import InputError, shown, shown_number
 from .tiling import BinaryMatrix, Tile, TileSelection, _cut, _error_scorer
 
 
@@ -59,14 +68,67 @@ def read_text(path) -> str:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _shown(token: str) -> str:
-    """An input token for an error message: quoted by repr(), cut to its first 40 characters and its length when longer."""
-    if len(token) <= 40:
-        return repr(token)
-    return f"{token[:40]!r}... ({len(token)} characters)"
+_CHUNK = 1 << 16  # bytes read at a time
+_ENDS = tuple("\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")  # every str.splitlines boundary but "\r", which may start "\r\n"
 
 
-def _token_lines(path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]]:
+def _lines(path) -> Iterator[str]:
+    """read_text(path).splitlines(), read a chunk at a time, with read_text's errors.
+
+    Each chunk is split by str.splitlines; only its last partial line, or a
+    last line ending in "\r", waits for the next chunk. An InputError thrown
+    in at a yield, by a reader that met a bad line, decodes the rest of the
+    file first, so that a bad byte anywhere is reported before any line.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0
+
+    def decode(chunk: bytes) -> str:
+        nonlocal fed
+        try:
+            text = decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:  # exc.start counts from the bytes still pending in the decoder
+            raise InputError(f"{path}: not UTF-8 text (byte {fed - len(decoder.getstate()[0]) + exc.start})") from None
+        fed += len(chunk)
+        return text
+
+    try:
+        with open(path, "rb", buffering=0) as file:  # each read is one chunk, so no buffer is needed
+            chunks = iter(partial(file.read, _CHUNK), b"")
+            tail = ""
+            for chunk in chain(chunks, (b"",)):
+                text = tail + decode(chunk)
+                lines = text.splitlines()
+                if chunk and text and not text.endswith(_ENDS):  # a partial last line, or one whose "\r" may start "\r\n"
+                    tail = lines.pop() + ("\r" if text[-1] == "\r" else "")
+                else:
+                    tail = ""
+                try:
+                    yield from lines
+                except InputError:  # thrown in at a bad line: a bad byte in the rest of the file outranks it
+                    for chunk in chunks:
+                        decode(chunk)
+                    decode(b"")
+                    raise
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _reading(path) -> Iterator[Iterator[str]]:
+    """_lines(path) for a reader to iterate.
+
+    An InputError the reader raises is thrown into _lines, which closes the
+    file and reports instead a bad byte later in the file, if there is one.
+    """
+    lines = _lines(path)
+    try:
+        yield lines
+    except InputError as exc:
+        lines.throw(exc)
+
+
+def _token_lines(lines: Iterable[str], path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]]:
     """Each line's number and whitespace-split tokens, in file order.
 
     A blank line raises when it is reached, so an earlier malformed line is
@@ -74,7 +136,7 @@ def _token_lines(path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]
     empty_ok.
     """
     lineno = 0
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
             raise InputError(f"{path}: line {lineno}: blank line")
@@ -86,14 +148,16 @@ def _token_lines(path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]
 def load_transactions(path) -> TransactionDB:
     """One transaction per line, whitespace-separated items, duplicates collapsed."""
     symbols = SymbolTable()
-    transactions = [tuple(sorted({symbols.intern(tok) for tok in tokens})) for _, tokens in _token_lines(path)]
+    with _reading(path) as lines:
+        transactions = [tuple(sorted({symbols.intern(tok) for tok in tokens})) for _, tokens in _token_lines(lines, path)]
     return TransactionDB(tuple(transactions), symbols)
 
 
 def load_sequences(path) -> SequenceDB:
     """One sequence per line, whitespace-separated symbols, repeats preserved."""
     symbols = SymbolTable()
-    sequences = [symbols.intern_all(tokens) for _, tokens in _token_lines(path)]
+    with _reading(path) as lines:
+        sequences = [symbols.intern_all(tokens) for _, tokens in _token_lines(lines, path)]
     return SequenceDB(tuple(sequences), symbols)
 
 
@@ -120,58 +184,59 @@ def load_graphs(path) -> GraphDB:
             raise InputError(f"{path}: line {record_line}: graph {len(graphs) + 1} has no vertices")
         graphs.append(LabeledGraph.of(vertices, edges))
 
-    for lineno, tokens in _token_lines(path):
-        tag = tokens[0]
-        if tag == "t":
-            finalize()
-            if len(tokens) != 3 or tokens[1] != "#":
-                raise InputError(f"{path}: line {lineno}: malformed graph header, expected `t # <gid>`")
-            try:
-                gid = plain_int(tokens[2])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: graph id {_shown(tokens[2])} is not an integer") from None
-            if gid != len(graphs) + 1:
-                raise InputError(
-                    f"{path}: line {lineno}: graph id {gid} out of order, expected {len(graphs) + 1}"
-                )
-            vertices = []
-            edges = []
-            seen_vids = set()
-            seen_pairs = set()
-            record_line = lineno
-        elif tag == "v":
-            if vertices is None:
-                raise InputError(f"{path}: line {lineno}: vertex before any graph header")
-            if len(tokens) != 3:
-                raise InputError(f"{path}: line {lineno}: malformed vertex, expected `v <vid> <label>`")
-            try:
-                vid = plain_int(tokens[1])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: vertex id {_shown(tokens[1])} is not an integer") from None
-            if vid in seen_vids:
-                raise InputError(f"{path}: line {lineno}: duplicate vertex id {vid}")
-            seen_vids.add(vid)
-            vertices.append((vid, symbols.intern(tokens[2])))
-        elif tag == "e":
-            if vertices is None:
-                raise InputError(f"{path}: line {lineno}: edge before any graph header")
-            if len(tokens) not in (3, 4):
-                raise InputError(f"{path}: line {lineno}: malformed edge, expected `e <u> <v> [<elabel>]`")
-            try:
-                u, v = plain_int(tokens[1]), plain_int(tokens[2])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: edge endpoints must be integers") from None
-            if u == v:
-                raise InputError(f"{path}: line {lineno}: self-loop at vertex {u}")
-            if u not in seen_vids or v not in seen_vids:
-                raise InputError(f"{path}: line {lineno}: edge ({u},{v}) references an undeclared vertex")
-            pair = (min(u, v), max(u, v))
-            if pair in seen_pairs:
-                raise InputError(f"{path}: line {lineno}: duplicate edge ({u},{v})")
-            seen_pairs.add(pair)
-            edges.append((pair[0], pair[1], symbols.intern(tokens[3] if len(tokens) == 4 else "0")))
-        else:
-            raise InputError(f"{path}: line {lineno}: unknown record tag {_shown(tag)}")
+    with _reading(path) as lines:
+        for lineno, tokens in _token_lines(lines, path):
+            tag = tokens[0]
+            if tag == "t":
+                finalize()
+                if len(tokens) != 3 or tokens[1] != "#":
+                    raise InputError(f"{path}: line {lineno}: malformed graph header, expected `t # <gid>`")
+                try:
+                    gid = plain_int(tokens[2])
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: graph id {shown(tokens[2])} is not an integer") from None
+                if gid != len(graphs) + 1:
+                    raise InputError(
+                        f"{path}: line {lineno}: graph id {shown_number(gid)} out of order, expected {len(graphs) + 1}"
+                    )
+                vertices = []
+                edges = []
+                seen_vids = set()
+                seen_pairs = set()
+                record_line = lineno
+            elif tag == "v":
+                if vertices is None:
+                    raise InputError(f"{path}: line {lineno}: vertex before any graph header")
+                if len(tokens) != 3:
+                    raise InputError(f"{path}: line {lineno}: malformed vertex, expected `v <vid> <label>`")
+                try:
+                    vid = plain_int(tokens[1])
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: vertex id {shown(tokens[1])} is not an integer") from None
+                if vid in seen_vids:
+                    raise InputError(f"{path}: line {lineno}: duplicate vertex id {shown_number(vid)}")
+                seen_vids.add(vid)
+                vertices.append((vid, symbols.intern(tokens[2])))
+            elif tag == "e":
+                if vertices is None:
+                    raise InputError(f"{path}: line {lineno}: edge before any graph header")
+                if len(tokens) not in (3, 4):
+                    raise InputError(f"{path}: line {lineno}: malformed edge, expected `e <u> <v> [<elabel>]`")
+                try:
+                    u, v = plain_int(tokens[1]), plain_int(tokens[2])
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: edge endpoints must be integers") from None
+                if u == v:
+                    raise InputError(f"{path}: line {lineno}: self-loop at vertex {u}")
+                if u not in seen_vids or v not in seen_vids:
+                    raise InputError(f"{path}: line {lineno}: edge ({u},{v}) references an undeclared vertex")
+                pair = (min(u, v), max(u, v))
+                if pair in seen_pairs:
+                    raise InputError(f"{path}: line {lineno}: duplicate edge ({u},{v})")
+                seen_pairs.add(pair)
+                edges.append((pair[0], pair[1], symbols.intern(tokens[3] if len(tokens) == 4 else "0")))
+            else:
+                raise InputError(f"{path}: line {lineno}: unknown record tag {shown(tag)}")
     finalize()
     return GraphDB(tuple(graphs), symbols)
 
@@ -183,16 +248,17 @@ def load_matrix(path) -> BinaryMatrix:
     """Rows of space-separated 0/1 cells, all rows the same length."""
     rows: list[tuple[int, ...]] = []
     width: int | None = None
-    for lineno, tokens in _token_lines(path):
-        try:
-            cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
-        except KeyError as exc:
-            raise InputError(f"{path}: line {lineno}: non-binary cell {_shown(exc.args[0])}") from None
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
-        rows.append(cells)
+    with _reading(path) as lines:
+        for lineno, tokens in _token_lines(lines, path):
+            try:
+                cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
+            except KeyError as exc:
+                raise InputError(f"{path}: line {lineno}: non-binary cell {shown(exc.args[0])}") from None
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
+            rows.append(cells)
     return BinaryMatrix(tuple(rows))
 
 
@@ -209,19 +275,20 @@ class WeightTable:
 def load_weights(path, symbols: SymbolTable) -> WeightTable:
     """`SYM INT` per line; symbols are interned into the given table."""
     costs: dict[int, int] = {}
-    for lineno, tokens in _token_lines(path, empty_ok=True):
-        if len(tokens) != 2:
-            raise InputError(f"{path}: line {lineno}: expected `SYM WEIGHT`")
-        try:
-            weight = plain_int(tokens[1].removeprefix("-"))
-        except ValueError:
-            raise InputError(f"{path}: line {lineno}: weight {_shown(tokens[1])} is not an integer") from None
-        if tokens[1].startswith("-"):
-            raise InputError(f"{path}: line {lineno}: negative weight")
-        sid = symbols.intern(tokens[0])
-        if sid in costs:
-            raise InputError(f"{path}: line {lineno}: duplicate weight for {_shown(tokens[0])}")
-        costs[sid] = weight
+    with _reading(path) as lines:
+        for lineno, tokens in _token_lines(lines, path, empty_ok=True):
+            if len(tokens) != 2:
+                raise InputError(f"{path}: line {lineno}: expected `SYM WEIGHT`")
+            try:
+                weight = plain_int(tokens[1].removeprefix("-"))
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: weight {shown(tokens[1])} is not an integer") from None
+            if tokens[1].startswith("-"):
+                raise InputError(f"{path}: line {lineno}: negative weight")
+            sid = symbols.intern(tokens[0])
+            if sid in costs:
+                raise InputError(f"{path}: line {lineno}: duplicate weight for {shown(tokens[0])}")
+            costs[sid] = weight
     return WeightTable(costs)
 
 
@@ -231,21 +298,22 @@ def load_tiles(path, matrix: BinaryMatrix) -> list[Tile]:
     Each tile's ones are the data ones inside its rectangle.
     """
     tiles: list[Tile] = []
-    for lineno, tokens in _token_lines(path):
-        fields = _fields(tokens, path, lineno, _TILE_KEYS)
-        if len(fields) != len(_TILE_KEYS):
-            raise InputError(f"{path}: line {lineno}: expected `rows=... cols=...`")
-        rows = _parse_int_list(fields["rows"], path, lineno)
-        cols = _parse_int_list(fields["cols"], path, lineno)
-        if not rows or not cols:
-            raise InputError(f"{path}: line {lineno}: tile row and column sets must be nonempty")
-        if any(not 1 <= r <= matrix.n_rows for r in rows):
-            raise InputError(f"{path}: line {lineno}: row index out of range 1..{matrix.n_rows}")
-        if any(not 1 <= c <= matrix.n_cols for c in cols):
-            raise InputError(f"{path}: line {lineno}: column index out of range 1..{matrix.n_cols}")
-        row_mask = mask_at((r - 1 for r in rows), matrix.n_rows)
-        col_mask = mask_at((c - 1 for c in cols), matrix.n_cols)
-        tiles.append(_cut(matrix, len(tiles) + 1, row_mask, col_mask))
+    with _reading(path) as lines:
+        for lineno, tokens in _token_lines(lines, path):
+            fields = _fields(tokens, path, lineno, _TILE_KEYS)
+            if len(fields) != len(_TILE_KEYS):
+                raise InputError(f"{path}: line {lineno}: expected `rows=... cols=...`")
+            rows = _parse_int_list(fields["rows"], path, lineno)
+            cols = _parse_int_list(fields["cols"], path, lineno)
+            if not rows or not cols:
+                raise InputError(f"{path}: line {lineno}: tile row and column sets must be nonempty")
+            if any(not 1 <= r <= matrix.n_rows for r in rows):
+                raise InputError(f"{path}: line {lineno}: row index out of range 1..{matrix.n_rows}")
+            if any(not 1 <= c <= matrix.n_cols for c in cols):
+                raise InputError(f"{path}: line {lineno}: column index out of range 1..{matrix.n_cols}")
+            row_mask = mask_at((r - 1 for r in rows), matrix.n_rows)
+            col_mask = mask_at((c - 1 for c in cols), matrix.n_cols)
+            tiles.append(_cut(matrix, len(tiles) + 1, row_mask, col_mask))
     return tiles
 
 
@@ -319,7 +387,7 @@ def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
     try:
         return tuple(map(plain_int, value.split(","))) if value else ()
     except ValueError:
-        raise InputError(f"{path}: line {lineno}: malformed integer list {_shown(value)}") from None
+        raise InputError(f"{path}: line {lineno}: malformed integer list {shown(value)}") from None
 
 
 _PATTERN_KEYS = frozenset("pid kind support size elements vertices edges cover valid condensed".split())
@@ -332,11 +400,11 @@ def _fields(tokens: list[str], path, lineno: int, allowed: frozenset[str]) -> di
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key:
-            raise InputError(f"{path}: line {lineno}: malformed field {_shown(tok)}")
+            raise InputError(f"{path}: line {lineno}: malformed field {shown(tok)}")
         if key not in allowed:
-            raise InputError(f"{path}: line {lineno}: unknown field {_shown(key)}")
+            raise InputError(f"{path}: line {lineno}: unknown field {shown(key)}")
         if key in fields:
-            raise InputError(f"{path}: line {lineno}: duplicate field {_shown(key)}")
+            raise InputError(f"{path}: line {lineno}: duplicate field {shown(key)}")
         fields[key] = value
     return fields
 
@@ -367,7 +435,7 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         try:
             elements = tuple(map(_unq, fields["elements"].split(",")))
         except ValueError:
-            raise InputError(f"{path}: line {lineno}: bad percent escape in {_shown(fields['elements'])}") from None
+            raise InputError(f"{path}: line {lineno}: bad percent escape in {shown(fields['elements'])}") from None
     elif kind == "graph":
         if "vertices" not in fields or "edges" not in fields or "elements" in fields:
             raise InputError(f"{path}: line {lineno}: graph records carry vertices and edges")
@@ -379,28 +447,28 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
                 vid_text, lbl = part.split(":", 1)  # ValueError without a ":"
                 verts.append((plain_int(vid_text), _unq(lbl)))
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: malformed vertex {_shown(part)}") from None
+                raise InputError(f"{path}: line {lineno}: malformed vertex {shown(part)}") from None
         vertices = tuple(verts)
         edge_list: list[tuple[int, int, str]] = []
         if fields["edges"]:
             for part in fields["edges"].split(","):
                 pair_text, sep, lbl = part.partition(":")
                 if not sep:
-                    raise InputError(f"{path}: line {lineno}: malformed edge {_shown(part)}")
+                    raise InputError(f"{path}: line {lineno}: malformed edge {shown(part)}")
                 u_text, sep2, v_text = pair_text.partition("-")
                 if not sep2:
-                    raise InputError(f"{path}: line {lineno}: malformed edge endpoints {_shown(pair_text)}")
+                    raise InputError(f"{path}: line {lineno}: malformed edge endpoints {shown(pair_text)}")
                 try:
                     edge_list.append((plain_int(u_text), plain_int(v_text), _unq(lbl)))
                 except ValueError:
-                    raise InputError(f"{path}: line {lineno}: malformed edge {_shown(part)}") from None
+                    raise InputError(f"{path}: line {lineno}: malformed edge {shown(part)}") from None
         edges = tuple(edge_list)
     else:
-        raise InputError(f"{path}: line {lineno}: unknown pattern kind {_shown(kind)}")
+        raise InputError(f"{path}: line {lineno}: unknown pattern kind {shown(kind)}")
     cover = fields.get("cover")
     if cover is not None:
         if cover and not _is_int_list(cover):
-            raise InputError(f"{path}: line {lineno}: malformed integer list {_shown(cover)}")
+            raise InputError(f"{path}: line {lineno}: malformed integer list {shown(cover)}")
         listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
@@ -457,11 +525,11 @@ def _records(rows: Iterable[tuple], path):
         pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed = row
         try:
             if pid in records:
-                raise InputError(f"duplicate pattern id {pid}")
+                raise InputError(f"duplicate pattern id {shown_number(pid)}")
             if kind == "itemset":
                 items = tuple(sorted(symbols.intern_all(elements)))
                 if len(set(items)) != len(items):  # the one fault sorted ids of nonempty elements can have
-                    raise InputError(f"pattern {pid}: itemset lists a label more than once")
+                    raise InputError(f"pattern {shown_number(pid)}: itemset lists a label more than once")
                 pattern = Itemset._proved(items)
             elif kind == "sequence":
                 pattern = Sequence._proved(symbols.intern_all(elements))
@@ -494,20 +562,37 @@ def write_patterns(
     valid: dict[int, bool] | None = None,
     condensed: dict[int, bool] | None = None,
 ) -> None:
-    """One key=value line per record, deterministic field order; may be empty."""
-    _write_text(path, "".join(line + "\n" for line in pattern_lines(records, symbols, valid, condensed)))
+    """One key=value line per record, deterministic field order; may be empty.
+
+    Every symbol id is checked before the file is opened, so a record that
+    cannot be rendered leaves no file and an existing one unchanged.
+    """
+    records = tuple(records)
+    ids = set().union(*(_symbol_ids(rec.pattern) for rec in records))
+    if not ids.issubset(range(len(symbols))):
+        deque(pattern_lines(records, symbols), 0)  # raises the renderer's error for the first such record
+    _write_lines(path, pattern_lines(records, symbols, valid, condensed))
+
+
+def _symbol_ids(p) -> Iterable[int]:
+    """The symbol ids pattern_lines looks up to render p."""
+    if p.kind == "graph":
+        return chain((lbl for _, lbl in p.vertices), (lbl for _, _, lbl in p.edges))
+    return p.elements
 
 
 def load_patterns(path) -> LoadedPatterns:
     """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list."""
-    numbered = enumerate(read_text(path).splitlines(), start=1)
-    rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in numbered)
-    return LoadedPatterns(*_records(rows, path))
+    with _reading(path) as lines:
+        rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in enumerate(lines, start=1))
+        return LoadedPatterns(*_records(rows, path))
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Each line and a newline, encoded and written as it comes; an OSError is an InputError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -553,4 +638,4 @@ def write_tiling(
             f"ones_outside={ones_outside} zeros_inside={zeros_inside} error={sel.error}"
         )
     lines.append(f"solutions={len(selections)}")
-    _write_text(path, "".join(line + "\n" for line in lines))
+    _write_lines(path, lines)

@@ -200,10 +200,13 @@ def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int) -> Tile:
 def tile_of(source: TransactionDB | BinaryMatrix, alpha: Itemset, tile_id: int = 1) -> Tile:
     """The tile of an itemset: its cover times its columns.
 
-    Over a TransactionDB the columns are item ids; over a BinaryMatrix they
-    are 1-based column indices. Every cell of the rectangle is a one by
-    construction (each covering row carries every column of alpha), so the
-    tile alone contributes no inside-zeros. An empty cover is an error.
+    Over a BinaryMatrix the columns are 1-based column indices. Over a
+    TransactionDB they are 0-based item ids, not the 1-based columns of a
+    matrix of the same data: scored against that matrix, such a tile marks
+    the wrong cells, and is refused when one of them is a zero. Every cell
+    of the rectangle is a one by construction (each covering row carries
+    every column of alpha), so the tile alone contributes no inside-zeros.
+    An empty cover is an error.
     """
     if isinstance(source, TransactionDB):
         rows = cover_itemset(source, alpha)

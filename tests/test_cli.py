@@ -40,6 +40,9 @@ from siftmine.oracle import tiling_error_bruteforce
 
 from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
 
+# A number int() reads under the interpreter's digit limit, too long to show in full.
+LONG_ID = "9" * 4000
+
 TXNS = "a b d e\nb c e\na e\n"
 SEQS = "a b c d a e b\nb c e b\na a e\n"
 MATRIX = "1 1 0\n1 0 1\n0 1 1\n"
@@ -870,6 +873,16 @@ class TestIntegerOptions:
         assert exc.value.code == 2
         assert err.endswith(f"error: argument {option}: {value!r} is not an integer\n")
 
+    @long_numbers
+    @pytest.mark.parametrize("argv, option", OPTIONS, ids=[f"{argv[0]}{option}" for argv, option in OPTIONS])
+    def test_long_values_stay_short(self, run, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, option, LONG_NUMBER)
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert exc.value.code == 2
+        assert len(errors) == 1 and len(errors[0].encode()) < 300
+        assert errors[0].endswith(f"error: argument {option}: {'9' * 40!r}... (5000 characters) is not an integer")
+
     @pytest.mark.parametrize(
         "argv, option, code, message",
         [
@@ -1030,15 +1043,20 @@ class TestRejectedInputs:
             ("p.pat", f"pid=1 kind=itemset support=2 size=1 elements=a cover=1,{LONG_NUMBER}x\n",
              ("condense", "--patterns", "p.pat", "--rep", "maximal")),
             ("g.txt", f"t # 1\nv {LONG_NUMBER} a\n", ("mine", "--type", "graph", "--input", "g.txt", "--minsup", "1")),
+            # numbers that int() reads, shown as digits
+            ("g.txt", f"t # {LONG_ID}\n", ("mine", "--type", "graph", "--input", "g.txt", "--minsup", "1")),
+            ("g.txt", f"t # 1\nv {LONG_ID} a\nv {LONG_ID} b\n", ("mine", "--type", "graph", "--input", "g.txt", "--minsup", "1")),
+            ("p.pat", f"pid={LONG_ID} kind=itemset support=1 size=1 elements=a\n" * 2, ("condense", "--patterns", "p.pat", "--rep", "maximal")),
+            ("p.pat", f"pid={LONG_ID} kind=itemset support=1 size=2 elements=a,a\n", ("condense", "--patterns", "p.pat", "--rep", "maximal")),
         ],
-        ids=["weight", "tile-row", "cover", "vertex-id"],
+        ids=["weight", "tile-row", "cover", "vertex-id", "graph-id-order", "duplicate-vertex-id", "duplicate-pid", "repeated-label-pid"],
     )
     def test_long_token_errors_stay_short(self, workdir, name, text, argv):
         (workdir / "p.pat").write_text(PATTERN_LINE + "\n", encoding="utf-8")
         (workdir / name).write_text(text, encoding="utf-8")
         proc = run_cli_process("0", *(str(workdir / a) if "." in a else a for a in argv))
         self.check(proc, f"{workdir / name}: line {text.count(chr(10))}: ")
-        assert re.search(r"'[^']{40}'\.\.\. \(500[0-9] characters\)", proc.stderr)
+        assert re.search(r"'[^']{40}'\.\.\. \(500[0-9] characters\)| 9{40}\.\.\. \(4000 digits\)", proc.stderr)
         assert proc.stderr.count("\n") == 1 and len(proc.stderr.replace(str(workdir), "").encode()) < 200
 
     @pytest.mark.parametrize("line", ["rows= cols=1", "rows=1 cols="])

@@ -3,7 +3,9 @@
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,9 @@ from siftmine import (
     write_patterns,
     write_tiling,
 )
+from siftmine import formats
 from siftmine.core import Cover
-from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines
+from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines, read_text
 
 from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
 
@@ -287,6 +290,122 @@ class TestTokenLines:
         else:
             with pytest.raises(InputError, match=re.escape("in.txt: empty file")):
                 load(path)
+
+
+# Every loader of TestTokenLines, and the pattern-file loader.
+ALL_LOADERS = LOADERS + [
+    pytest.param(
+        load_patterns, "pid=1 kind=itemset support=1 size=1 elements=a", "pid=2", "missing field 'kind'", True,
+        id="patterns",
+    )
+]
+# Lines past the first 64 KiB chunk.
+FILLER = "x y\n" * 20_000
+# Every boundary str.splitlines knows, characters of two to four UTF-8 bytes,
+# and bytes that are not UTF-8 where they stand (a truncated character, a lone
+# continuation byte, a surrogate, a code point past U+10FFFF).
+PIECES = [
+    *(c.encode() for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+    b"\r\n", b"a", b" ", *(c.encode() for c in "\u00e9\u20ac\U0001f600"),
+    b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+]
+
+
+class TestChunkedReader:
+    """Files are read a chunk at a time, to the lines and the errors of the whole file read at once."""
+
+    @staticmethod
+    def whole(path, stop: int):
+        """read_text's lines or error, or the error a reader raises on meeting line stop + 1."""
+        try:
+            lines = read_text(path).splitlines()
+        except InputError as exc:
+            return str(exc)
+        return lines if stop >= len(lines) else "bad line"
+
+    @staticmethod
+    def chunked(path, stop: int):
+        try:
+            with formats._reading(path) as lines:
+                got = []
+                for line in lines:
+                    if len(got) == stop:
+                        raise InputError("bad line")
+                    got.append(line)
+                return got
+        except InputError as exc:
+            return str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=24), st.integers(1, 7), st.integers(0, 25))
+    def test_equals_the_whole_file_read(self, pieces, chunk, stop):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "f.txt"
+            path.write_bytes(b"".join(pieces))
+            with mock.patch.object(formats, "_CHUNK", chunk):
+                assert self.chunked(path, stop) == self.whole(path, stop)
+
+    @pytest.mark.parametrize("load, good, bad, message, empty_ok", ALL_LOADERS)
+    def test_a_bad_byte_past_the_first_chunk_outranks_a_bad_line(self, tmp_path, load, good, bad, message, empty_ok):
+        text = f"{good}\n{bad}\n{FILLER}".encode()
+        path = tmp_path / "in.txt"
+        path.write_bytes(text + b"\xff\n")
+        with pytest.raises(InputError, match=rf"in\.txt: not UTF-8 text \(byte {len(text)}\)$"):
+            load(path)
+
+    @pytest.mark.parametrize("load, good, bad, message, empty_ok", ALL_LOADERS)
+    def test_a_read_stopped_at_a_bad_line_closes_its_file(self, tmp_path, monkeypatch, load, good, bad, message, empty_ok):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(formats, "open", recording_open, raising=False)
+        path = write(tmp_path, "in.txt", f"{good}\n{bad}\n{FILLER}")
+        with pytest.raises(InputError, match=re.escape(f"in.txt: line 2: {message}")):
+            load(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [Itemset.of([0, 5]), Sequence.of([5, 0]), LabeledGraph.of([(0, 0), (1, 0)], [(0, 1, 5)])],
+        ids=["itemset", "sequence", "graph-edge-label"],
+    )
+    def test_a_record_that_cannot_be_rendered_leaves_no_file(self, tmp_path, pattern):
+        records = [PatternRecord(1, Itemset.of([0]), 1, None, 1), PatternRecord(2, pattern, 1, None, pattern.size)]
+        new, old = tmp_path / "new.pat", write(tmp_path, "old.pat", "kept\n")
+        for path in (new, old):
+            with pytest.raises(InputError, match="^unknown symbol id 5$"):
+                write_patterns(records, path, SymbolTable(["a"]))
+        assert not new.exists() and old.read_text() == "kept\n"
+
+
+class TestMemory:
+    """Reading and writing a pattern file hold its records and a chunk of text, never the whole file."""
+
+    def test_peaks_follow_the_records_not_the_file(self, tmp_path):
+        rng = random.Random(7)
+        labels = [f"item{i}" for i in range(20)]
+        lines = [
+            f"pid={pid} kind=itemset support=150 size=3 elements={','.join(sorted(rng.sample(labels, 3)))} "
+            f"cover={','.join(map(str, sorted(rng.sample(range(1000), 150))))}"
+            for pid in range(1, 3301)
+        ]
+        path = write(tmp_path, "big.pat", "".join(line + "\n" for line in lines))
+        assert path.stat().st_size > 2_000_000
+        tracemalloc.start()
+        try:
+            loaded = load_patterns(path)
+            held, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_patterns(loaded.records, tmp_path / "out.pat", loaded.symbols)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak - held < 1 << 20
+        assert write_peak - held < 1 << 20
+        assert (tmp_path / "out.pat").read_bytes() == path.read_bytes()
 
 
 class TestPatternLineCodec:
