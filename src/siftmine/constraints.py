@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import PatternRecord, SymbolTable, plain_int
-from .errors import ConstraintSyntaxError, InputError, KindMismatchError
+from .errors import ConstraintSyntaxError, InputError, KindMismatchError, shown
 
 _NUMERIC_ATOMS = {
     ("size", ">="): "size_min",
@@ -115,11 +115,11 @@ def _parse_atom(text: str, lineno: int, col: int) -> ConstraintAtom:
             raise ConstraintSyntaxError(f"{head} atom takes an operator and a bound", lineno, col)
         name = _NUMERIC_ATOMS.get((head, tokens[1]))
         if name is None:
-            raise ConstraintSyntaxError(f"unsupported operator {tokens[1]!r} for {head}", lineno, col)
+            raise ConstraintSyntaxError(f"unsupported operator {shown(tokens[1])} for {head}", lineno, col)
         try:
             bound = plain_int(tokens[2].removeprefix("-"))
         except ValueError:
-            raise ConstraintSyntaxError(f"bound {tokens[2]!r} is not an integer", lineno, col) from None
+            raise ConstraintSyntaxError(f"bound {shown(tokens[2])} is not an integer", lineno, col) from None
         if tokens[2].startswith("-"):
             raise ConstraintSyntaxError("bound must be nonnegative", lineno, col)
         return ConstraintAtom(name, bound=bound)
@@ -131,7 +131,7 @@ def _parse_atom(text: str, lineno: int, col: int) -> ConstraintAtom:
         if len(tokens) != 3:
             raise ConstraintSyntaxError(f"{head} atom takes exactly two symbols", lineno, col)
         return ConstraintAtom(head, symbols=(tokens[1], tokens[2]))
-    raise ConstraintSyntaxError(f"unknown atom {head!r}", lineno, col)
+    raise ConstraintSyntaxError(f"unknown atom {shown(head)}", lineno, col)
 
 
 def parse_constraints(text: str) -> ConstraintExpr:

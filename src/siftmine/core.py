@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
-from .errors import InputError
+from .errors import InputError, shown
 
 DEFAULT_EDGE_LABEL = 0
 
@@ -142,7 +142,7 @@ class MinSupport:
                 return cls.absolute(plain_int(text))
             except ValueError:
                 pass
-        raise InputError(f"cannot parse minimum support {text!r}")
+        raise InputError(f"cannot parse minimum support {shown(text)}")
 
     def effective(self, db_size: int) -> int:
         """Absolute threshold for a database of db_size objects, at least 1.

@@ -4,19 +4,24 @@ Two miners live here. The unique-labeled miner exploits a structural gift:
 when every vertex label in a graph occurs once and edges are unlabeled,
 subgraph inclusion collapses to set inclusion over label pairs, so graphs
 reduce to itemsets and the itemset miner does the heavy lifting. The general
-miner grows connected patterns edge by edge and deduplicates candidates by a
-canonical form, the minimum DFS code. It keeps occurrence lists, every
-embedding of a frequent pattern in every graph that contains it, and
+miner grows connected patterns as DFS codes by gSpan's rightmost-path
+extension (Yan & Han, ICDM 2002) and grows each isomorphism class once,
+from its minimum DFS code in gSpan's order. It keeps occurrence lists,
+every embedding of a frequent pattern in every graph that contains it, and
 matches a one-edge extension by extending those embeddings by the new edge,
-so mining runs no subgraph isomorphism search (gSpan's occurrence lists,
-Yan & Han, ICDM 2002, without its rightmost-path extension). Extension is
-lazy: one embedding per host decides whether a candidate is frequent, and
-only a frequent candidate that starts a new isomorphism class has its lists
-built in full. New vertices come from a per-host typed neighbor index.
+so mining runs no subgraph isomorphism search. Extension is lazy: one
+embedding per host decides whether a candidate is frequent, and only a
+frequent candidate whose code passes the minimum-code test, and that will
+itself be extended, has its lists built in full. New vertices come from a
+per-host typed neighbor index. Pattern vertex i is the i-th vertex its
+minimum code discovers.
 
 A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
-code is the lexicographically smallest one over all traversals. Two graphs
+code, the public canonical form and the miner's output order, is the
+smallest one over all traversals in plain tuple order. Growth cannot use
+that order: a prefix of a plain-minimum code need not be minimal itself,
+so the miner's test (_is_min_code) uses gSpan's order instead. Two graphs
 share a canonical code exactly when they are isomorphic, since the code
 reconstructs the graph up to renaming. canonical_code finds it in one
 search per component over sorted adjacency rows: a state is the DFS stack,
@@ -175,53 +180,93 @@ def canonical_code(g: LabeledGraph) -> tuple:
     return tuple(codes)
 
 
-# A growth step adds one pattern edge (u, v, edge label) and says what it
-# adds: when new_label is None it closes u and v, both already in the
-# pattern; otherwise v is a new vertex with that label hanging off u.
-Step = tuple[int, int, int, int | None]
+# A DFS code edge (i, j, l_i, l_e, l_j) over discovery indices is forward
+# when it discovers j (i < j) and backward when it closes a cycle (i > j).
+CodeEdge = tuple[int, int, int, int, int]
 
 
-def _extensions(g: LabeledGraph, edge_types: list[tuple[int, int, int]]) -> Iterator[Step]:
-    # One-edge extensions restricted to edge types present in the database:
-    # attach a new vertex to an existing one, or close a pair of existing
-    # non-adjacent vertices. Every connected (k+1)-edge graph arises from a
-    # connected k-edge subgraph this way (delete a leaf edge or a cycle edge),
-    # so growth is complete. edge_types is sorted, which fixes the order.
-    next_vid = g.vertices[-1][0] + 1
-    for vid, lv in g.vertices:
-        for la, lb, el in edge_types:
-            if la == lv:
-                yield vid, next_vid, el, lb
-            if lb == lv and la != lb:
-                yield vid, next_vid, el, la
-    present = {(u, v) for u, v, _ in g.edges}
-    verts = g.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            u, lu = verts[i]
-            v, lv = verts[j]
-            if (u, v) in present:
+def _is_min_code(code: tuple[CodeEdge, ...]) -> bool:
+    """Whether code, a connected DFS code, is the minimum DFS code of its graph in gSpan's order.
+
+    gSpan's order (Yan & Han, ICDM 2002) compares codes edge by edge. The
+    first edge is the smallest (l_i, l_e, l_j) over the graph's edges in
+    either direction. After a common prefix, a backward edge from the
+    rightmost vertex comes before any forward edge, backward edges go by
+    ascending target, forward edges start from the deepest vertex of the
+    rightmost path, and then come the edge label and the new vertex's label.
+
+    The minimum code is rebuilt edge by edge over every embedding of its
+    prefix in code's own graph. code's own traversal is one of them and
+    offers code's next edge, so each rebuilt edge is at most code's: code is
+    minimal exactly when every rebuilt edge equals its own.
+    """
+    label = {}
+    rows: dict[int, list[tuple[int, int, int]]] = {}
+    edge = {}
+    for i, j, li, el, lj in code:
+        label[i], label[j] = li, lj
+        rows.setdefault(i, []).append((el, lj, j))
+        rows.setdefault(j, []).append((el, li, i))
+        edge[i, j] = edge[j, i] = el
+    for row in rows.values():
+        row.sort()
+    first = code[0][2:]
+    embs: list[VertexMap] = []
+    for (u, v), el in edge.items():
+        triple = (label[u], el, label[v])
+        if triple < first:
+            return False
+        if triple == first:
+            embs.append((u, v))
+    path = [0, 1]  # the rebuilt prefix's rightmost path, root first
+    closed = {0, 1}  # the rightmost vertex and the path vertices it is joined to in the prefix
+    for want in code[1:]:
+        rm = path[-1]
+        for t in path:
+            if t in closed:
                 continue
-            pa, pb = min(lu, lv), max(lu, lv)
-            for la, lb, el in edge_types:
-                if (la, lb) == (pa, pb):
-                    yield u, v, el, None
+            found = [el for m in embs if (el := edge.get((m[rm], m[t]))) is not None]
+            if found:
+                el = min(found)
+                if want != (rm, t, label[rm], el, label[t]):
+                    return False
+                embs = [m for m in embs if edge.get((m[rm], m[t])) == el]
+                closed.add(t)
+                break
+        else:
+            # No backward edge: a forward one from the deepest source that has one.
+            for depth in range(len(path) - 1, -1, -1):
+                s = path[depth]
+                best = min(((el, lw) for m in embs for el, lw, w in rows[m[s]] if w not in m), default=None)
+                if best is not None:
+                    break
+            n = len(embs[0])
+            if want != (s, n, label[s], *best):
+                return False
+            embs = [m + (w,) for m in embs for el, lw, w in rows[m[s]] if (el, lw) == best and w not in m]
+            del path[depth + 1 :]
+            path.append(n)
+            closed = {s, n}
+    return True
 
 
-def _extended(g: LabeledGraph, step: Step) -> LabeledGraph:
-    """The graph that step makes of g."""
-    u, v, el, new_label = step
-    vertices = g.vertices if new_label is None else g.vertices + ((v, new_label),)
-    return LabeledGraph.of(vertices, g.edges + ((u, v, el),))
-
-
-def _grow(embs: list[VertexMap], step: Step, host: LabeledGraph, typed: TypedNeighbors) -> Iterator[VertexMap]:
-    """Lazily extend each embedding of the parent in host by step, in order, dropping those that fail."""
-    u, v, el, new_label = step
-    if new_label is None:
+def _extend(embs: list[VertexMap], ext: CodeEdge, host: LabeledGraph, typed: TypedNeighbors) -> Iterator[VertexMap]:
+    """Lazily extend each embedding of the parent in host by the code edge ext, in order, dropping those that fail."""
+    i, j, _, el, lj = ext
+    if j < i:
         edge = host.edge_lookup.get
-        return (m for m in embs if edge((m[u], m[v]) if m[u] < m[v] else (m[v], m[u])) == el)
-    return (m + (w,) for m in embs for w in typed.get((m[u], el, new_label), ()) if w not in m)
+        return (m for m in embs if edge((m[j], m[i]) if m[j] < m[i] else (m[i], m[j])) == el)
+    return (m + (w,) for m in embs for w in typed.get((m[i], el, lj), ()) if w not in m)
+
+
+def _class_entry(code: tuple[CodeEdge, ...], gids, tids: TidTable) -> tuple:
+    """mine_patterns' (edges, canonical code, graph, support, cover) entry of the class code stands for, found in gids.
+
+    Pattern vertex i is the i-th vertex code discovers.
+    """
+    labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
+    pat = LabeledGraph(tuple(enumerate(labels)), tuple(sorted((min(i, j), max(i, j), el) for i, j, _, el, _ in code)))
+    return len(code), canonical_code(pat), pat, len(gids), Cover(mask_at(gids, len(tids)), tids)
 
 
 def mine_frequent_graphs_general(
@@ -230,15 +275,21 @@ def mine_frequent_graphs_general(
     """Frequent connected subgraph patterns with 1..max_edges edges.
 
     Support counts database graphs containing the pattern (at least one
-    subgraph isomorphism), never occurrences. Each frequent pattern keeps
-    its occurrence lists, every embedding in every graph of its cover, and
-    a one-edge extension lazily extends those embeddings by its new edge:
-    the first embedding per host says the candidate occurs there, and the
-    test stops once it has missed too many of the parent's graphs to reach
-    the threshold. Only a frequent candidate is built and canonicalised;
-    the first of each isomorphism class stands for it and alone drains its
-    extensions into lists. Results come ordered by (edge count, canonical
-    code) with pids 1..n; covers stay packed graph-id masks.
+    subgraph isomorphism), never occurrences. Patterns grow as DFS codes by
+    gSpan's rightmost-path extension: a backward edge from the rightmost
+    vertex, or a forward edge to a new vertex from a vertex of the rightmost
+    path, over frequent edge types only. Each frequent pattern keeps its
+    occurrence lists, every embedding in every graph of its cover, and a
+    candidate lazily extends those embeddings by its new edge: the first
+    embedding per host says the candidate occurs there, and the test stops
+    once it has missed too many of the parent's graphs to reach the
+    threshold. A frequent candidate is kept only when its code is the
+    minimum DFS code of its graph (_is_min_code), so each isomorphism class
+    is grown once, and only then are its lists built in full, unless it has
+    max_edges edges and is never extended. Pattern
+    vertex i is the i-th vertex its minimum code discovers. Results come
+    ordered by (edge count, canonical_code) with pids 1..n; covers stay
+    packed graph-id masks.
     """
     return mine_patterns(db, minsup, _grow_patterns, max_edges=max_edges)
 
@@ -266,46 +317,62 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
             if la == lb:
                 embs.append((v, u))
 
-    level: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}
-    for (la, lb, el), occ in sorted(seeds.items()):
-        if len(occ) >= sigma:
-            pat = LabeledGraph(((0, la), (1, lb)), ((0, 1, el),))
-            level[canonical_code(pat)] = (pat, occ)
-    edge_types = sorted(seeds)
-
+    # Vertex label -> (edge label, other end's label) of every frequent edge type at it, sorted.
+    steps: dict[int, list[tuple[int, int]]] = {}
     tids = TidTable(range(len(db) + 1))
     collected = []
-    k = 1  # the edge count of every pattern in level
-    while level:
-        for code, (pat, occ) in level.items():
-            collected.append((k, code, pat, len(occ), Cover(mask_at(occ, len(tids)), tids)))
-        if k == max_edges:
-            break
-        grown: dict[tuple, tuple[LabeledGraph, Occurrences]] = {}
-        for code in sorted(level):
-            # A parent's lists are dropped once its extensions are grown.
-            pat, occ = level.pop(code)
-            for step in _extensions(pat, edge_types):
-                hits = []  # (gid, first embedding, the rest still lazy)
-                spare = len(occ) - sigma  # parent hosts the candidate may miss
-                for gid, embs in occ.items():
-                    found = _grow(embs, step, db.graphs[gid - 1], typed[gid - 1])
-                    first = next(found, None)
-                    if first is not None:
-                        hits.append((gid, first, found))
-                    elif spare == 0:
-                        break
-                    else:
-                        spare -= 1
-                # Support is the same across an isomorphism class, so the
-                # first frequent candidate of each class stands for it.
-                if len(hits) >= sigma:
-                    cand = _extended(pat, step)
-                    cand_code = canonical_code(cand)
-                    if cand_code not in grown:
-                        grown[cand_code] = (cand, {gid: [first, *found] for gid, first, found in hits})
-        level = grown
-        k += 1
+    stack: list[tuple[tuple[CodeEdge, ...], Occurrences]] = []
+    for (la, lb, el), occ in sorted(seeds.items(), reverse=True):
+        if len(occ) >= sigma:
+            steps.setdefault(la, []).append((el, lb))
+            if la != lb:
+                steps.setdefault(lb, []).append((el, la))
+            code = ((0, 1, la, el, lb),)
+            collected.append(_class_entry(code, occ, tids))
+            if max_edges != 1:
+                stack.append((code, occ))
+    for row in steps.values():
+        row.sort()
+
+    while stack:
+        code, occ = stack.pop()
+        labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
+        # The rightmost path, root first.
+        parent = {j: i for i, j, *_ in code if i < j}
+        path = [len(labels) - 1]
+        while path[-1]:
+            path.append(parent[path[-1]])
+        path.reverse()
+        # Backward edges leave the rightmost vertex in ascending target order,
+        # to path vertices other than its parent.
+        rm = path[-1]
+        low = code[-1][1] if code[-1][1] < code[-1][0] else -1
+        cands = [(rm, t, labels[rm], el, labels[t]) for t in path[:-2] if t > low
+                 for el, lt in steps.get(labels[rm], ()) if lt == labels[t]]
+        cands += [(s, len(labels), labels[s], el, lw) for s in path for el, lw in steps.get(labels[s], ())]
+        # A new edge smaller than the first edge, read either way, would
+        # start a smaller code: such a candidate is not probed.
+        least = code[0][2:]
+        for ext in cands:
+            if ext[2:] < least or (ext[4], ext[3], ext[2]) < least:
+                continue
+            hits = []  # (gid, first embedding, the rest still lazy)
+            spare = len(occ) - sigma  # parent hosts the candidate may miss
+            for gid, embs in occ.items():
+                found = _extend(embs, ext, db.graphs[gid - 1], typed[gid - 1])
+                first = next(found, None)
+                if first is not None:
+                    hits.append((gid, first, found))
+                elif spare == 0:
+                    break
+                else:
+                    spare -= 1
+            if len(hits) < sigma or not _is_min_code(child := code + (ext,)):
+                continue
+            collected.append(_class_entry(child, [gid for gid, _, _ in hits], tids))
+            # A pattern of max_edges edges is never extended, so its lists are never built.
+            if len(child) != max_edges:
+                stack.append((child, {gid: [first, *found] for gid, first, found in hits}))
 
     return collected
 

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed and shares no search logic
 with the miners or selectors it checks: subsequence tests enumerate index
 tuples, graph containment enumerates injective vertex maps, the minimum
-DFS code enumerates every depth-first traversal, miners
+DFS code, in plain tuple order or in gSpan's order, enumerates every
+depth-first traversal, miners
 enumerate candidate patterns from the data and count supports directly,
 condensation tests every ordered pair of records with dominates(), tiling
 errors are counted cell by cell, greedy selection rescores every trial that
@@ -215,20 +216,16 @@ def frequent_graphs_general_bruteforce(
     return [(rep, frozenset(cover)) for _, rep, cover in classes if len(cover) >= sigma]
 
 
-def min_dfs_code_bruteforce(g: LabeledGraph) -> tuple:
-    """The canonical code by exhaustion: each component's minimum over all its DFS codes, sorted.
+def _dfs_codes(g: LabeledGraph, root: int):
+    """Every DFS code of root's component that starts at root, one per traversal, with repeats.
 
-    Every vertex of a component is tried as the start, and at each step the
-    top of the DFS stack goes to each of its undiscovered neighbors in turn,
-    so every order of forward neighbors is tried. A newly discovered vertex
-    writes its forward edge (i, j, l_i, l_e, l_j) over discovery indices,
-    then its backward edges to earlier vertices in ascending discovery
-    index. Whole codes are compared, with no pruning. An isolated vertex
-    with label l codes as ((0, 0, l, -1, -1),).
+    At each step the top of the DFS stack goes to each of its undiscovered
+    neighbors in turn, so every order of forward neighbors is tried. A newly
+    discovered vertex writes its forward edge (i, j, l_i, l_e, l_j) over
+    discovery indices, then its backward edges to earlier vertices in
+    ascending discovery index.
     """
-    if g.vertex_count > MAX_CODE_VERTICES:
-        raise BoundExceededError(f"{g.vertex_count} vertices exceed oracle bound {MAX_CODE_VERTICES}")
-    label = dict(g.vertices)
+    label = g.label_map
     edge = {}
     for u, v, el in g.edges:
         edge[u, v] = edge[v, u] = el
@@ -249,22 +246,65 @@ def min_dfs_code_bruteforce(g: LabeledGraph) -> tuple:
             )
             yield from traversals(order + [w], stack + [w], code + forward + back)
 
+    return traversals([root], [root], ())
+
+
+def _check_code_bound(g: LabeledGraph) -> None:
+    if g.vertex_count > MAX_CODE_VERTICES:
+        raise BoundExceededError(f"{g.vertex_count} vertices exceed oracle bound {MAX_CODE_VERTICES}")
+
+
+def _components(g: LabeledGraph) -> list[set[int]]:
     components: list[set[int]] = []
-    for v in label:
+    for v in g.label_map:
         if any(v in comp for comp in components):
             continue
         comp = {v}
-        while grown := {w for x in comp for w in label if (x, w) in edge} - comp:
+        while grown := {w for x in comp for w, _ in g.neighbors[x]} - comp:
             comp |= grown
         components.append(comp)
+    return components
+
+
+def min_dfs_code_bruteforce(g: LabeledGraph) -> tuple:
+    """The canonical code by exhaustion: each component's minimum over all its DFS codes, sorted.
+
+    Every vertex of a component is tried as the start of _dfs_codes, and
+    whole codes are compared as plain tuples, with no pruning. An isolated
+    vertex with label l codes as ((0, 0, l, -1, -1),).
+    """
+    _check_code_bound(g)
     return tuple(
         sorted(
-            min(code for v in comp for code in traversals([v], [v], ()))
+            min(code for v in comp for code in _dfs_codes(g, v))
             if len(comp) > 1
-            else ((0, 0, label[min(comp)], -1, -1),)
-            for comp in components
+            else ((0, 0, g.label_map[min(comp)], -1, -1),)
+            for comp in _components(g)
         )
     )
+
+
+def _gspan_key(edge: tuple) -> tuple:
+    # Two codes first differ at an edge that extends their common prefix
+    # from the same rightmost path, where gSpan's order puts backward edges
+    # (i > j) first, by target j and then edge label, and forward edges after
+    # them, the deepest source i first, then the labels. The labels of a
+    # backward edge, and the new index j of a forward one, follow from the
+    # prefix.
+    i, j, li, el, lj = edge
+    return (0, j, el) if i > j else (1, -i, li, el, lj)
+
+
+def min_dfs_code_gspan_bruteforce(g: LabeledGraph) -> tuple:
+    """The minimum DFS code of a connected graph with an edge in gSpan's order (Yan & Han, ICDM 2002), by exhaustion.
+
+    Every DFS code from every start vertex (_dfs_codes) is compared edge by
+    edge under gSpan's DFS-lexicographic order, not as plain tuples.
+    """
+    _check_code_bound(g)
+    if not g.edges or len(_components(g)) > 1:
+        raise InputError("the gSpan minimum code needs a connected graph with an edge")
+    return min((code for v in g.label_map for code in _dfs_codes(g, v)), key=lambda code: [_gspan_key(e) for e in code])
 
 
 def tiling_error_bruteforce(

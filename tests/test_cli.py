@@ -122,22 +122,22 @@ LABELED_MINSUP_1_LINES = [
     "pid=6 kind=graph support=2 size=2 vertices=0:a,1:b,2:a edges=0-1:0,1-2:0 cover=1,3",
     "pid=7 kind=graph support=3 size=2 vertices=0:a,1:b,2:b edges=0-1:0,1-2:y cover=1,2,3",
     "pid=8 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,0-3:x cover=3",
-    "pid=9 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,1-3:0 cover=3",
-    "pid=10 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:b edges=0-1:0,0-2:0,1-3:y cover=3",
+    "pid=9 kind=graph support=1 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,1-2:0,2-3:0 cover=3",
+    "pid=10 kind=graph support=1 size=3 vertices=0:a,1:b,2:b,3:b edges=0-1:0,0-3:0,1-2:y cover=3",
     "pid=11 kind=graph support=2 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,2-3:0 cover=2,3",
     "pid=12 kind=graph support=1 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,1-2:0,1-3:y cover=1",
     "pid=13 kind=graph support=2 size=3 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x,1-2:0 cover=1,3",
-    "pid=14 kind=graph support=3 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y cover=1,2,3",
+    "pid=14 kind=graph support=3 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-3:x,1-2:y cover=1,2,3",
     "pid=15 kind=graph support=2 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,1-2:y,2-3:0 cover=1,2",
-    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-2:0,0-3:x,1-3:0 cover=3",
-    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,0-3:x,1-4:y cover=3",
-    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:b edges=0-1:0,0-2:x,1-4:y,2-3:0 cover=3",
-    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,1-3:0,2-4:y cover=3",
+    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-2:0,2-3:0 cover=3",
+    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:b,4:a edges=0-1:0,0-3:0,0-4:x,1-2:y cover=3",
+    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-3:x,1-2:y,3-4:0 cover=3",
+    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:b edges=0-1:0,1-2:0,2-3:0,3-4:y cover=3",
     "pid=20 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,1-2:0,1-3:y,3-4:0 cover=1",
     "pid=21 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-2:0,1-3:y cover=1",
-    "pid=22 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,0-2:x,1-3:y,3-4:0 cover=1",
-    "pid=23 kind=graph support=1 size=4 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y,2-3:0 cover=2",
-    "pid=24 kind=graph support=1 size=5 vertices=0:a,1:b,2:b,3:a,4:b edges=0-1:0,0-2:0,0-3:x,1-3:0,2-4:y cover=3",
+    "pid=22 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a,4:a edges=0-1:0,1-2:y,2-3:0,3-4:x cover=1",
+    "pid=23 kind=graph support=1 size=4 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-3:x,1-2:y,2-3:0 cover=2",
+    "pid=24 kind=graph support=1 size=5 vertices=0:a,1:b,2:a,3:b,4:b edges=0-1:0,0-2:x,1-2:0,2-3:0,3-4:y cover=3",
     "pid=25 kind=graph support=1 size=5 vertices=0:a,1:b,2:a,3:b,4:a edges=0-1:0,0-2:x,1-2:0,1-3:y,3-4:0 cover=1",
 ]
 
@@ -150,13 +150,13 @@ LABELED_MINSUP_2_LINES = [
     "pid=6 kind=graph support=3 size=2 vertices=0:a,1:b,2:b edges=0-1:0,1-2:y cover=1,2,3",
     "pid=7 kind=graph support=2 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,2-3:0 cover=2,3",
     "pid=8 kind=graph support=2 size=3 vertices=0:a,1:b,2:a edges=0-1:0,0-2:x,1-2:0 cover=1,3",
-    "pid=9 kind=graph support=3 size=3 vertices=0:a,1:b,2:a,3:b edges=0-1:0,0-2:x,1-3:y cover=1,2,3",
+    "pid=9 kind=graph support=3 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,0-3:x,1-2:y cover=1,2,3",
     "pid=10 kind=graph support=2 size=3 vertices=0:a,1:b,2:b,3:a edges=0-1:0,1-2:y,2-3:0 cover=1,2",
 ]
 
 # One vertex label: a 5-cycle with an x chord and a K4 with one x edge. Their
-# many automorphic embeddings give many duplicate candidates per class, so
-# these lines pin which candidate's vertex numbering stands for each class.
+# many automorphisms give each class many DFS codes, so these lines pin the
+# numbering rule: pattern vertex i is the i-th vertex its minimum code discovers.
 SYMMETRIC_GRAPHS = """t # 1
 v 0 a
 v 1 a
@@ -185,25 +185,25 @@ e 2 3
 SYMMETRIC_MAX_EDGES_4_LINES = [
     "pid=1 kind=graph support=2 size=1 vertices=0:a,1:a edges=0-1:0 cover=1,2",
     "pid=2 kind=graph support=2 size=1 vertices=0:a,1:a edges=0-1:x cover=1,2",
-    "pid=3 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0 cover=1,2",
-    "pid=4 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,0-2:x cover=1,2",
-    "pid=5 kind=graph support=1 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0 cover=2",
-    "pid=6 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x cover=1,2",
-    "pid=7 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0 cover=1,2",
-    "pid=8 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:x cover=1,2",
-    "pid=9 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:x,2-3:0 cover=1,2",
+    "pid=3 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,1-2:0 cover=1,2",
+    "pid=4 kind=graph support=2 size=2 vertices=0:a,1:a,2:a edges=0-1:0,1-2:x cover=1,2",
+    "pid=5 kind=graph support=1 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,1-2:0,1-3:0 cover=2",
+    "pid=6 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,1-2:0,1-3:x cover=1,2",
+    "pid=7 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,1-2:0,2-3:0 cover=1,2",
+    "pid=8 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,1-2:0,2-3:x cover=1,2",
+    "pid=9 kind=graph support=2 size=3 vertices=0:a,1:a,2:a,3:a edges=0-1:0,1-2:x,2-3:0 cover=1,2",
     "pid=10 kind=graph support=1 size=3 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0,1-2:0 cover=2",
-    "pid=11 kind=graph support=2 size=3 vertices=0:a,1:a,2:a edges=0-1:0,0-2:0,1-2:x cover=1,2",
-    "pid=12 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,0-3:x,3-4:0 cover=1",
-    "pid=13 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,0-3:x,1-4:0 cover=1",
-    "pid=14 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0,1-2:0 cover=2",
-    "pid=15 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x,1-3:0 cover=1,2",
-    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,1-3:0,2-4:0 cover=1",
-    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:0,1-2:x cover=2",
-    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,0-2:0,1-3:x,3-4:0 cover=1",
-    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,0-3:x,1-2:0 cover=2",
-    "pid=20 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0,2-3:0 cover=2",
-    "pid=21 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-3:0,2-3:x cover=1,2",
+    "pid=11 kind=graph support=2 size=3 vertices=0:a,1:a,2:a edges=0-1:0,0-2:x,1-2:0 cover=1,2",
+    "pid=12 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,1-2:0,1-3:x,3-4:0 cover=1",
+    "pid=13 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,1-2:0,2-3:0,2-4:x cover=1",
+    "pid=14 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-2:0,2-3:0 cover=2",
+    "pid=15 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:x,1-2:0,2-3:0 cover=1,2",
+    "pid=16 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,1-2:0,2-3:0,3-4:0 cover=1",
+    "pid=17 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:x,1-2:0,1-3:0 cover=2",
+    "pid=18 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a,4:a edges=0-1:0,1-2:0,2-3:x,3-4:0 cover=1",
+    "pid=19 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-2:0,1-2:0,2-3:x cover=2",
+    "pid=20 kind=graph support=1 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-3:0,1-2:0,2-3:0 cover=2",
+    "pid=21 kind=graph support=2 size=4 vertices=0:a,1:a,2:a,3:a edges=0-1:0,0-3:x,1-2:0,2-3:0 cover=1,2",
 ]
 
 # One 1 in row 4 lies in no candidate tile, so the two error modes differ.
@@ -812,19 +812,34 @@ class TestVerify:
         assert lines[0] == "verify itemset closed: 5 problem(s)"
         assert all(line.strip().startswith("extra:") for line in lines[1:])
 
-    def test_graph_oracle_does_not_rest_on_canonical_code(self, run, monkeypatch):
-        # A code that only counts vertices and edges merges the one-edge
-        # classes a-b, a-c and c-e in the miner. The oracle's classes are
-        # keyed by isomorphism, so the loss shows wherever the code is bound.
-        original = importlib.import_module("siftmine.graphs").canonical_code
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "siftmine" and getattr(module, "canonical_code", None) is original:
-                monkeypatch.setattr(module, "canonical_code", lambda g: ((g.vertex_count, g.edge_count),))
+    def test_graph_oracle_does_not_rest_on_the_minimum_code_test(self, run, monkeypatch):
+        # The miner decides its classes by the minimum-code test. One that
+        # rejects every grown code loses the classes b-a-c, a-c-e and b-a-c-e.
+        # The oracle's classes are keyed by isomorphism, so the loss shows.
+        monkeypatch.setattr(importlib.import_module("siftmine.graphs"), "_is_min_code", lambda code: False)
         code, out, _ = run("verify", "--type", "graph", "--input", "graphs.txt", "--minsup", "2", "--rep", "maximal")
         assert code == 1
         lines = out.splitlines()
         assert lines[0] == "verify graph maximal: 3 problem(s)"
         assert all(line.strip().startswith("missing:") for line in lines[1:])
+
+    def test_lossy_canonical_code_changes_no_class(self, run, monkeypatch):
+        # canonical_code only sorts the mined records: a code that only counts
+        # vertices and edges, wherever it is bound, may reorder them but
+        # neither merges nor loses a class, and verify still passes.
+        argv = ("--type", "graph", "--input", "graphs.txt", "--minsup", "2")
+        mined = run("mine", *argv)
+        verified = run("verify", *argv, "--rep", "maximal")
+        original = importlib.import_module("siftmine.graphs").canonical_code
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "siftmine" and getattr(module, "canonical_code", None) is original:
+                monkeypatch.setattr(module, "canonical_code", lambda g: ((g.vertex_count, g.edge_count),))
+        code, out, _ = run("mine", *argv)
+        assert code == 0
+        assert sorted(line.partition(" ")[2] for line in out.splitlines()) == sorted(
+            line.partition(" ")[2] for line in mined[1].splitlines()
+        )
+        assert run("verify", *argv, "--rep", "maximal") == verified == (0, "verify graph maximal: ok (6 patterns, 6 valid, 1 condensed)\n", "")
 
     def test_flag_misuse(self, run):
         code, _, err = run(
@@ -894,6 +909,54 @@ class TestIntegerOptions:
     def test_negative_values_reach_range_checks(self, run, argv, option, code, message):
         # --bound and --threshold: TestTile's negative-value tests
         assert run(*argv, option, "-1") == (code, "", f"error: {message}\n")
+
+
+class TestLongOptionText:
+    """Option text an error quotes is cut to its first 40 characters and its length."""
+
+    VERIFY = ("verify", "--type", "itemset", "--input", "txns.txt", "--rep", "closed")
+    CASES = [
+        pytest.param(
+            ("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", LONG_NUMBER),
+            f"cannot parse minimum support {'9' * 40!r}... (5000 characters)",
+            marks=long_numbers,
+            id="minsup",
+        ),
+        pytest.param(
+            (*VERIFY, "--minsup", "2", "--constraints", f"size >= {LONG_NUMBER}"),
+            f"bound {'9' * 40!r}... (5000 characters) is not an integer (line 1, column 1)",
+            marks=long_numbers,
+            id="bound",
+        ),
+        pytest.param(
+            (*VERIFY, "--minsup", "2", "--constraints", f"size {'<' * 3000} 1"),
+            f"unsupported operator {'<' * 40!r}... (3000 characters) for size (line 1, column 1)",
+            id="operator",
+        ),
+        pytest.param(
+            (*VERIFY, "--minsup", "2", "--constraints", "(" * 3000),
+            f"unknown atom {'(' * 40!r}... (3000 characters) (line 1, column 1)",
+            id="atom",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_long_text_stays_short(self, run, argv, message):
+        code, out, err = run(*argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n" and len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mine", "--type", "itemset", "--input", "txns.txt", "--minsup", "x"), "cannot parse minimum support 'x'"),
+            ((*VERIFY, "--minsup", "2", "--constraints", "size >= x"), "bound 'x' is not an integer (line 1, column 1)"),
+            ((*VERIFY, "--minsup", "2", "--constraints", "size << 1"), "unsupported operator '<<' for size (line 1, column 1)"),
+            ((*VERIFY, "--minsup", "2", "--constraints", "foo"), "unknown atom 'foo' (line 1, column 1)"),
+        ],
+    )
+    def test_short_text_shows_whole(self, run, argv, message):
+        assert run(*argv) == (3, "", f"error: {message}\n")
 
 
 def golden_inputs():

@@ -20,10 +20,13 @@ from siftmine import (
 from siftmine.core import Cover
 from siftmine.errors import BoundExceededError
 from siftmine.formats import pattern_lines
+from siftmine.graphs import _is_min_code
 from siftmine.oracle import (
+    _dfs_codes,
     frequent_graphs_general_bruteforce,
     frequent_graphs_unique_bruteforce,
     min_dfs_code_bruteforce,
+    min_dfs_code_gspan_bruteforce,
 )
 
 from helpers import random_graph, random_graph_db, random_unique_graph_db
@@ -145,6 +148,68 @@ class TestCanonicalCode:
         assert len(code) == n - 1
         assert code[0] == (0, 1, 1, 0, 2)
         assert canonical_code(backwards) == (code,)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of 2-6 vertices over 1-3 vertex and 1-2 edge labels: a random tree plus extra edges."""
+    n = draw(st.integers(2, 6))
+    n_labels, n_edge_labels = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    labels = draw(st.lists(st.integers(1, n_labels), min_size=n, max_size=n))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.sampled_from([(u, v) for v in range(n) for u in range(v)]), max_size=6)))
+    return LabeledGraph.of(
+        list(enumerate(labels)), [(u, v, draw(st.integers(0, n_edge_labels - 1))) for u, v in sorted(pairs)]
+    )
+
+
+def graph_of_code(code) -> LabeledGraph:
+    """The graph a connected DFS code writes, vertex i being the i-th vertex it discovers."""
+    labels = {}
+    for i, j, li, _, lj in code:
+        labels[i], labels[j] = li, lj
+    return LabeledGraph.of(sorted(labels.items()), [(i, j, el) for i, j, _, el, _ in code])
+
+
+class TestMinimumCode:
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), rng=st.randoms(use_true_random=False))
+    def test_accepts_exactly_the_gspan_minimum(self, g, rng):
+        # Every DFS code of g comes from the oracle's own traversals; the
+        # miner's test must accept the exhaustive gSpan-order minimum and
+        # reject every other code. Symmetric graphs have hundreds of codes,
+        # so at most 30 of the others are tried.
+        best = min_dfs_code_gspan_bruteforce(g)
+        others = sorted({code for v, _ in g.vertices for code in _dfs_codes(g, v)} - {best})
+        assert _is_min_code(best)
+        for code in rng.sample(others, min(30, len(others))):
+            assert not _is_min_code(code), code
+
+    def test_order_is_gspan_not_plain_tuples(self):
+        # A triangle with a pendant edge, one label: after the triangle
+        # (0,1), (1,2), (2,0), gSpan's order steps forward from the deepest
+        # path vertex, (2,3), where the smallest tuple is (1,3).
+        g = LabeledGraph.of([(v, 1) for v in range(4)], [(0, 1), (1, 2), (0, 2), (1, 3)])
+        best = min_dfs_code_gspan_bruteforce(g)
+        assert best == ((0, 1, 1, 0, 1), (1, 2, 1, 0, 1), (2, 0, 1, 0, 1), (2, 3, 1, 0, 1))
+        (plain,) = min_dfs_code_bruteforce(g)
+        assert plain != best and _is_min_code(best) and not _is_min_code(plain)
+
+    def test_gspan_minimum_is_bounded_and_connected(self):
+        path = LabeledGraph.of([(v, 1) for v in range(9)], [(v, v + 1) for v in range(8)])
+        with pytest.raises(BoundExceededError):
+            min_dfs_code_gspan_bruteforce(path)
+        for g in (LabeledGraph.of([(0, 1)]), LabeledGraph.of([(0, 1), (1, 1), (2, 1)], [(0, 1)])):
+            with pytest.raises(InputError):
+                min_dfs_code_gspan_bruteforce(g)
+
+    def test_mined_vertex_i_is_the_minimum_codes_ith_vertex(self):
+        # The vertex-numbering rule of mined general patterns.
+        rng = random.Random(2002)
+        for _ in range(30):
+            db = random_graph_db(rng, max_graphs=3, n_labels=2, max_vertices=6)
+            for rec in mine_frequent_graphs_general(db, MinSupport.absolute(1), 5):
+                assert rec.pattern == graph_of_code(min_dfs_code_gspan_bruteforce(rec.pattern))
 
 
 class TestUniqueMiner:
