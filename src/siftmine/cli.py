@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import LabeledGraph, MinSupport, plain_int
+from .core import LabeledGraph, MinSupport, plain_decimal, plain_int
 from .errors import BoundExceededError, InputError, shown
 from .formats import (
     load_graphs,
@@ -56,6 +57,26 @@ def _int_option(text: str) -> int:
         return -plain_int(text[1:]) if text.startswith("-") else plain_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{shown(text)} is not an integer") from None
+
+
+def _decimal_option(text: str) -> Fraction:
+    """ASCII digits with at most one decimal point, read exactly; a leading "-" is read too, for the range check."""
+    try:
+        return -plain_decimal(text[1:]) if text.startswith("-") else plain_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{shown(text)} is not a decimal") from None
+
+
+def _choice(choices):
+    """An option type that quotes a long wrong value cut through shown; argparse's choices check reports the rest."""
+
+    def check(text: str) -> str:
+        if text not in choices and shown(text) != repr(text):
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {shown(text)} (choose from {listed})")
+        return text
+
+    return check
 
 
 def _constraints_from_arg(arg: str):
@@ -241,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     reps = [rel.value for rel in DominanceRelation]
 
     p_mine = sub.add_parser("mine", parents=[common], help="mine frequent patterns into a pattern file")
-    p_mine.add_argument("--type", required=True, choices=_TYPES)
+    p_mine.add_argument("--type", required=True, type=_choice(_TYPES), choices=_TYPES)
     p_mine.add_argument("--input", required=True)
     p_mine.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
     p_mine.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
@@ -251,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("condense", parents=[common], help="filter a pattern file and condense it")
     p_cond.add_argument("--patterns", required=True)
-    p_cond.add_argument("--rep", required=True, choices=reps)
+    p_cond.add_argument("--rep", required=True, type=_choice(reps), choices=reps)
     p_cond.add_argument("--constraints", default=None, help="constraint file path or inline text")
     p_cond.add_argument("--weights", default=None)
     p_cond.add_argument("--out", default=None)
@@ -260,20 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_tile = sub.add_parser("tile", parents=[common], help="cover a binary matrix with tiles under an error budget")
     p_tile.add_argument("--matrix", required=True)
     p_tile.add_argument("--threshold", type=_int_option, required=True, help="error budget")
-    p_tile.add_argument("--tau", type=float, default=None, help="confidence threshold for candidate generation")
+    p_tile.add_argument("--tau", type=_decimal_option, default=None, help="confidence threshold for candidate generation")
     p_tile.add_argument("--max-candidates", type=_int_option, default=None)
     p_tile.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
-    p_tile.add_argument("--method", default="greedy", choices=("greedy", *EXACT_MODES))
-    p_tile.add_argument("--error-mode", default="coverable", choices=ERROR_MODES)
+    methods = ("greedy", *EXACT_MODES)
+    p_tile.add_argument("--method", default="greedy", type=_choice(methods), choices=methods)
+    p_tile.add_argument("--error-mode", default="coverable", type=_choice(ERROR_MODES), choices=ERROR_MODES)
     p_tile.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
     p_tile.add_argument("--out", default=None)
     p_tile.set_defaults(handler=cmd_tile)
 
     p_ver = sub.add_parser("verify", parents=[common], help="check miners and condensation against brute force")
-    p_ver.add_argument("--type", required=True, choices=_TYPES)
+    p_ver.add_argument("--type", required=True, type=_choice(_TYPES), choices=_TYPES)
     p_ver.add_argument("--input", required=True)
     p_ver.add_argument("--minsup", required=True)
-    p_ver.add_argument("--rep", required=True, choices=reps)
+    p_ver.add_argument("--rep", required=True, type=_choice(reps), choices=reps)
     p_ver.add_argument("--constraints", default=None)
     p_ver.add_argument("--weights", default=None)
     p_ver.add_argument("--max-len", type=_int_option, default=None)

@@ -133,16 +133,12 @@ class MinSupport:
         Signs, spaces, exponents, underscores and other digits do not parse.
         A decimal is read exactly, every digit, through Decimal (no digit limit) into a Fraction.
         """
-        whole, point, fraction = text.partition(".")
-        if point:
-            if (whole + fraction).isascii() and (whole + fraction).isdigit():
-                return cls.relative(Fraction(Decimal(text)))
-        else:
-            try:
-                return cls.absolute(plain_int(text))
-            except ValueError:
-                pass
-        raise InputError(f"cannot parse minimum support {shown(text)}")
+        kind = "relative" if "." in text else "absolute"
+        try:
+            value = plain_decimal(text) if kind == "relative" else plain_int(text)
+        except ValueError:
+            raise InputError(f"cannot parse minimum support {shown(text)}") from None
+        return cls(kind, value)
 
     def effective(self, db_size: int) -> int:
         """Absolute threshold for a database of db_size objects, at least 1.
@@ -186,6 +182,14 @@ def plain_int(text: str) -> int:
     """A plain ASCII decimal; signs, underscores and other digits raise ValueError."""
     if text.isascii() and text.isdigit():
         return int(text)
+    raise ValueError(text)
+
+
+def plain_decimal(text: str) -> Fraction:
+    """ASCII digits with at most one decimal point, read exactly (every digit, through Decimal); else ValueError."""
+    whole, _, fraction = text.partition(".")
+    if (whole + fraction).isascii() and (whole + fraction).isdigit():
+        return Fraction(Decimal(text))
     raise ValueError(text)
 
 

@@ -386,7 +386,7 @@ def exact_selections_bruteforce(
 
 
 def generate_candidates_bruteforce(
-    matrix: BinaryMatrix, tau: float, max_candidates: int | None = None
+    matrix: BinaryMatrix, tau: Fraction, max_candidates: int | None = None
 ) -> list[Tile]:
     """Candidate tiles from association confidences, on row sets and Fractions.
 
@@ -400,7 +400,6 @@ def generate_candidates_bruteforce(
         raise InputError("tau must lie in (0, 1]")
     if max_candidates is not None and max_candidates < 1:
         raise InputError("max_candidates must be positive")
-    tau_frac = Fraction(str(tau))
     col_rows = {
         c: frozenset(r for r in range(1, matrix.n_rows + 1) if matrix.cell(r, c))
         for c in range(1, matrix.n_cols + 1)
@@ -412,7 +411,7 @@ def generate_candidates_bruteforce(
         cols = frozenset(
             j
             for j, j_rows in col_rows.items()
-            if j_rows and Fraction(len(support & j_rows), len(support)) >= tau_frac
+            if j_rows and Fraction(len(support & j_rows), len(support)) >= tau
         )
         rows = frozenset(
             r

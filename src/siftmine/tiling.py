@@ -383,7 +383,7 @@ def _rows_at_least(planes: list[int], k: int, all_rows: int) -> int:
 
 
 def generate_candidates(
-    matrix: BinaryMatrix, tau: float, max_candidates: int | None = None
+    matrix: BinaryMatrix, tau: Fraction, max_candidates: int | None = None
 ) -> list[Tile]:
     """Candidate tiles from association confidences.
 
@@ -394,17 +394,16 @@ def generate_candidates(
     by descending area with ties on column then row sets, ids assigned 1..k,
     then truncated to max_candidates.
 
-    Columns are row masks, and confidence is compared exactly against
-    Fraction(str(tau)) by integer cross-multiplication. Each row's count of
-    ones within B_i is kept bit-sliced: the columns of B_i are added into
+    Columns are row masks, and confidence is compared exactly against tau,
+    a Fraction or an int, by integer cross-multiplication. Each row's count
+    of ones within B_i is kept bit-sliced: the columns of B_i are added into
     planes of a ripple-carry counter, so all rows are counted together.
     """
     if not 0 < tau <= 1:
         raise InputError("tau must lie in (0, 1]")
     if max_candidates is not None and max_candidates < 1:
         raise InputError("max_candidates must be positive")
-    tau_frac = Fraction(str(tau))
-    num, den = tau_frac.numerator, tau_frac.denominator
+    num, den = tau.numerator, tau.denominator
     col_rows = matrix.col_masks
     all_rows = (1 << matrix.n_rows) - 1
     found: dict[tuple[int, int], tuple[int, list[int], list[int], int, int]] = {}
@@ -505,18 +504,21 @@ def exact_select(
 ) -> SelectionResult:
     """Complete search over nonempty candidate subsets with error <= budget.
 
-    mode 'first' returns one admissible selection (the first in a
-    deterministic exclude-before-include depth-first order, so small subsets
-    surface early); 'all' returns every admissible selection in enumeration
-    order; 'optimal' returns the minimum-error selection, ties broken by
-    fewer tiles then lexicographic ids. Infeasible instances yield status
-    "unsatisfiable" with no selections.
+    mode 'first' returns the first admissible selection in exclude-first
+    depth-first order (small subsets surface early); 'all' returns every
+    admissible selection in that order; 'optimal' returns the minimum-error
+    selection, ties broken by fewer tiles then lexicographic ids. Infeasible
+    instances yield status "unsatisfiable" with no selections.
 
     Pruning uses a sound lower bound: zeros inside can only grow as tiles
     are added, and ones outside can only shrink to what the still-available
-    tiles could cover, so a partial selection whose bound beats the budget
-    dies with its whole subtree. The search keeps an explicit stack, so its
-    depth (one level per candidate) does not touch the recursion limit.
+    tiles could cover, so a partial selection whose bound beats the budget,
+    or in 'optimal' the best error so far, dies with its whole subtree.
+    'optimal' tries including a tile first if its rectangle holds at least
+    as many ones as zeros, so a good incumbent prunes early; the pruning is
+    strict, so the result does not depend on the order. The search keeps an
+    explicit stack, so its depth (one level per candidate) does not touch
+    the recursion limit.
     """
     if budget < 0:
         raise InputError("error budget must be nonnegative")
@@ -541,7 +543,8 @@ def exact_select(
 
     found: list[TileSelection] = []
     best: TileSelection | None = None
-    # Pushing include before exclude pops the exclude branch first.
+    # The branch pushed last pops first.
+    include_first = [mode == "optimal" and (r & target).bit_count() >= (r & zeros).bit_count() for r in rects]
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
         i, chosen_ids, covered = stack.pop()
@@ -551,8 +554,9 @@ def exact_select(
         if mode == "optimal" and best is not None and lower > best.error:
             continue
         if i < n:
-            stack.append((i + 1, chosen_ids + (ids[i],), covered | rects[i]))
-            stack.append((i + 1, chosen_ids, covered))
+            include = (i + 1, chosen_ids + (ids[i],), covered | rects[i])
+            exclude = (i + 1, chosen_ids, covered)
+            stack += (exclude, include) if include_first[i] else (include, exclude)
             continue
         if not chosen_ids:
             continue

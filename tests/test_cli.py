@@ -1,5 +1,6 @@
 """Command line interface, exercised in-process through cli.main."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -733,7 +735,7 @@ class TestTile:
         )
         assert code == 0
         matrix = load_matrix(workdir / "noisy.txt")
-        assert check_report_terms(report.read_text(), matrix, generate_candidates(matrix, 0.7), mode) == 127
+        assert check_report_terms(report.read_text(), matrix, generate_candidates(matrix, Fraction("0.7")), mode) == 127
 
     @pytest.mark.parametrize(
         "extra, digest",
@@ -957,6 +959,99 @@ class TestLongOptionText:
     )
     def test_short_text_shows_whole(self, run, argv, message):
         assert run(*argv) == (3, "", f"error: {message}\n")
+
+
+class TestChoiceOptions:
+    """A wrong choice is named in one short error line; a short one in argparse's own words."""
+
+    CONDENSE = ("condense", "--patterns", "p.pat")
+    TILE = ("tile", "--matrix", "matrix.txt", "--threshold", "3", "--tau", "0.5")
+    # (argv without the option, the option, its choices)
+    OPTIONS = [
+        (CONDENSE, "--rep", ("maximal", "closed", "free", "skyline")),
+        (("mine", "--input", "txns.txt", "--minsup", "2"), "--type", ("itemset", "sequence", "graph-unique", "graph")),
+        (TILE, "--method", ("greedy", "first", "all", "optimal")),
+        (TILE, "--error-mode", ("full", "coverable")),
+        (("verify", "--input", "txns.txt", "--minsup", "2", "--rep", "closed"), "--type",
+         ("itemset", "sequence", "graph-unique", "graph")),
+        (("verify", "--type", "itemset", "--input", "txns.txt", "--minsup", "2"), "--rep",
+         ("maximal", "closed", "free", "skyline")),
+    ]
+    IDS = [f"{argv[0]}{option}" for argv, option, _ in OPTIONS]
+
+    @staticmethod
+    def error_lines(run, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+    @pytest.mark.parametrize("argv, option, choices", OPTIONS, ids=IDS)
+    def test_long_value_stays_short(self, run, capsys, argv, option, choices):
+        errors = self.error_lines(run, capsys, *argv, option, "x" * 5000)
+        listed = ", ".join(map(repr, choices))
+        assert len(errors) == 1 and len(errors[0].encode()) < 300
+        assert errors[0].endswith(
+            f"error: argument {option}: invalid choice: {'x' * 40!r}... (5000 characters) (choose from {listed})"
+        )
+
+    @pytest.mark.parametrize("argv, option, choices", OPTIONS, ids=IDS)
+    @pytest.mark.parametrize("value", ["bogus", "x" * 40, ""])
+    def test_short_value_in_argparse_words(self, run, capsys, argv, option, choices, value):
+        reference = argparse.ArgumentParser(prog="p")
+        reference.add_argument(option, choices=choices)
+        with pytest.raises(SystemExit):
+            reference.parse_args([option, value])
+        want = capsys.readouterr().err.splitlines()[-1].removeprefix("p: ")
+        errors = self.error_lines(run, capsys, *argv, option, value)
+        assert len(errors) == 1 and errors[0].endswith(": " + want)
+
+    def test_help_lists_the_choices(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("tile", "--help")
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "[--method {greedy,first,all,optimal}]" in out and "[--error-mode {full,coverable}]" in out
+
+
+class TestTau:
+    """--tau reads ASCII digits with at most one decimal point, exactly, as --minsup does."""
+
+    TILE = ("tile", "--matrix", "matrix.txt", "--threshold", "3")
+
+    @pytest.mark.parametrize(
+        "value", ["1_0", "nan", "inf", "1e-400", "0x1p-1", "", ".", "1.2.3", "+0.5", " 0.5", "0,5", "\u0661", "-"]
+    )
+    def test_rejects_all_but_plain_decimals(self, run, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(*self.TILE, "--tau", value)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --tau: {value!r} is not a decimal\n")
+
+    def test_long_value_stays_short(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*self.TILE, "--tau", "0." + "5" * 5000 + "x")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert exc.value.code == 2
+        assert len(errors) == 1 and len(errors[0].encode()) < 300
+        assert errors[0].endswith(f"error: argument --tau: {'0.' + '5' * 38!r}... (5003 characters) is not a decimal")
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.5", "1.5", "1.00000000000000000001", "2"])
+    def test_decimals_outside_range_exit_3(self, run, value):
+        assert run(*self.TILE, "--tau", value) == (3, "", "error: tau must lie in (0, 1]\n")
+
+    def test_long_decimal_reads_exactly(self, run):
+        # on matrix.txt every confidence is 1/2 or 1, so any tau in (1/2, 1] gives the same candidates
+        assert run(*self.TILE, "--tau", "0." + "5" * 5000 + "1") == run(*self.TILE, "--tau", "0.6")
+
+    def test_read_exactly(self):
+        args = cli.build_parser().parse_args([*self.TILE, "--tau", "0.99999999999999999999"])
+        assert args.tau == Fraction(10**20 - 1, 10**20) < 1
+
+    @pytest.mark.parametrize("value", ["0.5", "0.7", "0.8", "1", ".5", "00.70", "1."])
+    def test_equals_the_float_reading(self, value):
+        # --tau was read by float() and then as Fraction(str(tau)): the same values give the same candidates
+        assert cli.build_parser().parse_args([*self.TILE, "--tau", value]).tau == Fraction(str(float(value)))
 
 
 def golden_inputs():

@@ -37,6 +37,11 @@ from siftmine.oracle import (
 from siftmine.tiling import ERROR_MODES, _project
 
 
+def decimal_tau(tau: float) -> Fraction:
+    """A drawn float tau as the decimal it prints as, the way the CLI reads --tau."""
+    return Fraction(str(tau))
+
+
 def random_matrix(rng: random.Random, max_side=6) -> BinaryMatrix:
     rows = rng.randint(2, max_side)
     cols = rng.randint(2, max_side)
@@ -156,6 +161,42 @@ def wide_candidate_matrices(draw):
     return BinaryMatrix(tuple(map(tuple, rows)))
 
 
+@st.composite
+def tie_heavy_instances(draw, max_tiles=10):
+    """(matrix, candidates, budget) where many selections tie on error and on size.
+
+    The matrix has copied and all-zero columns; candidates repeat earlier
+    rectangles under other ids, or take a rectangle over a copied column in
+    place of its original, so equal errors arise from different id sets.
+    Every tile holds its rectangle's data ones. The budget admits every
+    selection, equals the empty selection's full-mode error, or is drawn
+    freely.
+    """
+    m = draw(candidate_matrices())
+    twins = {c: [d for d in range(1, m.n_cols + 1) if m.col_masks[d - 1] == m.col_masks[c - 1]]
+             for c in range(1, m.n_cols + 1)}
+    ids = draw(st.permutations(range(1, max_tiles + 1)))[: draw(st.integers(1, max_tiles))]
+    tiles: list[Tile] = []
+    for tid in ids:
+        kind = draw(st.sampled_from(["new", "repeat", "twin"])) if tiles else "new"
+        if kind == "new":
+            rows = frozenset(draw(st.sets(st.integers(1, m.n_rows), min_size=1)))
+            cols = frozenset(draw(st.sets(st.integers(1, m.n_cols), min_size=1)))
+        else:
+            twin = draw(st.sampled_from(tiles))
+            rows, cols = twin.row_set, twin.col_set
+            if kind == "twin":
+                c = draw(st.sampled_from(sorted(cols)))
+                cols = cols - {c} | {draw(st.sampled_from(twins[c]))}
+        tiles.append(Tile(tid, rows, cols, frozenset((r, c) for r in rows for c in cols if m.cell(r, c))))
+    budget = draw(st.one_of(
+        st.just(m.n_rows * m.n_cols),
+        st.just(error(m, [], "full", tiles)),
+        st.integers(0, m.n_rows * m.n_cols),
+    ))
+    return m, tiles, budget
+
+
 def assert_exact_modes_match_bruteforce(m, cands, budget, error_mode):
     """first, all and optimal against the enumeration of every subset."""
     want = exact_selections_bruteforce(m, cands, budget, error_mode)
@@ -209,8 +250,8 @@ class TestBinaryMatrix:
             assert all(type(v) in (int, bool) for row in m.cells for v in row)
             assert m.col_masks == ints.col_masks == (0b01, 0b10, 0b11)
             assert m.ones == ints.ones
-            assert generate_candidates(m, 0.5) == generate_candidates(ints, 0.5)
-            cands = generate_candidates(m, 1.0)
+            assert generate_candidates(m, Fraction(1, 2)) == generate_candidates(ints, Fraction(1, 2))
+            cands = generate_candidates(m, 1)
             assert greedy_select(m, cands, 0, "full") == greedy_select(ints, cands, 0, "full")
 
     @pytest.mark.parametrize("cell", [2, -1, 256, 0.5, "1", None, 1j + 1])
@@ -374,7 +415,7 @@ class TestErrorAccounting:
 
 class TestGenerateCandidates:
     def test_all_columns_merge_at_low_tau(self, tiling):
-        cands = generate_candidates(tiling.matrix, 0.5)
+        cands = generate_candidates(tiling.matrix, Fraction(1, 2))
         assert len(cands) == 1
         t = cands[0]
         assert t.row_set == frozenset({1, 2, 3})
@@ -382,7 +423,7 @@ class TestGenerateCandidates:
         assert t.tile_id == 1
 
     def test_single_columns_at_tau_one(self, tiling):
-        cands = generate_candidates(tiling.matrix, 1.0)
+        cands = generate_candidates(tiling.matrix, 1)
         got = sorted((sorted(t.col_set), sorted(t.row_set)) for t in cands)
         assert got == [([1], [1, 2]), ([2], [1, 3]), ([3], [2, 3])]
         assert [t.tile_id for t in cands] == [1, 2, 3]
@@ -394,14 +435,14 @@ class TestGenerateCandidates:
             (0, 1, 1, 0, 1),
             (1, 0, 0, 0, 1),
         ))
-        cands = generate_candidates(m, 1.0)
+        cands = generate_candidates(m, 1)
         assert any(t.col_set >= {5} and t.row_set == {1, 2, 3} for t in cands)
 
     def test_invariants_and_dedup(self):
         rng = random.Random(555)
         for _ in range(40):
             m = random_matrix(rng)
-            tau = rng.choice([0.3, 0.5, 0.8, 1.0])
+            tau = Fraction(rng.choice(["0.3", "0.5", "0.8", "1"]))
             cands = generate_candidates(m, tau)
             seen = set()
             for t in cands:
@@ -420,7 +461,7 @@ class TestGenerateCandidates:
         tau=st.one_of(
             st.sampled_from([1, 1.0, 1e-9, 0.001, 0.28, 0.35, 0.5, 0.56, 0.8, 2 / 3]),
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        ),
+        ).map(decimal_tau),
         max_candidates=st.one_of(st.none(), st.integers(1, 4)),
     )
     def test_equals_bruteforce(self, m, tau, max_candidates):
@@ -436,7 +477,7 @@ class TestGenerateCandidates:
         tau=st.one_of(
             st.sampled_from([1e-9, 0.05, 0.3, 0.5, 0.8, 1.0]),
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        ),
+        ).map(decimal_tau),
         max_candidates=st.one_of(st.none(), st.integers(1, 4)),
     )
     def test_equals_bruteforce_on_wide_matrices(self, m, tau, max_candidates):
@@ -450,30 +491,38 @@ class TestGenerateCandidates:
         # 2 + k holds k ones and is kept exactly when 2 * k >= width.
         rows = [(1,) * width] + [(1,) * k + (0,) * (width - k) for k in range(width + 1)]
         m = BinaryMatrix(tuple(rows))
-        (tile,) = generate_candidates(m, 1e-9)
+        (tile,) = generate_candidates(m, Fraction("1e-9"))
         assert tile.col_set == frozenset(range(1, width + 1))
         assert tile.row_set == frozenset([1] + [2 + k for k in range(width + 1) if 2 * k >= width])
-        assert [tile] == generate_candidates_bruteforce(m, 1e-9)
+        assert [tile] == generate_candidates_bruteforce(m, Fraction("1e-9"))
 
     def test_confidence_is_exact_decimal(self):
         # conf(1=>2) = 7/25 = 0.28 exactly, but 0.28 * 25 rounds above 7 in floats
         m = BinaryMatrix(tuple((1, int(r < 7)) for r in range(25)))
-        cands = generate_candidates(m, 0.28)
-        assert cands == generate_candidates_bruteforce(m, 0.28)
+        cands = generate_candidates(m, Fraction("0.28"))
+        assert cands == generate_candidates_bruteforce(m, Fraction("0.28"))
         assert any(t.col_set == {1, 2} for t in cands)
 
+    def test_tau_is_exact(self):
+        # conf(1=>2) = 7/25: a tau a hair above it drops column 2 from B_1, a hair below keeps it
+        m = BinaryMatrix(tuple((1, int(r < 7)) for r in range(25)))
+        hair = Fraction(1, 10**20)
+        above, below = generate_candidates(m, Fraction(7, 25) + hair), generate_candidates(m, Fraction(7, 25) - hair)
+        assert [t.col_set for t in above] == [{1, 2}, {1}] and below == generate_candidates(m, Fraction("0.28"))
+        assert above == generate_candidates_bruteforce(m, Fraction(7, 25) + hair)
+
     def test_max_candidates_truncates(self, tiling):
-        cands = generate_candidates(tiling.matrix, 1.0, max_candidates=2)
+        cands = generate_candidates(tiling.matrix, 1, max_candidates=2)
         assert len(cands) == 2
         assert [t.tile_id for t in cands] == [1, 2]
 
     def test_parameter_validation(self, tiling):
         with pytest.raises(InputError):
-            generate_candidates(tiling.matrix, 0.0)
+            generate_candidates(tiling.matrix, 0)
         with pytest.raises(InputError):
-            generate_candidates(tiling.matrix, 1.5)
+            generate_candidates(tiling.matrix, Fraction(3, 2))
         with pytest.raises(InputError):
-            generate_candidates(tiling.matrix, 0.5, max_candidates=0)
+            generate_candidates(tiling.matrix, Fraction(1, 2), max_candidates=0)
 
 
 def checked_twins(m: BinaryMatrix, tiles: list[Tile]) -> list[Tile]:
@@ -515,7 +564,7 @@ class TestCutTiles:
     @settings(max_examples=200, deadline=None)
     @given(
         m=candidate_matrices(),
-        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]),
+        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]).map(decimal_tau),
         share=st.sampled_from([0, 0.25, 0.5]),
     )
     def test_equal_checked_twins(self, m, tau, share, report_dir):
@@ -524,7 +573,7 @@ class TestCutTiles:
     @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(
         m=wide_candidate_matrices(),
-        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]),
+        tau=st.sampled_from([1e-9, 0.3, 0.5, 0.8, 1.0]).map(decimal_tau),
         share=st.sampled_from([0, 0.25, 0.5]),
     )
     def test_equal_checked_twins_on_wide_matrices(self, m, tau, share, report_dir):
@@ -543,7 +592,7 @@ class TestCutTiles:
     def test_scored_by_identity_of_the_matrix(self):
         rng = random.Random(31)
         a = BinaryMatrix(tuple(tuple(int(rng.random() < 0.6) for _ in range(9)) for _ in range(14)))
-        cands = generate_candidates(a, 0.6)
+        cands = generate_candidates(a, Fraction("0.6"))
         budget = data_ones(a) // 3
         # an equal-content copy is another object: its tiles are checked and score the same
         copy = BinaryMatrix(a.cells)
@@ -568,7 +617,7 @@ class TestCutTiles:
         rng = random.Random(7)
         m = BinaryMatrix(tuple(tuple(int(rng.random() < 0.5) for _ in range(8)) for _ in range(20)))
         ref = weakref.ref(m)
-        cands = generate_candidates(m, 0.5)
+        cands = generate_candidates(m, Fraction(1, 2))
         del m
         gc.collect()
         assert ref() is None
@@ -581,7 +630,7 @@ class TestCutTiles:
     def test_pipeline_builds_no_set_of_cells(self, tmp_path):
         rng = random.Random(5)
         m = BinaryMatrix(tuple(tuple(int(rng.random() < 0.5) for _ in range(10)) for _ in range(30)))
-        cands = generate_candidates(m, 0.5)
+        cands = generate_candidates(m, Fraction(1, 2))
         budget = data_ones(m) // 2
         assert 1 < len(cands) <= 20
         greedy_select(m, cands, budget, "full")
@@ -716,6 +765,14 @@ class TestExactSelect:
             tiling.matrix, tiling.tiles + [t4], 3, mode="optimal", error_mode="full"
         )
         assert res.selections[0].tile_ids == (1, 3)
+
+    @pytest.mark.parametrize("error_mode", ERROR_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(inst=tie_heavy_instances())
+    def test_modes_on_tie_heavy_instances(self, error_mode, inst):
+        # optimal may take either branch first, first and all take exclude first: all against the oracle
+        m, cands, budget = inst
+        assert_exact_modes_match_bruteforce(m, cands, budget, error_mode)
 
     def test_first_mode_deterministic(self, tiling):
         a = exact_select(tiling.matrix, tiling.tiles, 3, mode="first", error_mode="full")
