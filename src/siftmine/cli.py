@@ -67,16 +67,19 @@ def _decimal_option(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{shown(text)} is not a decimal") from None
 
 
-def _choice(choices):
-    """An option type that quotes a long wrong value cut through shown; argparse's choices check reports the rest."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose choice errors quote a long wrong value cut through shown.
 
-    def check(text: str) -> str:
-        if text not in choices and shown(text) != repr(text):
-            listed = ", ".join(map(repr, choices))
-            raise argparse.ArgumentTypeError(f"invalid choice: {shown(text)} (choose from {listed})")
-        return text
+    It checks the choice options and, as the top-level parser, the
+    subcommand name. A value that shown quotes whole keeps argparse's own
+    message.
+    """
 
-    return check
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices and shown(value) != repr(value):
+            listed = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {shown(value)} (choose from {listed})")
+        super()._check_value(action, value)
 
 
 def _constraints_from_arg(arg: str):
@@ -252,7 +255,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siftmine",
         description="Mine frequent patterns, condense them under constraints, and tile binary matrices.",
     )
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     reps = [rel.value for rel in DominanceRelation]
 
     p_mine = sub.add_parser("mine", parents=[common], help="mine frequent patterns into a pattern file")
-    p_mine.add_argument("--type", required=True, type=_choice(_TYPES), choices=_TYPES)
+    p_mine.add_argument("--type", required=True, choices=_TYPES)
     p_mine.add_argument("--input", required=True)
     p_mine.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
     p_mine.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("condense", parents=[common], help="filter a pattern file and condense it")
     p_cond.add_argument("--patterns", required=True)
-    p_cond.add_argument("--rep", required=True, type=_choice(reps), choices=reps)
+    p_cond.add_argument("--rep", required=True, choices=reps)
     p_cond.add_argument("--constraints", default=None, help="constraint file path or inline text")
     p_cond.add_argument("--weights", default=None)
     p_cond.add_argument("--out", default=None)
@@ -285,17 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tile.add_argument("--max-candidates", type=_int_option, default=None)
     p_tile.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
     methods = ("greedy", *EXACT_MODES)
-    p_tile.add_argument("--method", default="greedy", type=_choice(methods), choices=methods)
-    p_tile.add_argument("--error-mode", default="coverable", type=_choice(ERROR_MODES), choices=ERROR_MODES)
+    p_tile.add_argument("--method", default="greedy", choices=methods)
+    p_tile.add_argument("--error-mode", default="coverable", choices=ERROR_MODES)
     p_tile.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
     p_tile.add_argument("--out", default=None)
     p_tile.set_defaults(handler=cmd_tile)
 
     p_ver = sub.add_parser("verify", parents=[common], help="check miners and condensation against brute force")
-    p_ver.add_argument("--type", required=True, type=_choice(_TYPES), choices=_TYPES)
+    p_ver.add_argument("--type", required=True, choices=_TYPES)
     p_ver.add_argument("--input", required=True)
     p_ver.add_argument("--minsup", required=True)
-    p_ver.add_argument("--rep", required=True, type=_choice(reps), choices=reps)
+    p_ver.add_argument("--rep", required=True, choices=reps)
     p_ver.add_argument("--constraints", default=None)
     p_ver.add_argument("--weights", default=None)
     p_ver.add_argument("--max-len", type=_int_option, default=None)

@@ -13,8 +13,13 @@ so mining runs no subgraph isomorphism search. Extension is lazy: one
 embedding per host decides whether a candidate is frequent, and only a
 frequent candidate whose code passes the minimum-code test, and that will
 itself be extended, has its lists built in full. New vertices come from a
-per-host typed neighbor index. Pattern vertex i is the i-th vertex its
-minimum code discovers.
+per-host typed neighbor index, keyed by (edge label, neighbor label) first
+and vertex second, so a candidate looks up one dict per host. Pattern
+vertex i is the i-th vertex its minimum code discovers.
+
+No candidate is probed that gSpan's rightmost-path rules rule out (see
+mine_frequent_graphs_general), or that the pattern or an ancestor found
+infrequent, since the pattern plus it contains the ancestor plus it.
 
 A DFS code is the edge list of one depth-first traversal, each edge written
 as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
@@ -56,8 +61,8 @@ from .itemsets import _eclat
 # vertex m[i]; occurrence lists hold every embedding per covering graph id.
 VertexMap = tuple[int, ...]
 Occurrences = dict[int, list[VertexMap]]
-# (vertex, edge label, neighbor label) -> those neighbors of one host, ascending.
-TypedNeighbors = dict[tuple[int, int, int], list[int]]
+# (edge label, neighbor label) -> {vertex: its neighbors of that type in one host, ascending}.
+TypedNeighbors = dict[tuple[int, int], dict[int, list[int]]]
 
 # An isolated vertex with label l encodes as this sentinel; a real component
 # code always starts with discovery indices (0, 1), so no collision.
@@ -256,7 +261,42 @@ def _extend(embs: list[VertexMap], ext: CodeEdge, host: LabeledGraph, typed: Typ
     if j < i:
         edge = host.edge_lookup.get
         return (m for m in embs if edge((m[j], m[i]) if m[j] < m[i] else (m[i], m[j])) == el)
-    return (m + (w,) for m in embs for w in typed.get((m[i], el, lj), ()) if w not in m)
+    around = typed.get((el, lj))
+    if around is None:
+        return iter(())
+    return (m + (w,) for m in embs for w in around.get(m[i], ()) if w not in m)
+
+
+def _rightmost_extensions(code: tuple[CodeEdge, ...], steps: dict[int, list[tuple[int, int]]]) -> list[CodeEdge]:
+    """The rightmost extensions of code, a minimum DFS code, that may give a minimum code, in probe order.
+
+    steps maps a vertex label to the sorted (edge label, other end's label)
+    of each edge type allowed at it. Backward edges leave the rightmost
+    vertex in ascending target order, to path vertices other than its
+    parent and above the last backward target; forward edges follow, from
+    each vertex of the rightmost path, root first. Left out are the edges
+    whose code a smaller one beats: a new edge smaller than the first edge,
+    read either way, and the two kinds gSpan's rightmost-path rules name
+    (mine_frequent_graphs_general), which a traversal stepping along the new
+    edge first beats.
+    """
+    labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
+    # The rightmost path, root first, and the (edge label, child label) of
+    # the edge each of its vertices but the last goes forward along.
+    tree = {j: (i, el) for i, j, _, el, _ in code if i < j}
+    path = [len(labels) - 1]
+    while path[-1]:
+        path.append(tree[path[-1]][0])
+    path.reverse()
+    along = {s: (tree[c][1], labels[c]) for s, c in zip(path, path[1:])}
+    rm = path[-1]
+    low = code[-1][1] if code[-1][1] < code[-1][0] else -1
+    exts = [(rm, t, labels[rm], el, labels[t]) for t in path[:-2] if t > low
+            for el, lt in steps.get(labels[rm], ()) if lt == labels[t] and (el, labels[rm]) >= along[t]]
+    exts += [(s, len(labels), labels[s], el, lw) for s in path for el, lw in steps.get(labels[s], ())
+             if s == rm or (el, lw) >= along[s]]
+    least = code[0][2:]
+    return [ext for ext in exts if ext[2:] >= least and (ext[4], ext[3], ext[2]) >= least]
 
 
 def _class_entry(code: tuple[CodeEdge, ...], gids, tids: TidTable) -> tuple:
@@ -278,7 +318,14 @@ def mine_frequent_graphs_general(
     subgraph isomorphism), never occurrences. Patterns grow as DFS codes by
     gSpan's rightmost-path extension: a backward edge from the rightmost
     vertex, or a forward edge to a new vertex from a vertex of the rightmost
-    path, over frequent edge types only. Each frequent pattern keeps its
+    path, over frequent edge types only. Before any probe, gSpan's
+    rightmost-path rules drop a forward edge from a path vertex s other
+    than the rightmost whose (edge label, new label) is below that of s's
+    forward edge along the path, and a backward edge to t whose (edge label,
+    rightmost label) is below that of t's forward edge along the path; a
+    pattern also skips every extension it or an ancestor found infrequent,
+    a forward one keyed by (s, edge label, new label), a backward one by
+    its code edge. Each frequent pattern keeps its
     occurrence lists, every embedding in every graph of its cover, and a
     candidate lazily extends those embeddings by its new edge: the first
     embedding per host says the candidate occurs there, and the test stops
@@ -307,8 +354,8 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
         index: TypedNeighbors = {}
         typed.append(index)
         for u, v, el in g.edges:
-            index.setdefault((u, el, lbl[v]), []).append(v)
-            index.setdefault((v, el, lbl[u]), []).append(u)
+            index.setdefault((el, lbl[v]), {}).setdefault(u, []).append(v)
+            index.setdefault((el, lbl[u]), {}).setdefault(v, []).append(u)
             la, lb = lbl[u], lbl[v]
             if la > lb:
                 la, lb, u, v = lb, la, v, u
@@ -321,7 +368,8 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
     steps: dict[int, list[tuple[int, int]]] = {}
     tids = TidTable(range(len(db) + 1))
     collected = []
-    stack: list[tuple[tuple[CodeEdge, ...], Occurrences]] = []
+    # A stack entry is (code, its occurrence lists, the extensions an ancestor found infrequent).
+    stack: list[tuple[tuple[CodeEdge, ...], Occurrences, set]] = []
     for (la, lb, el), occ in sorted(seeds.items(), reverse=True):
         if len(occ) >= sigma:
             steps.setdefault(la, []).append((el, lb))
@@ -330,31 +378,20 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
             code = ((0, 1, la, el, lb),)
             collected.append(_class_entry(code, occ, tids))
             if max_edges != 1:
-                stack.append((code, occ))
+                stack.append((code, occ, set()))
     for row in steps.values():
         row.sort()
 
     while stack:
-        code, occ = stack.pop()
-        labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
-        # The rightmost path, root first.
-        parent = {j: i for i, j, *_ in code if i < j}
-        path = [len(labels) - 1]
-        while path[-1]:
-            path.append(parent[path[-1]])
-        path.reverse()
-        # Backward edges leave the rightmost vertex in ascending target order,
-        # to path vertices other than its parent.
-        rm = path[-1]
-        low = code[-1][1] if code[-1][1] < code[-1][0] else -1
-        cands = [(rm, t, labels[rm], el, labels[t]) for t in path[:-2] if t > low
-                 for el, lt in steps.get(labels[rm], ()) if lt == labels[t]]
-        cands += [(s, len(labels), labels[s], el, lw) for s in path for el, lw in steps.get(labels[s], ())]
-        # A new edge smaller than the first edge, read either way, would
-        # start a smaller code: such a candidate is not probed.
-        least = code[0][2:]
-        for ext in cands:
-            if ext[2:] < least or (ext[4], ext[3], ext[2]) < least:
+        code, occ, inherited = stack.pop()
+        # An extension this pattern or an ancestor found infrequent is
+        # infrequent here too, as this pattern plus it contains the ancestor
+        # plus it. A backward one is keyed by its code edge, a forward one by
+        # (source, edge label, new label), since its new index grows.
+        infrequent = set(inherited)
+        for ext in _rightmost_extensions(code, steps):
+            key = ext if ext[1] < ext[0] else ext[:1] + ext[3:]
+            if key in infrequent:
                 continue
             hits = []  # (gid, first embedding, the rest still lazy)
             spare = len(occ) - sigma  # parent hosts the candidate may miss
@@ -367,12 +404,17 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
                     break
                 else:
                     spare -= 1
-            if len(hits) < sigma or not _is_min_code(child := code + (ext,)):
+            if len(hits) < sigma:
+                infrequent.add(key)
+                continue
+            if not _is_min_code(child := code + (ext,)):
                 continue
             collected.append(_class_entry(child, [gid for gid, _, _ in hits], tids))
-            # A pattern of max_edges edges is never extended, so its lists are never built.
+            # A pattern of max_edges edges is never extended, so its lists are
+            # never built. Every child shares this node's infrequent set, which
+            # is complete before any child is popped, and copies it then.
             if len(child) != max_edges:
-                stack.append((child, {gid: [first, *found] for gid, first, found in hits}))
+                stack.append((child, {gid: [first, *found] for gid, first, found in hits}, infrequent))
 
     return collected
 

@@ -1006,6 +1006,31 @@ class TestChoiceOptions:
         errors = self.error_lines(run, capsys, *argv, option, value)
         assert len(errors) == 1 and errors[0].endswith(": " + want)
 
+    def test_long_subcommand_stays_short(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("x" * 5000)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert len(errors) == 1 and len(errors[0].encode()) < 300
+        assert errors[0] == (
+            f"siftmine: error: argument command: invalid choice: {'x' * 40!r}... (5000 characters) "
+            "(choose from 'mine', 'condense', 'tile', 'verify')"
+        )
+
+    @pytest.mark.parametrize("name", ["bogus", "x" * 40, ""])
+    def test_short_subcommand_in_argparse_words(self, run, capsys, name):
+        reference = argparse.ArgumentParser(prog="siftmine")
+        commands = reference.add_subparsers(dest="command", required=True)
+        for command in ("mine", "condense", "tile", "verify"):
+            commands.add_parser(command)
+        with pytest.raises(SystemExit):
+            reference.parse_args([name])
+        want = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(name)
+        assert exc.value.code == 2 and capsys.readouterr().err == want
+
     def test_help_lists_the_choices(self, run, capsys):
         with pytest.raises(SystemExit) as exc:
             run("tile", "--help")

@@ -20,7 +20,8 @@ from siftmine import (
 from siftmine.core import Cover
 from siftmine.errors import BoundExceededError
 from siftmine.formats import pattern_lines
-from siftmine.graphs import _is_min_code
+from siftmine import graphs
+from siftmine.graphs import _is_min_code, _rightmost_extensions
 from siftmine.oracle import (
     _dfs_codes,
     frequent_graphs_general_bruteforce,
@@ -171,6 +172,27 @@ def graph_of_code(code) -> LabeledGraph:
     return LabeledGraph.of(sorted(labels.items()), [(i, j, el) for i, j, _, el, _ in code])
 
 
+def all_rightmost_extensions(code) -> list:
+    """Every rightmost extension of a DFS code over vertex labels 1-3 and edge labels 0-1, none pruned.
+
+    Backward edges go from the rightmost vertex to a rightmost-path vertex
+    other than its parent, above its last backward target; forward edges go
+    from any rightmost-path vertex to a new vertex.
+    """
+    labels, parent = {}, {}
+    for i, j, li, _, lj in code:
+        labels[i], labels[j] = li, lj
+        if i < j:
+            parent[j] = i
+    rm = max(labels)
+    path = [rm]
+    while path[-1]:
+        path.append(parent[path[-1]])
+    low = max((j for i, j, *_ in code if i == rm and j < i), default=-1)
+    backward = [(rm, t, labels[rm], el, labels[t]) for t in path[2:] if t > low for el in (0, 1)]
+    return backward + [(s, rm + 1, labels[s], el, lw) for s in path for el in (0, 1) for lw in (1, 2, 3)]
+
+
 class TestMinimumCode:
     @settings(max_examples=300, deadline=None)
     @given(g=connected_graphs(), rng=st.randoms(use_true_random=False))
@@ -202,6 +224,23 @@ class TestMinimumCode:
         for g in (LabeledGraph.of([(0, 1)]), LabeledGraph.of([(0, 1), (1, 1), (2, 1)], [(0, 1)])):
             with pytest.raises(InputError):
                 min_dfs_code_gspan_bruteforce(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs())
+    def test_pre_probe_rules_drop_only_codes_the_exact_test_rejects(self, g):
+        # Over every edge type the strategy draws, the miner's candidates of
+        # each prefix of the gSpan minimum must hold that minimum's next
+        # edge, and every rightmost extension they leave out must give a code
+        # _is_min_code rejects.
+        every_type = [(el, lw) for el in (0, 1) for lw in (1, 2, 3)]
+        steps = {label: every_type for label in (1, 2, 3)}
+        best = min_dfs_code_gspan_bruteforce(g)
+        for k in range(1, len(best)):
+            prefix = best[:k]
+            kept = _rightmost_extensions(prefix, steps)
+            assert best[k] in kept
+            for ext in all_rightmost_extensions(prefix):
+                assert ext in kept or not _is_min_code(prefix + (ext,)), (prefix, ext)
 
     def test_mined_vertex_i_is_the_minimum_codes_ith_vertex(self):
         # The vertex-numbering rule of mined general patterns.
@@ -261,6 +300,36 @@ class TestUniqueMiner:
             }
             want = frequent_graphs_unique_bruteforce(db, sigma)
             assert got == want, f"trial {trial} sigma {sigma}"
+
+
+def symmetric_hosts(rng: random.Random, shapes, two_edge_labels: bool) -> GraphDB:
+    """One host per (shape, k), all of one vertex label, vertices shuffled and edge labels drawn by rng.
+
+    Shapes: "cycle" C3..C7, "clique" K2..K4, "star" with one to five leaves
+    around vertex 0, "wheel" a hub joined to every vertex of a 3- or 4-cycle.
+    """
+    symbols = SymbolTable()
+    symbols.intern("0")
+    label = symbols.intern("A")
+    edge_labels = [0, symbols.intern("x")] if two_edge_labels else [0]
+    hosts = []
+    for shape, k in shapes:
+        if shape == "cycle":
+            edges = [(i, (i + 1) % (k + 3)) for i in range(k + 3)]
+        elif shape == "clique":
+            edges = [(i, j) for j in range(k % 3 + 2) for i in range(j)]
+        elif shape == "star":
+            edges = [(0, i) for i in range(1, k + 2)]
+        else:
+            rim = k % 2 + 3
+            edges = [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
+        n = max(max(e) for e in edges) + 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        hosts.append(LabeledGraph.of(
+            [(v, label) for v in range(n)], [(perm[u], perm[v], rng.choice(edge_labels)) for u, v in edges]
+        ))
+    return GraphDB(tuple(hosts), symbols)
 
 
 class TestGeneralMiner:
@@ -384,28 +453,7 @@ class TestGeneralMiner:
         # One vertex label on cycles, cliques up to K4, stars and wheels: every
         # pattern has many automorphic embeddings, so most frequent candidates
         # duplicate a class already found.
-        symbols = SymbolTable()
-        symbols.intern("0")
-        label = symbols.intern("A")
-        edge_labels = [0, symbols.intern("x")] if two_edge_labels else [0]
-        graphs = []
-        for shape, k in shapes:
-            if shape == "cycle":  # C3..C7
-                edges = [(i, (i + 1) % (k + 3)) for i in range(k + 3)]
-            elif shape == "clique":  # K2..K4
-                edges = [(i, j) for j in range(k % 3 + 2) for i in range(j)]
-            elif shape == "star":  # one to five leaves around vertex 0
-                edges = [(0, i) for i in range(1, k + 2)]
-            else:  # a hub joined to every vertex of a 3- or 4-cycle
-                rim = k % 2 + 3
-                edges = [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
-            n = max(max(e) for e in edges) + 1
-            perm = list(range(n))
-            rng.shuffle(perm)
-            graphs.append(LabeledGraph.of(
-                [(v, label) for v in range(n)], [(perm[u], perm[v], rng.choice(edge_labels)) for u, v in edges]
-            ))
-        db = GraphDB(tuple(graphs), symbols)
+        db = symmetric_hosts(rng, shapes, two_edge_labels)
         sigma = sigma_pick % len(db) + 1
         mined = mine_frequent_graphs_general(db, MinSupport.absolute(sigma), max_edges)
         got = {canonical_code(r.pattern): r.cover for r in mined}
@@ -415,6 +463,33 @@ class TestGeneralMiner:
         }
         assert got == want
         assert len(got) == len(mined)
+
+    def test_probe_counts_on_symmetric_hosts(self, monkeypatch):
+        # One fixed database of symmetric hosts over two edge labels: a
+        # 4-wheel, K4, C6, a 3-wheel and a 4-leaf star. Without gSpan's
+        # rightmost-path rules and the inherited infrequent extensions, the
+        # miner probes a candidate in one host (_extend) 504 times here and
+        # runs 53 minimum-code tests; the exact counts guard both savings.
+        db = symmetric_hosts(random.Random(2002), [("wheel", 1), ("clique", 2), ("cycle", 3), ("wheel", 0),
+                                                   ("star", 3)], True)
+        extend, is_min_code = graphs._extend, graphs._is_min_code
+        calls = {"_extend": 0, "_is_min_code": 0}
+
+        def counted_extend(*args):
+            calls["_extend"] += 1
+            return extend(*args)
+
+        def counted_is_min_code(code):
+            calls["_is_min_code"] += 1
+            return is_min_code(code)
+
+        monkeypatch.setattr(graphs, "_extend", counted_extend)
+        monkeypatch.setattr(graphs, "_is_min_code", counted_is_min_code)
+        mined = mine_frequent_graphs_general(db, MinSupport.absolute(2))
+        assert calls == {"_extend": 378, "_is_min_code": 49}
+        got = {canonical_code(r.pattern): r.cover for r in mined}
+        assert got == {canonical_code(rep): cov for rep, cov in frequent_graphs_general_bruteforce(db, 2)}
+        assert len(got) == len(mined) == 27
 
     def test_unique_equals_general_on_connected(self, demo_graphs):
         f = demo_graphs
