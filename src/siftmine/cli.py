@@ -175,6 +175,9 @@ def cmd_tile(args) -> int:
         return _usage("--threshold must be nonnegative")
     if args.bound < 0 and args.method != "greedy":
         return _usage("--bound must be nonnegative")
+    for option, flag in (("tau", "--tau"), ("max_candidates", "--max-candidates")):
+        if args.candidates and getattr(args, option) is not None:
+            return _usage(f"{flag} applies to generated candidates only, not to --candidates")
     matrix = load_matrix(args.matrix)
     if args.candidates:
         candidates = load_tiles(args.candidates, matrix)

@@ -55,7 +55,7 @@ from .core import (
     plain_int,
 )
 from .errors import InputError, shown, shown_number
-from .tiling import BinaryMatrix, Tile, TileSelection, _cut, _error_scorer
+from .tiling import _FLAGS, BinaryMatrix, Tile, TileSelection, _cut, _error_scorer
 
 
 def read_text(path) -> str:
@@ -241,25 +241,22 @@ def load_graphs(path) -> GraphDB:
     return GraphDB(tuple(graphs), symbols)
 
 
-_CELL_VALUES = {"0": 0, "1": 1}
-
-
 def load_matrix(path) -> BinaryMatrix:
-    """Rows of space-separated 0/1 cells, all rows the same length."""
-    rows: list[tuple[int, ...]] = []
+    """Rows of whitespace-separated cells, each one ASCII 0 or 1, all rows the same length."""
+    rows: list[bytes] = []
     width: int | None = None
     with _reading(path) as lines:
         for lineno, tokens in _token_lines(lines, path):
-            try:
-                cells = tuple(map(_CELL_VALUES.__getitem__, tokens))
-            except KeyError as exc:
-                raise InputError(f"{path}: line {lineno}: non-binary cell {shown(exc.args[0])}") from None
+            cells = "".join(tokens).encode("ascii", "replace")  # b"?" for a non-ASCII character
+            if len(cells) != len(tokens) or cells.translate(None, b"01"):  # a token longer than 1, or not 0 or 1
+                bad = next(token for token in tokens if token not in ("0", "1"))
+                raise InputError(f"{path}: line {lineno}: non-binary cell {shown(bad)}")
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
                 raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
-            rows.append(cells)
-    return BinaryMatrix(tuple(rows))
+            rows.append(cells.translate(_FLAGS))
+    return BinaryMatrix._proved(rows)
 
 
 @dataclass(frozen=True)
@@ -621,8 +618,8 @@ def write_tiling(
         f"status={status}",
     ]
     for t in sorted(candidates, key=lambda t: t.tile_id):
-        rows = ",".join(str(r) for r in sorted(t.row_set))
-        cols = ",".join(str(c) for c in sorted(t.col_set))
+        rows = ",".join(map(str, sorted(t.row_set)))
+        cols = ",".join(map(str, sorted(t.col_set)))
         lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={t.n_ones}")
     selections = tuple(selections)
     # One projection of the chosen tiles, with every candidate as the
@@ -632,7 +629,7 @@ def write_tiling(
     position = {tid: i for i, tid in enumerate(chosen)}
     for sel in selections:
         ones_outside, zeros_inside = terms(position[tid] for tid in sel.tile_ids)
-        ids = ",".join(str(tid) for tid in sel.tile_ids)
+        ids = ",".join(map(str, sel.tile_ids))
         lines.append(
             f"selection={ids} k={len(sel.tile_ids)} "
             f"ones_outside={ones_outside} zeros_inside={zeros_inside} error={sel.error}"

@@ -56,11 +56,6 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mask_of(cells) -> int:
-    """The int whose bit k is set when cells[k] is 1; cells are ints 0 and 1."""
-    return int(bytes(cells[::-1]).translate(_DIGITS), 2)
-
-
 def _bits(mask: int) -> list[int]:
     """1-based positions of the set bits, ascending."""
     # bin(mask)[:1:-1] lists the binary digits from bit 0 up.
@@ -73,7 +68,8 @@ class BinaryMatrix:
 
     A cell may be any value equal to 0 or 1; one that is not an int (1.0,
     Fraction(1), ...) is stored as the int it equals, so masks and cells
-    read the same whatever type the caller used.
+    read the same whatever type the caller used. `col_masks` holds column
+    c's ones at index c-1: bit r-1 is cell (r, c).
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -84,18 +80,26 @@ class BinaryMatrix:
             raise InputError("matrix must have at least one row and one column")
         width = len(cells[0])
         try:  # bytes() takes ints and bools in 0..255 only
-            binary = not bytes(chain.from_iterable(cells)).translate(None, b"\x00\x01")
+            blob = bytes(chain.from_iterable(cells))
         except (TypeError, ValueError):
-            binary = False
-        if binary and set(map(len, cells)) == {width}:
-            return
-        # Something is off: name the first bad row, or store cells equal to 0 or 1 as the ints they equal.
-        for r, row in enumerate(map(tuple, cells), start=1):
-            if len(row) != width:
-                raise InputError(f"row {r} has {len(row)} cells, expected {width}")
-            if row.count(0) + row.count(1) != width:
-                raise InputError(f"row {r} contains a non-binary cell")
-        object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in cells))
+            blob = None
+        if blob is None or blob.translate(None, b"\x00\x01") or set(map(len, cells)) != {width}:
+            # Something is off: name the first bad row, or store cells equal to 0 or 1 as the ints they equal.
+            for r, row in enumerate(map(tuple, cells), start=1):
+                if len(row) != width:
+                    raise InputError(f"row {r} has {len(row)} cells, expected {width}")
+                if row.count(0) + row.count(1) != width:
+                    raise InputError(f"row {r} contains a non-binary cell")
+            object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in cells))
+            blob = bytes(chain.from_iterable(self.cells))
+        object.__setattr__(self, "col_masks", _col_masks(blob, width))
+
+    @classmethod
+    def _proved(cls, rows: list[bytes]) -> BinaryMatrix:
+        """The matrix of rows of 0/1 bytes, which the caller proved nonempty and equally long."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(cells=tuple(map(tuple, rows)), col_masks=_col_masks(b"".join(rows), len(rows[0])))
+        return matrix
 
     @property
     def n_rows(self) -> int:
@@ -113,10 +117,11 @@ class BinaryMatrix:
         cells = product(range(1, self.n_rows + 1), range(1, self.n_cols + 1))
         return frozenset(compress(cells, chain.from_iterable(self.cells)))
 
-    @cached_property
-    def col_masks(self) -> tuple[int, ...]:
-        """Column c's ones at index c-1: bit r-1 is cell (r, c)."""
-        return tuple(map(_mask_of, zip(*self.cells)))
+
+def _col_masks(blob: bytes, width: int) -> tuple[int, ...]:
+    """The column masks of the row-major 0/1 cells in blob, one strided slice each."""
+    digits = blob[::-1].translate(_DIGITS)  # the last row first: a mask's high bits
+    return tuple(int(digits[j::width], 2) for j in range(width - 1, -1, -1))
 
 
 class _LazyOnes:
@@ -180,18 +185,18 @@ class Tile:
         return len(self.ones) if masks is None else sum(ones.bit_count() for _, ones in masks[2])
 
 
-def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int) -> Tile:
+def _cut(matrix: BinaryMatrix, tile_id: int, rows: int, cols: int, row_bits=None, col_bits=None) -> Tile:
     """The tile rows x cols holding every one of the matrix inside it.
 
     rows and cols are nonempty masks within the matrix: bit r-1 is row r,
-    bit c-1 column c.
+    bit c-1 column c. row_bits and col_bits, when given, are their _bits.
     """
     col_masks = matrix.col_masks
-    col_bits = _bits(cols)
+    col_bits = _bits(cols) if col_bits is None else col_bits
     tile = object.__new__(Tile)
     d = tile.__dict__
     d["tile_id"] = tile_id
-    d["row_set"] = frozenset(_bits(rows))
+    d["row_set"] = frozenset(_bits(rows) if row_bits is None else row_bits)
     d["col_set"] = frozenset(col_bits)
     d["_masks"] = (rows, cols, tuple((c - 1, col_masks[c - 1] & rows) for c in col_bits))
     return tile
@@ -433,7 +438,10 @@ def generate_candidates(
     ordered = sorted(found.values())
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
-    return [_cut(matrix, tid, rows, cols) for tid, (*_, rows, cols) in enumerate(ordered, start=1)]
+    return [
+        _cut(matrix, tid, rows, cols, row_bits, col_bits)
+        for tid, (_, col_bits, row_bits, rows, cols) in enumerate(ordered, start=1)
+    ]
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -698,6 +700,22 @@ class TestTile:
         code, _, err = run("tile", "--matrix", "matrix.txt", "--threshold", "3")
         assert code == 2
         assert err == "error: --tau is required unless --candidates supplies tiles\n"
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (("--tau", "0.5"), "--tau"),
+            (("--max-candidates", "2"), "--max-candidates"),
+            (("--max-candidates", "2", "--tau", "0.5"), "--tau"),
+            (("--tau", "5"), "--tau"),  # out of range: still the usage error, not exit 3
+        ],
+    )
+    def test_generation_options_refused_with_candidates(self, run, extra, flag):
+        argv = ("tile", "--matrix", "matrix.txt", "--threshold", "3", "--candidates", "tiles.txt")
+        message = f"error: {flag} applies to generated candidates only, not to --candidates\n"
+        assert run(*argv, *extra) == (2, "", message)
+        # a usage error: reported before the matrix is read
+        assert run(*argv[:2], "missing.txt", *argv[3:], *extra) == (2, "", message)
 
     def test_negative_threshold(self, run):
         code, _, err = run("tile", "--matrix", "matrix.txt", "--threshold", "-1", "--tau", "0.5")
@@ -1398,3 +1416,69 @@ class TestCliFuzz:
         one, two = (run_cli_process(seed, *argv) for seed in ("1", "2"))
         assert one.returncode == (3 if edits else 0) and "Traceback" not in one.stderr
         assert (one.returncode, one.stdout, one.stderr) == (two.returncode, two.stdout, two.stderr)
+
+
+# `tile` option values from the fuzz grammar: valid values, empty strings, signs and "_",
+# non-ASCII digits, 5,000-digit numbers, nan, inf, hex floats and huge exponents.
+INT_VALUES = ["0", "1", "2", "9", "40", "", "-1", "-0", "+3", "1_0", "\u0661", "\uff13", LONG_NUMBER,
+              "-" + LONG_NUMBER, "nan", "inf", "0x10", "1e400", "3.0"]
+TILE_OPTIONS = {
+    "--matrix": ["noisy.txt", "matrix4x3.txt", "missing.txt"],
+    "--candidates": ["tiles.txt"],
+    "--threshold": INT_VALUES,
+    "--tau": ["0.7", "0.5", "1", "0.99999999999999999999", "0", "-0.5", "1.5", "", "+0.5", "0_5", "\u0660.7",
+              "nan", "inf", "-inf", "0x1p-1", "1e-400", "0." + "7" * 5000, LONG_NUMBER],
+    "--max-candidates": INT_VALUES,
+    "--bound": INT_VALUES,
+    "--method": ["greedy", "first", "all", "optimal", "", "bogus", "x" * 5000],
+    "--error-mode": ["full", "coverable", "", "Full", "x" * 5000],
+    "--threads": [*INT_VALUES, "1" + "0" * 18],
+    "--out": ["report.txt"],
+    "--bogus": ["1"],
+}
+
+
+@st.composite
+def tile_argv(draw):
+    """`tile` with each option absent, given once or repeated, in any order; --matrix and --threshold mostly given."""
+    pairs = []
+    for option, values in TILE_OPTIONS.items():
+        given_at_least = 1 if option in ("--matrix", "--threshold") and draw(st.integers(0, 7)) else 0
+        for value in draw(st.lists(st.sampled_from(values), min_size=given_at_least, max_size=2)):
+            pairs.append((option, value))
+    return ["tile", *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+class TestTileOptionFuzz:
+    """Drawn `tile` option values exit 0-3 with no traceback and short error lines, and start nothing."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=tile_argv())
+    @example(argv=["tile", "--matrix", "noisy.txt", "--threshold", "40", "--tau", "0.7", "--threads", "1" + "0" * 18])
+    @example(argv=["tile", "--matrix", "noisy.txt", "--threshold", "9", "--tau", "0.5", "--method", "all",
+                   "--threads", LONG_NUMBER])
+    @example(argv=["tile", "--matrix", "matrix4x3.txt", "--threshold", "9", "--candidates", "tiles.txt", "--tau", "5"])
+    def test_exit_codes_and_error_lines(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d)
+            for name, text in (("noisy.txt", noisy_matrix()), ("matrix4x3.txt", MATRIX_4X3), ("tiles.txt", TILES)):
+                (directory / name).write_text(text, encoding="utf-8")
+            argv = [str(directory / a) if a.endswith(".txt") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            started = AssertionError("a tile run started a thread or a process")
+            threads = threading.active_count()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.object(threading.Thread, "start", side_effect=started), \
+                    mock.patch.object(subprocess, "Popen", side_effect=started), \
+                    mock.patch.object(os, "fork", side_effect=started):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            assert threading.active_count() == threads
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+        assert all(len(line.encode()) < 300 for line in errors)
+        assert bool(errors) == (code in (2, 3)), err.getvalue()
+        if code in (0, 1):
+            assert out.getvalue().startswith("candidates=")

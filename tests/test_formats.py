@@ -170,6 +170,60 @@ class TestLoadGraphs:
             load_graphs(write(tmp_path, "g.txt", "t # 1\nt # 2\nv 0 a\n"))
 
 
+def reference_matrix(path):
+    """A matrix file read token by token: (cells, column masks), or the message of its first fault."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        return f"{path}: empty file"
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            return f"{path}: line {lineno}: blank line"
+        for token in tokens:
+            if token not in ("0", "1"):
+                cut = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+                return f"{path}: line {lineno}: non-binary cell {cut}"
+        if rows and len(tokens) != len(rows[0]):
+            return f"{path}: line {lineno}: ragged row ({len(tokens)} cells, expected {len(rows[0])})"
+        rows.append(tuple(int(token) for token in tokens))
+    masks = tuple(sum(row[c] << r for r, row in enumerate(rows)) for c in range(len(rows[0])))
+    return tuple(rows), masks
+
+
+# Cells that are not one ASCII 0 or 1, each the one fault of a drawn matrix.
+BAD_CELLS = ["2", "01", "\uff11", "-0", "1" * 5000]
+
+
+@st.composite
+def matrix_texts(draw):
+    """A 0/1 grid in mixed whitespace and line ends, with at most one fault: a bad cell, a ragged row or a blank line."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = [draw(st.lists(st.sampled_from("01"), min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    fault = draw(st.sampled_from([None, "ragged", "blank", *BAD_CELLS]))
+    r = draw(st.integers(0, n_rows - 1))
+    if fault == "ragged":
+        if n_cols > 1 and draw(st.booleans()):
+            grid[r].pop()
+        else:
+            grid[r].append("1")
+    elif fault not in (None, "blank"):
+        grid[r][draw(st.integers(0, n_cols - 1))] = fault
+    # "\x0b" ends a line, as it does for str.splitlines; it is drawn in some grids only.
+    space = st.text(st.sampled_from(draw(st.sampled_from([" \t\u00a0", " \t\u00a0\x0b"]))), min_size=1, max_size=2)
+    lines = [
+        draw(st.one_of(st.just(""), space)) + "".join(cell + draw(space) for cell in row[:-1]) + row[-1]
+        + draw(st.one_of(st.just(""), space))
+        for row in grid
+    ]
+    if fault == "blank":
+        lines.insert(draw(st.integers(0, n_rows)), draw(st.sampled_from(["", " ", "\t"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestLoadMatrix:
     def test_happy_path(self, tmp_path):
         m = load_matrix(write(tmp_path, "m.txt", "1 1 0\n1 0 1\n0 1 1\n"))
@@ -182,6 +236,20 @@ class TestLoadMatrix:
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(InputError, match="ragged row"):
             load_matrix(write(tmp_path, "m.txt", "1 0\n1\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=matrix_texts())
+    def test_equals_token_by_token_reader(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "m.txt"
+            path.write_bytes(text.encode("utf-8"))
+            expected = reference_matrix(path)
+            try:
+                m = load_matrix(path)
+            except InputError as exc:
+                assert str(exc) == expected
+            else:
+                assert (m.cells, m.col_masks) == expected
 
 
 class TestLoadWeights:

@@ -15,8 +15,10 @@ perfbench/tracer.py swaps module attributes of siftmine for wrappers while a
 traced pipeline runs. A binding that no longer exists breaks every traced
 run, and one its module no longer reads leaves a counter at 0 unnoticed.
 
-The `_proved` constructors of Itemset, Sequence and PatternRecord check
-nothing, so only callers that prove every field themselves may use them.
+The `_proved` constructors of Itemset, Sequence, PatternRecord and
+BinaryMatrix check nothing, so only callers that prove every field
+themselves may use them; the one test caller builds its rows from a
+checked matrix.
 """
 
 import ast
@@ -171,6 +173,8 @@ PROVED_USES = {
     ("src/siftmine/formats.py", "_records", "Itemset"),
     ("src/siftmine/formats.py", "_records", "Sequence"),
     ("src/siftmine/formats.py", "_records", "PatternRecord"),
+    ("src/siftmine/formats.py", "load_matrix", "BinaryMatrix"),
+    ("tests/test_tiling.py", "check", "BinaryMatrix"),
 }
 
 

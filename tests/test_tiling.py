@@ -264,6 +264,27 @@ class TestBinaryMatrix:
             BinaryMatrix(("01",))
 
 
+class TestProvedMatrix:
+    """BinaryMatrix._proved, the loader's constructor, builds the matrix the checked constructor does."""
+
+    @staticmethod
+    def check(m: BinaryMatrix) -> None:
+        proved = BinaryMatrix._proved([bytes(row) for row in m.cells])
+        assert proved == m and hash(proved) == hash(m) and proved.col_masks == m.col_masks
+        assert m.col_masks == tuple(sum(row[c] << r for r, row in enumerate(m.cells)) for c in range(m.n_cols))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=small_matrices(max_side=9))
+    def test_equals_checked_matrix(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("shape", [(1, 70), (70, 1), (65, 9), (9, 65), (435, 48)])
+    def test_wide_and_tall(self, shape):
+        rng = random.Random(sum(shape))
+        n_rows, n_cols = shape
+        self.check(BinaryMatrix(tuple(tuple(rng.randint(0, 1) for _ in range(n_cols)) for _ in range(n_rows))))
+
+
 class TestTile:
     def test_invariants(self, tiling):
         with pytest.raises(InputError):
