@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from .condense import DominanceRelation, condense
-from .constraints import EMPTY_EXPR, parse_constraints, partition_valid
-from .core import LabeledGraph, MinSupport, plain_decimal, plain_int
+from .constraints import EMPTY_EXPR, _compile, parse_constraints, partition_valid
+from .core import LabeledGraph, MinSupport, SymbolTable, plain_decimal, plain_int
 from .errors import BoundExceededError, InputError, shown
 from .formats import (
     load_graphs,
@@ -157,16 +157,47 @@ def cmd_mine(args) -> int:
     return 0
 
 
+def _label_costs(path, symbols: SymbolTable):
+    """The --weights file as the weight of a symbol id of symbols, found through its label.
+
+    The file's own labels take no id in symbols, so each id a pattern file
+    gives stays the one it gives without weights.
+    """
+    own = SymbolTable()
+    costs = {own.label_of(sid): cost for sid, cost in load_weights(path, own).costs.items()}
+    return lambda sid: costs.get(symbols.label_of(sid), 0)
+
+
 def cmd_condense(args) -> int:
-    loaded = load_patterns(args.patterns)
-    expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
-    weights = load_weights(args.weights, loaded.symbols) if args.weights else None
-    valid, _ = partition_valid(loaded.records, expr, weights, symbols=loaded.symbols)
-    rel = DominanceRelation.parse(args.rep)
-    kept = condense(valid, rel)
+    # Each record is tested as it is read, and only valid ones are held. An
+    # error in the constraint, the weights or an atom waits until the whole
+    # pattern file has been read and checked, so that a file error wins.
+    symbols = SymbolTable()
+    held = None
+    try:
+        expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
+        holds = _compile(expr, _label_costs(args.weights, symbols) if args.weights else None, symbols)
+    except InputError as exc:
+        held = exc
+    read = 0
+
+    def keep(rec) -> bool:
+        nonlocal held, read
+        read += 1
+        if held is None:
+            try:
+                return holds(rec)
+            except InputError as exc:  # an atom that cannot be evaluated on this record
+                held = exc
+        return False
+
+    valid = load_patterns(args.patterns, keep, symbols).records
+    if held is not None:
+        raise held
+    kept = condense(valid, DominanceRelation.parse(args.rep))
     flags = {rec.pid: True for rec in kept}  # each kept record is valid and condensed
-    _emit_patterns(kept, loaded.symbols, args.out, valid=flags, condensed=flags)
-    print(f"kept {len(kept)} of {len(loaded.records)} patterns ({len(valid)} valid)")
+    _emit_patterns(kept, symbols, args.out, valid=flags, condensed=flags)
+    print(f"kept {len(kept)} of {read} patterns ({len(valid)} valid)")
     return 0
 
 

@@ -18,13 +18,16 @@ are separated by "|"; "#" starts a comment. Atoms:
 
 Atoms carry symbol labels as text. partition_valid and evaluate compile an
 expression once per call into one test per record: each bound becomes a
-constant of that test, and each label is resolved against the dataset's
-symbol table once, so a command resolves its labels once, not once per
-record. Labels the table has never seen simply never match. An atom that
-cannot be evaluated (no symbol table, no weight table, an order atom on
-another kind) raises when the first record reaches it. Filtering happens
-after mining, never inside it, so a record's validity depends only on its
-own fields; oracle.constraints_hold_bruteforce is the reference semantics.
+constant of that test, and each label is looked up in the symbol table when
+a record is tested, so the table may still be growing while records are
+tested, as it does while condense reads a pattern file. A record's own labels
+are in the table before it is tested, so a label the table lacks is in no
+such record and simply never matches; once the table has it, its id is
+fixed. An atom that cannot be evaluated (no symbol table, no weight table,
+an order atom on another kind) raises when the first record reaches it.
+Filtering happens after mining, never inside it, so a record's validity
+depends only on its own fields; oracle.constraints_hold_bruteforce is the
+reference semantics.
 """
 
 from __future__ import annotations
@@ -164,34 +167,36 @@ def _failing(error: type[Exception], message: str) -> Callable[[PatternRecord], 
     return test
 
 
-def _order_test(name: str, first: int | None, second: int | None, blocked: frozenset[int]) -> Callable:
-    """The order atom as a test of a symbol tuple; a label the table lacks never matches."""
-    if first is None or second is None:
-        return lambda seq: False
+def _order_test(name: str, first: str, second: str, blocked: frozenset[str], get: Callable) -> Callable:
+    """The order atom as a test of a symbol tuple, each label looked up by get at each test.
+
+    A label the table lacks looks up as None, which no symbol id equals, so it never matches.
+    """
     if name == "adjacent":
-        return lambda seq: (first, second) in zip(seq, seq[1:])
+        return lambda seq: (get(first), get(second)) in zip(seq, seq[1:])
     if name == "before":
-        return lambda seq: first in seq and second in seq[seq.index(first) + 1 :]
+        return lambda seq: (sid := get(first)) in seq and get(second) in seq[seq.index(sid) + 1 :]
     if name != "none_between":
         return _failing(InputError, f"unknown atom {name!r}")
 
     def none_between(seq: tuple[int, ...]) -> bool:
+        start, end, stops = get(first), get(second), set(map(get, blocked))
         # open: a first has occurred since the last blocked symbol, so a second here ends a clean pair
         open_ = False
         for sym in seq:
-            if open_ and sym == second:
+            if open_ and sym == end:
                 return True
-            if sym in blocked:
+            if sym in stops:
                 open_ = False
-            if sym == first:
+            if sym == start:
                 open_ = True
         return False
 
     return none_between
 
 
-def _compile_atom(atom: ConstraintAtom, weights, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
-    """One atom as a test of one record, its bound and labels resolved now."""
+def _compile_atom(atom: ConstraintAtom, cost_of, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
+    """One atom as a test of one record, its bound fixed now and its labels looked up at each test."""
     name, bound = atom.name, atom.bound
     if name == "size_min":
         return lambda rec: rec.size >= bound
@@ -202,24 +207,21 @@ def _compile_atom(atom: ConstraintAtom, weights, symbols: SymbolTable | None) ->
     if name == "support_max":
         return lambda rec: rec.support <= bound
     if name == "cost_max":
-        if weights is None:
+        if cost_of is None:
             return _failing(InputError, "cost constraint requires a weight table")
-        cost_of = weights.cost_of
         return lambda rec: sum(map(cost_of, rec.pattern.elements)) <= bound
     if name in ("contains", "excludes"):
         if symbols is None:
             return _failing(InputError, _NO_SYMBOLS)
-        sid = symbols.get(atom.symbols[0])
+        get, label = symbols.get, atom.symbols[0]
         if name == "contains":
-            return (lambda rec: False) if sid is None else (lambda rec: sid in rec.pattern.elements)
-        return (lambda rec: True) if sid is None else (lambda rec: sid not in rec.pattern.elements)
+            return lambda rec: get(label) in rec.pattern.elements
+        return lambda rec: get(label) not in rec.pattern.elements
     # adjacent, before, none_between, and any other name: sequences only
     if symbols is None:
         seq_holds = _failing(InputError, _NO_SYMBOLS)
     else:
-        first, second = symbols.get(atom.symbols[0]), symbols.get(atom.symbols[1])
-        blocked = frozenset(sid for sid in map(symbols.get, atom.blocked) if sid is not None)
-        seq_holds = _order_test(name, first, second, blocked)
+        seq_holds = _order_test(name, atom.symbols[0], atom.symbols[1], atom.blocked, symbols.get)
 
     def order_holds(rec: PatternRecord) -> bool:
         pattern = rec.pattern
@@ -230,16 +232,18 @@ def _compile_atom(atom: ConstraintAtom, weights, symbols: SymbolTable | None) ->
     return order_holds
 
 
-def _compile(expr: ConstraintExpr, weights, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
+def _compile(expr: ConstraintExpr, cost_of, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
     """expr as one test per record: clauses in order, each atom in order until one holds.
 
-    Every label is resolved once, here. An atom that cannot be evaluated (no
-    symbol table, no weight table, an order atom on another kind) raises
-    when the first record reaches it, as evaluating it there would.
+    cost_of gives a symbol id's weight, or is None without a weight table.
+    Labels are looked up in symbols at each test, so symbols may grow
+    between tests. An atom that cannot be evaluated (no symbol table, no
+    weight table, an order atom on another kind) raises when the first
+    record reaches it, as evaluating it there would.
     """
     clauses = []
     for clause in expr.clauses:
-        tests = tuple(_compile_atom(atom, weights, symbols) for atom in clause)
+        tests = tuple(_compile_atom(atom, cost_of, symbols) for atom in clause)
         clauses.append(tests[0] if len(tests) == 1 else (lambda rec, tests=tests: any(t(rec) for t in tests)))
 
     def holds(rec: PatternRecord) -> bool:
@@ -263,7 +267,7 @@ def evaluate(
     weights is required when expr has a cost atom; symbols is required when
     any atom names a symbol. Symbols absent from the table never match.
     """
-    return _compile(expr, weights, symbols)(rec)
+    return _compile(expr, None if weights is None else weights.cost_of, symbols)(rec)
 
 
 def partition_valid(
@@ -274,7 +278,7 @@ def partition_valid(
     symbols: SymbolTable | None = None,
 ) -> tuple[list[PatternRecord], list[PatternRecord]]:
     """Split records into (valid, invalid), both preserving input order; expr is compiled once per call."""
-    holds = _compile(expr, weights, symbols)
+    holds = _compile(expr, None if weights is None else weights.cost_of, symbols)
     valid: list[PatternRecord] = []
     invalid: list[PatternRecord] = []
     for rec in records:

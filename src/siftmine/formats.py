@@ -69,16 +69,18 @@ def read_text(path) -> str:
 
 
 _CHUNK = 1 << 16  # bytes read at a time
-_ENDS = tuple("\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")  # every str.splitlines boundary but "\r", which may start "\r\n"
 
 
 def _lines(path) -> Iterator[str]:
-    """read_text(path).splitlines(), read a chunk at a time, with read_text's errors.
+    """read_text(path)'s lines, read a chunk at a time, with read_text's errors.
 
-    Each chunk is split by str.splitlines; only its last partial line, or a
-    last line ending in "\r", waits for the next chunk. An InputError thrown
-    in at a yield, by a reader that met a bad line, decodes the rest of the
-    file first, so that a bad byte anywhere is reported before any line.
+    A line ends at "\n", "\r\n" or "\r", or at the end of the file. No
+    other character ends a line: a vertical tab, form feed or other
+    Unicode line separator inside a line is whitespace between its tokens.
+    Only a chunk's last partial line, and a "\r" that ends a chunk and may
+    start "\r\n", wait for the next chunk. An InputError thrown in at a
+    yield, by a reader that met a bad line, decodes the rest of the file
+    first, so that a bad byte anywhere is reported before any line.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     fed = 0
@@ -98,11 +100,13 @@ def _lines(path) -> Iterator[str]:
             tail = ""
             for chunk in chain(chunks, (b"",)):
                 text = tail + decode(chunk)
-                lines = text.splitlines()
-                if chunk and text and not text.endswith(_ENDS):  # a partial last line, or one whose "\r" may start "\r\n"
-                    tail = lines.pop() + ("\r" if text[-1] == "\r" else "")
-                else:
-                    tail = ""
+                cr = "\r" if chunk and text.endswith("\r") else ""  # may start "\r\n": it waits for the next chunk
+                if "\r" in text:
+                    text = text[: len(text) - len(cr)].replace("\r\n", "\n").replace("\r", "\n")
+                lines = text.split("\n")
+                tail = lines.pop() + cr  # "" after a line end; at the end of the file, a last line with none
+                if not chunk and tail:
+                    lines.append(tail)
                 try:
                     yield from lines
                 except InputError:  # thrown in at a bad line: a bad byte in the rest of the file outranks it
@@ -506,22 +510,25 @@ def _parse_canonical(line: str) -> tuple | None:
     return pid, kind, support, size, tuple(elements.split(",")), None, None, cover, valid, condensed
 
 
-def _records(rows: Iterable[tuple], path):
+def _records(rows: Iterable[tuple], path, keep=None, symbols: SymbolTable | None = None):
     """Records, symbols, and valid and condensed flags from parsed lines.
 
     A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
     or _parse_canonical has matched each cover's count to its support and read pid, support and size as
     nonnegative ints; interning gives nonnegative ids. What remains is checked here, first failure first:
-    a duplicate pid, a repeated itemset label, pid 0, then size against the pattern.
+    a duplicate pid, a repeated itemset label, pid 0, then size against the pattern. keep, if given, then
+    tests the record, its labels interned into symbols (a new table if None); a record it rejects is
+    checked and its pid remembered, but neither it nor its flags are held.
     """
-    symbols = SymbolTable()
-    records: dict[int, PatternRecord] = {}  # by pid, in file order
+    symbols = SymbolTable() if symbols is None else symbols
+    pids: set[int] = set()
+    records: list[PatternRecord] = []
     valid: dict[int, bool] = {}
     condensed: dict[int, bool] = {}
     for lineno, row in enumerate(rows, start=1):
         pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed = row
         try:
-            if pid in records:
+            if pid in pids:
                 raise InputError(f"duplicate pattern id {shown_number(pid)}")
             if kind == "itemset":
                 items = tuple(sorted(symbols.intern_all(elements)))
@@ -542,14 +549,18 @@ def _records(rows: Iterable[tuple], path):
                 raise InputError("size must match the pattern")
             if cover is not None:
                 cover = Cover(text=cover, count=support)
-            records[pid] = PatternRecord._proved(pid, pattern, support, cover, size)
+            record = PatternRecord._proved(pid, pattern, support, cover, size)
         except InputError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
+        pids.add(pid)
+        if keep is not None and not keep(record):
+            continue
+        records.append(record)
         if is_valid is not None:
             valid[pid] = is_valid
         if is_condensed is not None:
             condensed[pid] = is_condensed
-    return tuple(records.values()), symbols, valid, condensed
+    return tuple(records), symbols, valid, condensed
 
 
 def write_patterns(
@@ -578,11 +589,18 @@ def _symbol_ids(p) -> Iterable[int]:
     return p.elements
 
 
-def load_patterns(path) -> LoadedPatterns:
-    """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list."""
+def load_patterns(path, keep=None, symbols: SymbolTable | None = None) -> LoadedPatterns:
+    """Parse a pattern file, each line straight into its record; an empty file is an empty pattern list.
+
+    keep, if given, is called once per record, in file order, after every
+    check of that record passes and its labels are interned into symbols (a
+    new table if None). Only records it accepts, and their flags, are held;
+    every record is still checked, so the file's first error is raised as
+    without keep.
+    """
     with _reading(path) as lines:
         rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in enumerate(lines, start=1))
-        return LoadedPatterns(*_records(rows, path))
+        return LoadedPatterns(*_records(rows, path, keep, symbols))
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:

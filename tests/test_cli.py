@@ -36,10 +36,13 @@ from siftmine import (
     load_patterns,
     load_tiles,
     load_transactions,
+    load_weights,
     mine_frequent_itemsets,
+    parse_constraints,
     partition_valid,
     write_patterns,
 )
+from siftmine.formats import pattern_lines
 from siftmine.oracle import tiling_error_bruteforce
 
 from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
@@ -593,6 +596,159 @@ class TestLongCover:
         else:
             assert code == 3 and not out.exists()
             assert err == f"error: {pats}: line 1: malformed integer list {cover[:40]!r}... ({len(cover)} characters)\n"
+
+
+# Labels of the drawn pattern files; "zz" is in none of them.
+STREAM_LABELS = ["a", "b", "c", "d"]
+STREAM_WEIGHTS = "b 1\nc 2\nq 4\n"
+
+
+@st.composite
+def stream_pattern_files(draw):
+    """Pattern-file text of one kind.
+
+    It holds duplicate patterns under other pids, records with no cover,
+    edgeless graphs, sparse pids in any order, and sometimes one bad line.
+    """
+    kind = draw(st.sampled_from(["itemset", "sequence", "graph"]))
+    label = st.sampled_from(STREAM_LABELS)
+    bodies = []
+    for _ in range(draw(st.integers(0, 8))):
+        if kind == "graph":
+            n = draw(st.integers(1, 3))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            vertices = ",".join(f"{v}:{draw(label)}" for v in range(n))
+            edge_text = ",".join(f"{u}-{v}:{draw(st.sampled_from('xy'))}" for u, v in edges)
+            bodies.append((len(edges), f"vertices={vertices} edges={edge_text}"))
+        else:
+            elements = draw(st.lists(label, min_size=1, max_size=4, unique=kind == "itemset"))
+            bodies.append((len(elements), "elements=" + ",".join(elements)))
+    if bodies:
+        bodies += draw(st.lists(st.sampled_from(bodies), max_size=3))
+    bodies = draw(st.permutations(bodies))
+    pids = draw(st.lists(st.integers(1, 30), min_size=len(bodies), max_size=len(bodies), unique=True))
+    lines = []
+    for pid, (size, body) in zip(pids, bodies):
+        support = draw(st.integers(0, 3))
+        line = f"pid={pid} kind={kind} support={support} size={size} {body}"
+        lines.append(line if draw(st.booleans()) else line + " cover=" + ",".join(map(str, range(1, support + 1))))
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from(["", "pid=x kind=itemset", *lines[:1]]))  # the last: a duplicate pid
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def stream_atoms(draw):
+    """One atom of every kind, over the files' labels and one they lack."""
+    label = st.sampled_from([*STREAM_LABELS, "zz"])
+    head = draw(st.sampled_from(["size >= 2", "size <= 1", "support >= 2", "support <= 1", "cost <= 2",
+                                 "contains", "excludes", "adjacent", "before", "none_between"]))
+    if head in ("contains", "excludes"):
+        return f"{head} {draw(label)}"
+    if head in ("adjacent", "before"):
+        return f"{head} {draw(label)} {draw(label)}"
+    if head == "none_between":
+        return f"none_between {{{','.join(draw(st.lists(label, max_size=2)))}}} {draw(label)} {draw(label)}"
+    return head
+
+
+def condense_in_steps(pats, rep, constraints, weights):
+    """condense as load_patterns, partition_valid, condense and pattern_lines: (exit code, stdout, stderr, output)."""
+    try:
+        loaded = load_patterns(pats)
+        expr = parse_constraints(constraints) if constraints else EMPTY_EXPR
+        table = load_weights(weights, loaded.symbols) if weights else None
+        valid, _ = partition_valid(loaded.records, expr, table, symbols=loaded.symbols)
+        kept = condense(valid, DominanceRelation(rep))
+    except InputError as exc:
+        return 3, "", f"error: {exc}\n", None
+    flags = {rec.pid: True for rec in kept}
+    output = "".join(line + "\n" for line in pattern_lines(kept, loaded.symbols, flags, flags))
+    return 0, f"kept {len(kept)} of {len(loaded.records)} patterns ({len(valid)} valid)\n", "", output
+
+
+class TestStreamingCondense:
+    """condense tests each record as it reads it, to the result of reading the whole file, then filtering."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=stream_pattern_files(),
+        rep=st.sampled_from([rel.value for rel in DominanceRelation]),
+        constraints=st.lists(st.lists(stream_atoms(), min_size=1, max_size=2).map(" | ".join), max_size=3)
+        .map(", ".join),
+        weighted=st.booleans(),
+    )
+    # Labels that first appear in a later record than the first.
+    @example(
+        text="pid=1 kind=sequence support=2 size=1 elements=a\npid=2 kind=sequence support=1 size=3 elements=b,d,c\n",
+        rep="maximal", constraints="contains b, excludes c", weighted=False,
+    )
+    @example(
+        text="pid=1 kind=sequence support=2 size=1 elements=a\npid=2 kind=sequence support=1 size=3 elements=b,d,c\n",
+        rep="maximal", constraints="before b c, none_between {d} b c | support >= 2", weighted=False,
+    )
+    def test_equals_load_then_filter(self, text, rep, constraints, weighted):
+        with tempfile.TemporaryDirectory() as d:
+            pats, weights, out = (Path(d) / name for name in ("p.pat", "w.txt", "out.pat"))
+            pats.write_text(text, encoding="utf-8")
+            weights.write_text(STREAM_WEIGHTS, encoding="utf-8")
+            argv = ["condense", "--patterns", str(pats), "--rep", rep, "--out", str(out)]
+            argv += ["--constraints", constraints] * bool(constraints) + ["--weights", str(weights)] * weighted
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            got = code, stdout.getvalue(), stderr.getvalue(), out.read_text(encoding="utf-8") if out.exists() else None
+            assert got == condense_in_steps(pats, rep, constraints, weighted and weights)
+
+
+class TestCondenseErrorOrder:
+    """A fault of the pattern file wins over a fault of condense's options, wherever in the file it lies."""
+
+    VALID = "pid=1 kind=itemset support=2 size=2 elements=a,b cover=1,2"
+    INVALID = "pid=2 kind=itemset support=1 size=1 elements=c cover=1"  # fails "contains a"
+    BAD = "pid=3 kind=itemset support=x size=1 elements=d"
+
+    @pytest.fixture
+    def pats(self, tmp_path):
+        def write(*lines, tail=b""):
+            path = tmp_path / "p.pat"
+            path.write_bytes("".join(line + "\n" for line in lines).encode() + tail)
+            return str(path)
+
+        return write
+
+    def test_bad_line_after_the_last_valid_record(self, run, pats):
+        path = pats(self.VALID, self.INVALID, self.INVALID.replace("pid=2", "pid=4"), self.BAD)
+        got = run("condense", "--patterns", path, "--rep", "maximal", "--constraints", "contains a")
+        assert got == (3, "", f"error: {path}: line 4: pid/support/size must be integers\n")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--constraints", "size >< 1"), "unsupported operator '><' for size (line 1, column 1)"),
+            (("--constraints", "contains a", "--weights", "bad-w.txt"), "{dir}/bad-w.txt: line 1: weight 'x' is not an integer"),
+            (("--constraints", "contains a", "--weights", "missing-w.txt"), "{dir}/missing-w.txt: No such file or directory"),
+            (("--constraints", "size <= 1 | before a b"), "before applies only to sequence patterns, got itemset"),
+        ],
+        ids=["constraint", "weights", "missing-weights", "order-atom-on-itemsets"],
+    )
+    def test_file_error_wins(self, run, pats, workdir, options, message):
+        (workdir / "bad-w.txt").write_text("a x\n", encoding="utf-8")
+        # VALID reaches the order atom first: it fails "size <= 1"
+        sound = pats(self.VALID, self.INVALID)
+        got = run("condense", "--patterns", sound, "--rep", "maximal", *options)
+        assert got == (3, "", f"error: {message.format(dir=workdir)}\n")
+        path = pats(self.VALID, self.INVALID, self.BAD)
+        got = run("condense", "--patterns", path, "--rep", "maximal", *options)
+        assert got == (3, "", f"error: {path}: line 3: pid/support/size must be integers\n")
+
+    def test_bad_byte_after_an_invalid_record(self, run, pats):
+        path = pats(self.VALID, self.INVALID, tail=b"\xff\n")
+        offset = len(self.VALID) + len(self.INVALID) + 2
+        got = run("condense", "--patterns", path, "--rep", "maximal", "--constraints", "contains a")
+        assert got == (3, "", f"error: {path}: not UTF-8 text (byte {offset})\n")
 
 
 class TestPipeline:
@@ -1439,46 +1595,120 @@ TILE_OPTIONS = {
 
 
 @st.composite
-def tile_argv(draw):
-    """`tile` with each option absent, given once or repeated, in any order; --matrix and --threshold mostly given."""
+def option_argv(draw, command, options, required):
+    """command with each option absent, given once or repeated, in any order; the required ones mostly given.
+
+    An option's values are a list to sample or a strategy.
+    """
     pairs = []
-    for option, values in TILE_OPTIONS.items():
-        given_at_least = 1 if option in ("--matrix", "--threshold") and draw(st.integers(0, 7)) else 0
-        for value in draw(st.lists(st.sampled_from(values), min_size=given_at_least, max_size=2)):
+    for option, values in options.items():
+        given_at_least = 1 if option in required and draw(st.integers(0, 7)) else 0
+        values = st.sampled_from(values) if isinstance(values, list) else values
+        for value in draw(st.lists(values, min_size=given_at_least, max_size=2)):
             pairs.append((option, value))
-    return ["tile", *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    return [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+def run_drawn(argv, files):
+    """cli.main(argv) in a directory of files, each name in argv standing for its path: (exit code, stdout).
+
+    It asserts exit 0-3, no traceback, error lines under 300 bytes, an error
+    line exactly for exits 2 and 3, and that no thread or process started.
+    """
+    with tempfile.TemporaryDirectory() as d:
+        directory = Path(d)
+        for name, text in files.items():
+            if text is not None:  # None: a path the run finds missing, or writes
+                (directory / name).write_text(text, encoding="utf-8")
+        argv = [str(directory / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        started = AssertionError("a run started a thread or a process")
+        threads = threading.active_count()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(threading.Thread, "start", side_effect=started), \
+                mock.patch.object(subprocess, "Popen", side_effect=started), \
+                mock.patch.object(os, "fork", side_effect=started):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert threading.active_count() == threads
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    assert all(len(line.encode()) < 300 for line in errors)
+    assert bool(errors) == (code in (2, 3)), err.getvalue()
+    return code, out.getvalue()
 
 
 class TestTileOptionFuzz:
     """Drawn `tile` option values exit 0-3 with no traceback and short error lines, and start nothing."""
 
     @settings(max_examples=250, deadline=None)
-    @given(argv=tile_argv())
+    @given(argv=option_argv("tile", TILE_OPTIONS, ("--matrix", "--threshold")))
     @example(argv=["tile", "--matrix", "noisy.txt", "--threshold", "40", "--tau", "0.7", "--threads", "1" + "0" * 18])
     @example(argv=["tile", "--matrix", "noisy.txt", "--threshold", "9", "--tau", "0.5", "--method", "all",
                    "--threads", LONG_NUMBER])
     @example(argv=["tile", "--matrix", "matrix4x3.txt", "--threshold", "9", "--candidates", "tiles.txt", "--tau", "5"])
     def test_exit_codes_and_error_lines(self, argv):
-        with tempfile.TemporaryDirectory() as d:
-            directory = Path(d)
-            for name, text in (("noisy.txt", noisy_matrix()), ("matrix4x3.txt", MATRIX_4X3), ("tiles.txt", TILES)):
-                (directory / name).write_text(text, encoding="utf-8")
-            argv = [str(directory / a) if a.endswith(".txt") else a for a in argv]
-            out, err = io.StringIO(), io.StringIO()
-            started = AssertionError("a tile run started a thread or a process")
-            threads = threading.active_count()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    mock.patch.object(threading.Thread, "start", side_effect=started), \
-                    mock.patch.object(subprocess, "Popen", side_effect=started), \
-                    mock.patch.object(os, "fork", side_effect=started):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:  # argparse's usage errors
-                    code = exc.code
-            assert threading.active_count() == threads
-        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
-        assert all(len(line.encode()) < 300 for line in errors)
-        assert bool(errors) == (code in (2, 3)), err.getvalue()
+        files = {"noisy.txt": noisy_matrix(), "matrix4x3.txt": MATRIX_4X3, "tiles.txt": TILES, "missing.txt": None,
+                 "report.txt": None}
+        code, out = run_drawn(argv, files)
         if code in (0, 1):
-            assert out.getvalue().startswith("candidates=")
+            assert out.startswith("candidates=")
+
+
+@st.composite
+def constraint_texts(draw):
+    """Constraint text from the grammar, often malformed: bad operators, bounds, braces and labels, long tokens."""
+    label = st.sampled_from(["a", "b", "e", "zz", "", "{", "%41", "x" * 5000])
+
+    def atom():
+        head = draw(st.sampled_from(["size", "support", "cost", "contains", "excludes", "adjacent", "before",
+                                     "none_between", "", "bogus", "x" * 5000]))
+        if head in ("size", "support", "cost"):
+            return f"{head} {draw(st.sampled_from(['>=', '<=', '><', '=']))} {draw(st.sampled_from(INT_VALUES))}"
+        if head in ("contains", "excludes"):
+            return f"{head} {draw(label)}"
+        if head in ("adjacent", "before"):
+            return f"{head} {draw(label)} {draw(label)}"
+        if head == "none_between":
+            return f"none_between {{{','.join(draw(st.lists(label, max_size=2)))}}} {draw(label)} {draw(label)}"
+        return head
+
+    clauses = [" | ".join(atom() for _ in range(draw(st.integers(1, 2)))) for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.sampled_from([", ", "\n", " # note\n", ",,", "} "])).join(clauses)
+
+
+CONDENSE_FILES = {
+    "items.pat": "\n".join(ITEMSET_LINES) + "\n",
+    "seqs.pat": "pid=1 kind=sequence support=3 size=1 elements=a cover=1,2,3\n"
+    "pid=2 kind=sequence support=2 size=2 elements=b,e cover=1,2\n",
+    "c.txt": FUZZ_CONSTRAINTS,
+    "w.txt": FUZZ_WEIGHTS,
+    "bad-w.txt": "a 1\nb -2\n",
+    "missing.pat": None,
+    "missing-w.txt": None,
+    "out.pat": None,
+}
+CONDENSE_OPTIONS = {
+    "--patterns": ["items.pat", "seqs.pat"] * 2 + ["missing.pat"],
+    "--rep": ["maximal", "closed", "free", "skyline"] * 3 + ["", "Closed", "x" * 5000],
+    "--constraints": constraint_texts() | st.sampled_from(["c.txt"]),
+    "--weights": ["w.txt", "w.txt", "bad-w.txt", "missing-w.txt"],
+    "--out": ["out.pat"],
+}
+
+
+class TestCondenseOptionFuzz:
+    """Drawn `condense` option values exit 0-3 with no traceback and short error lines, and start nothing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=option_argv("condense", CONDENSE_OPTIONS, ("--patterns", "--rep")))
+    @example(argv=["condense", "--patterns", "seqs.pat", "--rep", "closed", "--constraints", "before a e, cost <= 2",
+                   "--weights", "w.txt"])
+    @example(argv=["condense", "--patterns", "items.pat", "--rep", "maximal", "--constraints", "contains " + "x" * 5000])
+    def test_exit_codes_and_error_lines(self, argv):
+        code, out = run_drawn(argv, CONDENSE_FILES)
+        assert code != 1
+        if code == 0:
+            assert out.splitlines()[-1].startswith("kept ")

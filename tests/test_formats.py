@@ -73,6 +73,10 @@ class TestLoadTransactions:
         db = load_transactions(write(tmp_path, "t.txt", "a a b\n"))
         assert db.transactions[0] == (0, 1)
 
+    def test_form_feed_separates_items(self, tmp_path):
+        db = load_transactions(write(tmp_path, "t.txt", "a\fb c\r\nb\x1cc\u2028a\rc\n"))
+        assert db.transactions == ((0, 1, 2), (0, 1, 2), (2,))
+
     def test_deterministic_interning(self, tmp_path):
         p = write(tmp_path, "t.txt", "z y\nx z\n")
         assert load_transactions(p).symbols.labels == load_transactions(p).symbols.labels
@@ -170,9 +174,15 @@ class TestLoadGraphs:
             load_graphs(write(tmp_path, "g.txt", "t # 1\nt # 2\nv 0 a\n"))
 
 
+def text_lines(text):
+    """text's lines: each ends at "\n", "\r\n" or "\r", and a last line may end at the end of text."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def reference_matrix(path):
     """A matrix file read token by token: (cells, column masks), or the message of its first fault."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = text_lines(Path(path).read_text(encoding="utf-8"))
     if not lines:
         return f"{path}: empty file"
     rows = []
@@ -209,8 +219,8 @@ def matrix_texts(draw):
             grid[r].append("1")
     elif fault not in (None, "blank"):
         grid[r][draw(st.integers(0, n_cols - 1))] = fault
-    # "\x0b" ends a line, as it does for str.splitlines; it is drawn in some grids only.
-    space = st.text(st.sampled_from(draw(st.sampled_from([" \t\u00a0", " \t\u00a0\x0b"]))), min_size=1, max_size=2)
+    # Whitespace that ends no line: "\x0b", "\x0c" and "\x85" end one for str.splitlines, not here.
+    space = st.text(st.sampled_from(" \t\u00a0\x0b\x0c\x85"), min_size=1, max_size=2)
     lines = [
         draw(st.one_of(st.just(""), space)) + "".join(cell + draw(space) for cell in row[:-1]) + row[-1]
         + draw(st.one_of(st.just(""), space))
@@ -218,7 +228,7 @@ def matrix_texts(draw):
     ]
     if fault == "blank":
         lines.insert(draw(st.integers(0, n_rows)), draw(st.sampled_from(["", " ", "\t"])))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""  # no final newline
     return "".join(line + end for line, end in zip(lines, ends))
@@ -236,6 +246,10 @@ class TestLoadMatrix:
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(InputError, match="ragged row"):
             load_matrix(write(tmp_path, "m.txt", "1 0\n1\n"))
+
+    def test_vertical_tab_separates_cells(self, tmp_path):
+        # "\v" separates two cells, as a space does; only "\n", "\r\n" and "\r" end a row.
+        assert load_matrix(write(tmp_path, "m.txt", "1\v0\n1 0\n")).cells == ((1, 0), (1, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(text=matrix_texts())
@@ -369,9 +383,10 @@ ALL_LOADERS = LOADERS + [
 ]
 # Lines past the first 64 KiB chunk.
 FILLER = "x y\n" * 20_000
-# Every boundary str.splitlines knows, characters of two to four UTF-8 bytes,
-# and bytes that are not UTF-8 where they stand (a truncated character, a lone
-# continuation byte, a surrogate, a code point past U+10FFFF).
+# Every boundary str.splitlines knows (only "\n", "\r\n" and "\r" end a line
+# here), characters of two to four UTF-8 bytes, and bytes that are not UTF-8
+# where they stand (a truncated character, a lone continuation byte, a
+# surrogate, a code point past U+10FFFF).
 PIECES = [
     *(c.encode() for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
     b"\r\n", b"a", b" ", *(c.encode() for c in "\u00e9\u20ac\U0001f600"),
@@ -386,7 +401,7 @@ class TestChunkedReader:
     def whole(path, stop: int):
         """read_text's lines or error, or the error a reader raises on meeting line stop + 1."""
         try:
-            lines = read_text(path).splitlines()
+            lines = text_lines(read_text(path))
         except InputError as exc:
             return str(exc)
         return lines if stop >= len(lines) else "bad line"
@@ -750,7 +765,7 @@ def checked_records(text):
     """What load_patterns must give for a file's text, every record built by the checked public constructors."""
     symbols = SymbolTable()
     records = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         pid, kind, support, size, elements, vertices, edges, cover, _, _ = _parse_line(line, "p.pat", lineno)
         try:
             if pid in records:
