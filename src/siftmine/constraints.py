@@ -138,9 +138,14 @@ def _parse_atom(text: str, lineno: int, col: int) -> ConstraintAtom:
 
 
 def parse_constraints(text: str) -> ConstraintExpr:
-    """Parse constraint text into a ConstraintExpr; errors carry line/column."""
+    """Parse constraint text into a ConstraintExpr; errors carry line/column.
+
+    A line ends at "\n", "\r\n" or "\r", as in every input file: a vertical
+    tab, form feed or other Unicode line separator is whitespace inside it.
+    """
     clauses: list[tuple[ConstraintAtom, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

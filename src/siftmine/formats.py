@@ -16,16 +16,20 @@ Pattern files are line-oriented key=value records. Labels are percent-quoted
 so any non-whitespace token round-trips losslessly; a written file loads
 back to records that write the same bytes. load_patterns and
 write_patterns (with pattern_lines for stdout) are the whole pattern-file
-codec: one field parser reads a line, straight into its record, and one
-renderer writes it; an itemset or sequence line in the renderer's own
-layout takes one compiled match instead, to the same result. One field
-loop reads the key=value tokens of pattern and tile lines alike and names
-the first bad one, and every integer is read by plain_int, so a number too
-long for int() is malformed input like any other. The default edge label
-"0" is interned at each graph record, before that record's own labels, so
-a file of graph records gives it id 0 as load_graphs does. Covers stay
-checked text from reader to writer; a set of tids is built only for a
-record whose cover is read.
+codec: one reader turns each line straight into its record, and one
+renderer writes it, each line with one format string. An itemset or
+sequence line in the renderer's own layout, split at " cover=", takes one
+compiled match of its short head; its cover is checked as encoded bytes
+(digits and commas only) and by comma count, and its flag tail is looked
+up in a table of the nine the renderer writes. A line that fails any of
+these goes to the token parser, which gives every error message; both
+read a line to the same record. One field loop reads the key=value tokens
+of pattern and tile lines alike and names the first bad one, and every
+integer is read by plain_int, so a number too long for int() is malformed
+input like any other. The default edge label "0" is interned at each
+graph record, before that record's own labels, so a file of graph records
+gives it id 0 as load_graphs does. Covers stay checked text from reader
+to writer; a set of tids is built only for a record whose cover is read.
 """
 
 from __future__ import annotations
@@ -342,6 +346,21 @@ def _unq(text: str) -> str:
     return unquote(text, errors="strict")
 
 
+# The nine flag tails pattern_lines writes, and their (valid, condensed) flags
+_FLAG_TAILS = {
+    "": (None, None),
+    " condensed=0": (None, False),
+    " condensed=1": (None, True),
+    " valid=0": (False, None),
+    " valid=0 condensed=0": (False, False),
+    " valid=0 condensed=1": (False, True),
+    " valid=1": (True, None),
+    " valid=1 condensed=0": (True, False),
+    " valid=1 condensed=1": (True, True),
+}
+_TAILS = {flags: tail for tail, flags in _FLAG_TAILS.items()}
+
+
 def pattern_lines(
     records: Iterable[PatternRecord],
     symbols: SymbolTable,
@@ -352,36 +371,42 @@ def pattern_lines(
 
     Itemset elements go in label order: ids depend on interning history,
     labels don't, so a reloaded file serializes back to the same bytes.
+    Labels are ranked once, so each itemset sorts ints, not labels.
     """
-    label = dict(enumerate(symbols.labels))
-    quoted = {sid: _q(lbl) for sid, lbl in label.items()}
+    labels = symbols.labels
+    quoted = {sid: _q(lbl) for sid, lbl in enumerate(labels)}
+    order = sorted(quoted, key=labels.__getitem__)
+    rank = {sid: r for r, sid in enumerate(order)}
+    ranked = [quoted[sid] for sid in order]
     valid, condensed = valid or {}, condensed or {}
+    flagged = bool(valid or condensed)
     for rec in records:
         p = rec.pattern
+        kind = p.kind
         try:
-            if p.kind == "graph":
+            if kind == "itemset":
+                body = "elements=" + ",".join(map(ranked.__getitem__, sorted(map(rank.__getitem__, p.elements))))
+            elif kind == "sequence":
+                body = "elements=" + ",".join(map(quoted.__getitem__, p.elements))
+            else:
                 body = "vertices=" + ",".join(f"{vid}:{quoted[lbl]}" for vid, lbl in p.vertices)
                 body += " edges=" + ",".join(f"{u}-{v}:{quoted[lbl]}" for u, v, lbl in p.edges)
-            else:
-                elements = sorted(p.elements, key=label.__getitem__) if p.kind == "itemset" else p.elements
-                body = "elements=" + ",".join(map(quoted.__getitem__, elements))
         except KeyError as exc:
             raise InputError(f"unknown symbol id {exc.args[0]}") from None
-        line = f"pid={rec.pid} kind={p.kind} support={rec.support} size={rec.size} {body}"
-        cover = rec.cover_text()
-        if cover is not None:
-            line += " cover=" + cover
-        if rec.pid in valid:
-            line += f" valid={int(valid[rec.pid])}"
-        if rec.pid in condensed:
-            line += f" condensed={int(condensed[rec.pid])}"
-        yield line
+        pid, cover = rec.pid, rec.cover_text()
+        tail = _TAILS[valid.get(pid), condensed.get(pid)] if flagged else ""
+        if cover is None:
+            yield f"pid={pid} kind={kind} support={rec.support} size={rec.size} {body}{tail}"
+        else:
+            yield f"pid={pid} kind={kind} support={rec.support} size={rec.size} {body} cover={cover}{tail}"
 
 
-def _is_int_list(text: str) -> bool:
-    """True exactly for ASCII `\\d+(?:,\\d+)*`: plain decimals joined by single commas."""
-    ends_in_digits = text[:1].isdigit() and text[-1:].isdigit()
-    return ends_in_digits and text.isascii() and ",," not in text and not text.encode().translate(None, b"0123456789,")
+def _listed(text: str) -> int | None:
+    """How many plain decimals text lists, joined by single commas (ASCII `\\d+(?:,\\d+)*`); 0 for "", else None."""
+    plain = text.isascii() and not text.encode().translate(None, b"0123456789,")  # ASCII digits and commas only
+    if plain and text[:1].isdigit() and text[-1:].isdigit() and ",," not in text:
+        return text.count(",") + 1
+    return 0 if text == "" else None
 
 
 def _parse_int_list(value: str, path, lineno: int) -> tuple[int, ...]:
@@ -468,9 +493,9 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
         raise InputError(f"{path}: line {lineno}: unknown pattern kind {shown(kind)}")
     cover = fields.get("cover")
     if cover is not None:
-        if cover and not _is_int_list(cover):
+        listed = _listed(cover)
+        if listed is None:
             raise InputError(f"{path}: line {lineno}: malformed integer list {shown(cover)}")
-        listed = cover.count(",") + 1 if cover else 0
         if listed != support:
             raise InputError(f"{path}: line {lineno}: support {support} but the cover lists {listed} tids")
     for flag in ("valid", "condensed"):
@@ -480,68 +505,77 @@ def _parse_line(line: str, path, lineno: int) -> tuple:
     return pid, kind, support, size, elements, vertices, edges, cover, valid, condensed
 
 
-# The layout pattern_lines writes for an itemset or sequence record. A flat
-# class scans a cover in one pass (a group repeated per tid costs more than
-# the token parser), and string methods check its commas and count. Labels
-# with no "%" or "=" are their own unquoted text, split on commas as
-# _parse_line splits them.
-_CANONICAL = re.compile(
-    r"pid=([0-9]+) kind=(itemset|sequence) support=([0-9]+) size=([0-9]+) elements=([^\s%=]+)"
-    r"(?: cover=([0-9,]*))?(?: valid=([01]))?(?: condensed=([01]))?"
+# The layout pattern_lines writes for an itemset or sequence record, up to
+# its cover: a short head, matched without scanning the cover. Labels with no
+# "%" or "=" are their own unquoted text, split on commas as _parse_line
+# splits them. The last group holds what follows the elements: the flags of
+# a line with no cover.
+_HEAD = re.compile(
+    r"pid=([0-9]+) kind=(itemset|sequence) support=([0-9]+) size=([0-9]+) elements=([^\s%=]+)(.*)", re.DOTALL
 )
 
 
-def _parse_canonical(line: str) -> tuple | None:
-    """_parse_line's tuple for a canonical itemset or sequence line that parses, else None; never raises."""
-    m = _CANONICAL.fullmatch(line)
-    if m is None:
-        return None
-    pid, kind, support, size, elements, cover, valid, condensed = m.groups()
-    try:
-        pid, support, size = int(pid), int(support), int(size)
-    except ValueError:  # more digits than int() reads: _parse_line reports the line
-        return None
-    if cover is not None and (
-        ",," in cover or cover[:1] == "," or cover[-1:] == "," or (cover.count(",") + 1 if cover else 0) != support
-    ):
-        return None
-    valid = None if valid is None else valid == "1"
-    condensed = None if condensed is None else condensed == "1"
-    return pid, kind, support, size, tuple(elements.split(",")), None, None, cover, valid, condensed
+def _records(lines: Iterable[str], path, keep=None, symbols: SymbolTable | None = None):
+    """Records, symbols, and valid and condensed flags from a pattern file's lines.
 
-
-def _records(rows: Iterable[tuple], path, keep=None, symbols: SymbolTable | None = None):
-    """Records, symbols, and valid and condensed flags from parsed lines.
-
-    A record's error names path and the line (blank lines are errors, so row k is line k). _parse_line
-    or _parse_canonical has matched each cover's count to its support and read pid, support and size as
-    nonnegative ints; interning gives nonnegative ids. What remains is checked here, first failure first:
-    a duplicate pid, a repeated itemset label, pid 0, then size against the pattern. keep, if given, then
-    tests the record, its labels interned into symbols (a new table if None); a record it rejects is
-    checked and its pid remembered, but neither it nor its flags are held.
+    A line in pattern_lines' own itemset or sequence layout, with plain
+    labels and a cover of plain decimals whose count is its support, is read
+    from one match of its head; every other line goes to _parse_line, which
+    checks every field, or names the first bad one. Both give pid, support
+    and size as nonnegative ints; interning gives nonnegative ids. What
+    remains is checked here, first failure first: a duplicate pid, a
+    repeated itemset label, pid 0, then size against the pattern. A record's
+    error names path and the line (blank lines are errors, so line k is the
+    k-th line). keep, if given, then tests the record, its labels interned
+    into symbols (a new table if None); a record it rejects is checked and
+    its pid remembered, but neither it nor its flags are held.
     """
     symbols = SymbolTable() if symbols is None else symbols
+    ids = symbols._ids.__getitem__  # interns an unseen label
     pids: set[int] = set()
     records: list[PatternRecord] = []
     valid: dict[int, bool] = {}
     condensed: dict[int, bool] = {}
-    for lineno, row in enumerate(rows, start=1):
-        pid, kind, support, size, elements, vertices, edges, cover, is_valid, is_condensed = row
+    for lineno, line in enumerate(lines, start=1):
+        head, has_cover, cover = line.partition(" cover=")
+        m = _HEAD.fullmatch(head)
+        flags = None
+        if m is not None:
+            pid, kind, support, size, labels, tail = m.groups()
+            if not has_cover:
+                cover = None
+            elif not tail:
+                cover, space, tail = cover.partition(" ")
+                tail = space + tail
+            else:  # a field between the elements and the cover
+                tail = None
+            flags = _FLAG_TAILS.get(tail)
+            try:
+                pid, support, size = int(pid), int(support), int(size)
+            except ValueError:  # more digits than int() reads: _parse_line reports the line
+                flags = None
+            else:
+                if cover is not None and _listed(cover) != support:
+                    flags = None
+        if flags is None:
+            pid, kind, support, size, labels, vertices, edges, cover, *flags = _parse_line(line, path, lineno)
+        else:
+            labels = labels.split(",")
         try:
             if pid in pids:
                 raise InputError(f"duplicate pattern id {shown_number(pid)}")
             if kind == "itemset":
-                items = tuple(sorted(symbols.intern_all(elements)))
+                items = tuple(sorted(map(ids, labels)))  # map interns in file order, then sorted orders the ids
                 if len(set(items)) != len(items):  # the one fault sorted ids of nonempty elements can have
                     raise InputError(f"pattern {shown_number(pid)}: itemset lists a label more than once")
                 pattern = Itemset._proved(items)
             elif kind == "sequence":
-                pattern = Sequence._proved(symbols.intern_all(elements))
+                pattern = Sequence._proved(tuple(list(map(ids, labels))))
             else:  # "0" first, then lists, so that vertex labels are interned before edge labels
-                symbols.intern("0")
+                ids("0")
                 pattern = LabeledGraph.of(
-                    [(vid, symbols.intern(lbl)) for vid, lbl in vertices],
-                    [(u, v, symbols.intern(lbl)) for u, v, lbl in edges],
+                    [(vid, ids(lbl)) for vid, lbl in vertices],
+                    [(u, v, ids(lbl)) for u, v, lbl in edges],
                 )
             if pid < 1:
                 raise InputError("pattern ids are 1-based")
@@ -556,6 +590,7 @@ def _records(rows: Iterable[tuple], path, keep=None, symbols: SymbolTable | None
         if keep is not None and not keep(record):
             continue
         records.append(record)
+        is_valid, is_condensed = flags
         if is_valid is not None:
             valid[pid] = is_valid
         if is_condensed is not None:
@@ -599,8 +634,7 @@ def load_patterns(path, keep=None, symbols: SymbolTable | None = None) -> Loaded
     without keep.
     """
     with _reading(path) as lines:
-        rows = (_parse_canonical(raw) or _parse_line(raw, path, lineno) for lineno, raw in enumerate(lines, start=1))
-        return LoadedPatterns(*_records(rows, path, keep, symbols))
+        return LoadedPatterns(*_records(lines, path, keep, symbols))
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:

@@ -109,6 +109,23 @@ class TestGrammar:
         with pytest.raises(ConstraintSyntaxError, match="line 3"):
             parse_constraints("size >= 1\nsupport >= 1\nbogus atom\n")
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends(self, end):
+        assert parse_constraints(f"size >= 2{end}contains a{end}") == parse_constraints("size >= 2\ncontains a\n")
+
+    # A data file reads each of these as whitespace inside a line, and so does the constraint parser.
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " ", " "])
+    def test_other_separators_end_no_line(self, sep):
+        with pytest.raises(ConstraintSyntaxError) as err:
+            parse_constraints(f"size >= 2{sep}contains a")
+        assert str(err.value) == "size atom takes an operator and a bound (line 1, column 1)"
+        assert parse_constraints(f"size >= 2,{sep}contains a") == parse_constraints("size >= 2, contains a")
+
+    def test_positions_after_crlf(self):
+        with pytest.raises(ConstraintSyntaxError) as err:
+            parse_constraints("size >= 1\r\n\r\n  support >= x\r\n")
+        assert str(err.value) == "bound 'x' is not an integer (line 3, column 3)"
+
 
 class TestNumericAtoms:
     def test_size_and_support(self):

@@ -38,7 +38,7 @@ from siftmine import (
 )
 from siftmine import formats
 from siftmine.core import Cover
-from siftmine.formats import _is_int_list, _parse_canonical, _parse_line, pattern_lines, read_text
+from siftmine.formats import _listed, _parse_line, pattern_lines, read_text
 
 from helpers import LONG_NUMBER, LONG_NUMBER_LINES, long_numbers
 
@@ -550,6 +550,58 @@ class TestPatternLineCodec:
         assert loaded.valid == {1: True} and loaded.condensed == {1: False}
 
 
+# Labels interned out of label order, four of them quoted; each record's line with no flags.
+GOLDEN_LABELS = ("z", "a%", "\xe9", "b=c", "x,y")
+GOLDEN_LINES = [
+    "pid=3 kind=itemset support=2 size=5 elements=a%25,b%3Dc,x%2Cy,z,%C3%A9 cover=1,4",
+    "pid=1 kind=sequence support=7 size=3 elements=%C3%A9,z,%C3%A9",
+    "pid=2 kind=graph support=1 size=1 vertices=0:z,1:%C3%A9 edges=0-1:x%2Cy cover=12",
+    "pid=4 kind=itemset support=0 size=2 elements=x%2Cy,%C3%A9 cover=",
+    "pid=5 kind=itemset support=3 size=2 elements=a%25,b%3Dc",
+    "pid=6 kind=graph support=2 size=0 vertices=0:b%3Dc edges=",
+]
+GOLDEN_TAILS = {
+    (None, None): "",
+    (False, None): " valid=0",
+    (True, None): " valid=1",
+    (None, False): " condensed=0",
+    (None, True): " condensed=1",
+    (False, False): " valid=0 condensed=0",
+    (False, True): " valid=0 condensed=1",
+    (True, False): " valid=1 condensed=0",
+    (True, True): " valid=1 condensed=1",
+}
+
+
+def golden_records():
+    symbols = SymbolTable(GOLDEN_LABELS)
+    return symbols, [
+        PatternRecord(3, Itemset((0, 1, 2, 3, 4)), 2, frozenset({4, 1}), 5),
+        PatternRecord(1, Sequence((2, 0, 2)), 7, None, 3),
+        PatternRecord(2, LabeledGraph.of([(0, 0), (1, 2)], [(0, 1, 4)]), 1, frozenset({12}), 1),
+        PatternRecord(4, Itemset((2, 4)), 0, frozenset(), 2),
+        PatternRecord(5, Itemset((1, 3)), 3, None, 2),
+        PatternRecord(6, LabeledGraph.of([(0, 3)], []), 2, None, 0),
+    ]
+
+
+class TestWriterGolden:
+    """pattern_lines' exact text: itemsets in label order whatever their ids, labels quoted, flags in one order."""
+
+    @pytest.mark.parametrize("flags", list(GOLDEN_TAILS), ids=list(map(str, GOLDEN_TAILS)))
+    def test_lines(self, flags, tmp_path):
+        symbols, records = golden_records()
+        # The flags go on every other record, so that flagged and unflagged lines mix.
+        valid, condensed = ({rec.pid: flag for rec in records[::2]} if flag is not None else {} for flag in flags)
+        want = [line + (GOLDEN_TAILS[flags] if k % 2 == 0 else "") for k, line in enumerate(GOLDEN_LINES)]
+        assert list(pattern_lines(records, symbols, valid, condensed)) == want
+        data, loaded = write_and_load(records, symbols, tmp_path, "one.pat", valid=valid, condensed=condensed)
+        assert data == "".join(line + "\n" for line in want).encode()
+        flags = {"valid": loaded.valid, "condensed": loaded.condensed}
+        again, _ = write_and_load(loaded.records, loaded.symbols, tmp_path, "two.pat", **flags)
+        assert again == data
+
+
 class TestLineToOutputErrors:
     """Each malformed line fails load_patterns, which names the file and the line."""
 
@@ -684,67 +736,94 @@ def itemset_or_sequence_lines(draw):
     return (draw(st.sampled_from(["\t", "  ", " \xa0"])) if flaw == "spacing" else " ").join(tokens)
 
 
+def token_parser_load(path, keep=None):
+    """load_patterns with its fast path off, so that every line goes through _parse_line."""
+    with mock.patch.object(formats, "_HEAD", re.compile("(?!)")):
+        return load_patterns(path, keep)
+
+
+def load_outcome(load, path, keep=None):
+    """What a load of path gives: each record's fields, cover text and field order, labels and flags; or its error."""
+    try:
+        loaded = load(path, keep)
+    except InputError as exc:
+        return str(exc)
+    records = [(r.pid, r.pattern, r.support, r.size, r.cover_text(), list(r.__dict__)) for r in loaded.records]
+    return records, loaded.symbols.labels, loaded.valid, loaded.condensed
+
+
+def parsed_lines(path):
+    """load_patterns' outcome on path, and how many of its lines went to _parse_line."""
+    with mock.patch.object(formats, "_parse_line", wraps=formats._parse_line) as parse:
+        outcome = load_outcome(load_patterns, path)
+    return outcome, parse.call_count
+
+
+# A canonical line, and one flaw of it each: (old, new) replaces old with new.
+CANONICAL_LINE = "pid=1 kind=sequence support=2 size=1 elements=a cover=1,2 valid=1 condensed=0"
+ONE_FLAW = [
+    ("pid=1", "pid=\u0661"),
+    ("support=2", "support=\u0662"),
+    ("size=1", "size=0\u0661"),
+    ("cover=1,2", "cover=1,\u0662"),
+    ("support=2 size=1 elements=a cover=1,2", "support=3 size=1 elements=a cover=1,,2"),
+    ("cover=1,2", "cover=1,"),
+    ("cover=1,2", "cover=,2"),
+    ("cover=1,2", "cover="),
+    ("cover=1,2", "cover=1"),
+    ("elements=a", "elements=a\tb"),
+    ("elements=a", "elements=a\xa0b"),
+    ("elements=a", "elements=a\x1cb"),
+    ("elements=a", "elements=%61"),
+    ("elements=a", "elements=a=b"),
+    ("valid=1", "valid=2"),
+    ("valid=1", "valid="),
+    ("valid=1 ", ""),
+    ("pid=1 kind=sequence", "kind=sequence pid=1"),
+    (" cover", "  cover"),
+    ("", ""),
+    ("cover=1,2 valid=1 condensed=0", "valid=1 condensed=0 cover=1,2"),
+]
+
+
 class TestCanonicalFastPath:
-    """_parse_canonical gives _parse_line's tuple for a canonical line, None for any other, and never raises."""
+    """A line in the writer's itemset/sequence layout, with plain labels, skips _parse_line; any other goes to it."""
 
     @staticmethod
     def check(line):
-        fast = _parse_canonical(line)
+        with tempfile.TemporaryDirectory() as d:
+            path = write(Path(d), "p.pat", line + "\n")
+            fast, parsed = parsed_lines(path)
+            assert fast == load_outcome(token_parser_load, path)
         try:
-            parsed = _parse_line(line, "p.pat", 1)
+            elements = _parse_line(line, "p.pat", 1)[4]
         except InputError:
-            assert fast is None  # so the token parser raises its own message
+            assert parsed == 1  # so the token parser raises its own message
             return
         tokens = line.split()
         fields = dict(tok.split("=", 1) for tok in tokens)
         canonical = line == " ".join(tokens) and list(fields) == [key for key in CANONICAL_ORDER if key in fields]
-        plain = parsed[4] is not None and not {"%", "="} & set(fields["elements"])
-        if canonical and plain:
-            assert fast == parsed
-        else:
-            assert fast is None
+        plain = elements is not None and not {"%", "="} & set(fields["elements"])
+        assert parsed == (0 if canonical and plain else 1)
 
     @settings(max_examples=300, deadline=None)
     @given(itemset_or_sequence_lines())
     def test_same_tuple_or_token_parser(self, line):
         self.check(line)
 
-    # One flaw each, in a line that is canonical otherwise.
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("pid=1", "pid=\u0661"),
-            ("support=2", "support=\u0662"),
-            ("size=1", "size=0\u0661"),
-            ("cover=1,2", "cover=1,\u0662"),
-            ("support=2 size=1 elements=a cover=1,2", "support=3 size=1 elements=a cover=1,,2"),
-            ("cover=1,2", "cover=1,"),
-            ("cover=1,2", "cover=,2"),
-            ("cover=1,2", "cover="),
-            ("cover=1,2", "cover=1"),
-            ("elements=a", "elements=a\tb"),
-            ("elements=a", "elements=a\xa0b"),
-            ("elements=a", "elements=a\x1cb"),
-            ("elements=a", "elements=%61"),
-            ("elements=a", "elements=a=b"),
-            ("valid=1", "valid=2"),
-            ("valid=1", "valid="),
-            ("valid=1 ", ""),
-            ("pid=1 kind=sequence", "kind=sequence pid=1"),
-            (" cover", "  cover"),
-            ("", ""),
-        ],
-    )
+    @pytest.mark.parametrize("old, new", ONE_FLAW)
     def test_one_flaw(self, old, new):
-        self.check("pid=1 kind=sequence support=2 size=1 elements=a cover=1,2 valid=1 condensed=0".replace(old, new))
+        self.check(CANONICAL_LINE.replace(old, new))
 
-    def test_written_lines_take_the_fast_path(self, toy_items, toy_seqs):
+    def test_written_lines_take_the_fast_path(self, toy_items, toy_seqs, tmp_path):
         for fixture, mine in ((toy_items, mine_frequent_itemsets), (toy_seqs, mine_frequent_sequences)):
             records = mine(fixture.db, MinSupport.absolute(1))
             flags = {rec.pid: rec.pid % 2 == 0 for rec in records[::2]}
-            for line in pattern_lines(records, fixture.db.symbols, flags, {records[0].pid: True}):
-                assert _parse_canonical(line) == _parse_line(line, "p.pat", 1)
-                assert _parse_canonical(line) is not None
+            path = tmp_path / f"{records[0].kind}.pat"
+            write_patterns(records, path, fixture.db.symbols, flags, {records[0].pid: True})
+            fast, parsed = parsed_lines(path)
+            assert parsed == 0
+            assert fast == load_outcome(token_parser_load, path)
 
 
 @st.composite
@@ -759,6 +838,50 @@ def graph_lines(draw):
     line += " vertices=" + ",".join(f"{vid}:{lbl}" for vid, lbl in vertices)
     line += " edges=" + ",".join(f"{u}-{v}:{lbl}" for u, v, lbl in edges)
     return line if cover is None else f"{line} cover={cover}"
+
+
+# Lines at the edges of the fast path: each loads as through _parse_line alone.
+EDGE_LINES = {
+    "4301-digit pid": "pid=" + "1" * 4301 + " kind=itemset support=2 size=1 elements=a cover=1,2",
+    "empty tid": "pid=1 kind=itemset support=3 size=1 elements=a cover=1,,2",
+    "non-ASCII tid": "pid=1 kind=itemset support=2 size=1 elements=a cover=1,\u0662",
+    "letter tid": "pid=1 kind=itemset support=2 size=1 elements=a cover=1,a",
+    "tab in cover": "pid=1 kind=itemset support=2 size=1 elements=a cover=1,\t2",
+    "flags reordered": "pid=1 kind=itemset support=2 size=1 elements=a cover=1,2 condensed=1 valid=1",
+    "trailing space": "pid=1 kind=itemset support=2 size=1 elements=a cover=1,2 ",
+    "trailing space, no cover": "pid=1 kind=itemset support=2 size=1 elements=a valid=0 ",
+    "empty cover, support 0": "pid=1 kind=itemset support=0 size=1 elements=a cover=",
+    "empty cover, support 1": "pid=1 kind=itemset support=1 size=1 elements=a cover=",
+    "field before the cover": "pid=1 kind=itemset support=2 size=1 elements=a valid=1 cover=1,2",
+    "flags before the cover": "pid=1 kind=itemset support=1 size=1 elements=a valid=1 cover=1 condensed=0",
+    "repeated label": "pid=1 kind=itemset support=1 size=2 elements=a,a cover=1",
+}
+
+
+class TestReaderParity:
+    """load_patterns gives what a load through _parse_line alone gives: records, labels, flags, or the first error."""
+
+    @staticmethod
+    def check(lines, keep=None):
+        with tempfile.TemporaryDirectory() as d:
+            path = write(Path(d), "p.pat", "".join(line + "\n" for line in lines))
+            assert load_outcome(load_patterns, path, keep) == load_outcome(token_parser_load, path, keep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(itemset_or_sequence_lines() | graph_lines(), min_size=1, max_size=4), st.booleans())
+    def test_generated_files(self, lines, filtered):
+        self.check(lines, (lambda rec: rec.pid % 2 == 0) if filtered else None)
+
+    # After a good record with other labels, so that interning order and pids carry over.
+    @pytest.mark.parametrize(
+        "line",
+        [CANONICAL_LINE.replace(old, new) for old, new in ONE_FLAW] + list(EDGE_LINES.values()),
+        ids=[f"flaw-{k}" for k in range(len(ONE_FLAW))] + list(EDGE_LINES),
+    )
+    def test_edge_lines(self, line):
+        self.check([line])
+        self.check(["pid=2 kind=itemset support=1 size=2 elements=b,a cover=7 valid=0", line])
+        self.check(["pid=1 kind=sequence support=0 size=1 elements=c", line])
 
 
 def checked_records(text):
@@ -939,7 +1062,8 @@ class TestCoverText:
     @settings(max_examples=400, deadline=None)
     @given(INT_LIST_TEXT)
     def test_checker_matches_the_regex(self, text):
-        assert _is_int_list(text) == bool(re.fullmatch(r"\d+(?:,\d+)*", text, re.ASCII))
+        listed = text.count(",") + 1 if re.fullmatch(r"\d+(?:,\d+)*", text, re.ASCII) else 0 if text == "" else None
+        assert _listed(text) == listed
 
     @settings(max_examples=400, deadline=None)
     @given(text=COVER_TEXT, support=st.integers(0, 3))
@@ -981,7 +1105,6 @@ class TestLongNumbers:
 
     @pytest.mark.parametrize("line", LONG_NUMBER_LINES, ids=range(len(LONG_NUMBER_LINES)))
     def test_pattern_numbers(self, tmp_path, line):
-        assert _parse_canonical(line) is None
         with pytest.raises(InputError, match=r"p\.pat: line 1: pid/support/size must be integers$"):
             load_line(tmp_path, line)
 
