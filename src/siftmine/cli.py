@@ -229,9 +229,7 @@ def cmd_tile(args) -> int:
         selections = result.selections
 
     if args.out:
-        write_tiling(
-            args.out, matrix, candidates, args.method, args.error_mode, args.threshold, status, selections
-        )
+        write_tiling(args.out, candidates, args.method, args.error_mode, args.threshold, status, selections)
     print(
         f"candidates={len(candidates)} method={args.method} "
         f"error_mode={args.error_mode} threshold={args.threshold}"

@@ -54,12 +54,13 @@ from .core import (
     Sequence,
     SequenceDB,
     SymbolTable,
+    TidTable,
     TransactionDB,
     mask_at,
     plain_int,
 )
 from .errors import InputError, shown, shown_number
-from .tiling import _FLAGS, BinaryMatrix, Tile, TileSelection, _cut, _error_scorer
+from .tiling import _FLAGS, BinaryMatrix, Tile, TileSelection, _cut
 
 
 def read_text(path) -> str:
@@ -536,6 +537,7 @@ def _records(lines: Iterable[str], path, keep=None, symbols: SymbolTable | None 
     records: list[PatternRecord] = []
     valid: dict[int, bool] = {}
     condensed: dict[int, bool] = {}
+    no_table = TidTable()  # a text cover never reads its table
     for lineno, line in enumerate(lines, start=1):
         head, has_cover, cover = line.partition(" cover=")
         m = _HEAD.fullmatch(head)
@@ -582,7 +584,7 @@ def _records(lines: Iterable[str], path, keep=None, symbols: SymbolTable | None 
             if size != pattern.size:
                 raise InputError("size must match the pattern")
             if cover is not None:
-                cover = Cover(text=cover, count=support)
+                cover = Cover(0, no_table, cover, support)
             record = PatternRecord._proved(pid, pattern, support, cover, size)
         except InputError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
@@ -648,7 +650,6 @@ def _write_lines(path, lines: Iterable[str]) -> None:
 
 def write_tiling(
     path,
-    matrix: BinaryMatrix,
     candidates: list[Tile],
     method: str,
     error_mode: str,
@@ -658,10 +659,9 @@ def write_tiling(
 ) -> None:
     """Tiling report: header, candidate tiles, then one line per selection.
 
-    Every selection line carries the chosen ids, k, both error terms, and the
-    total error, recomputed from the matrix.
+    Every selection line carries the chosen ids, k, and the selection's own
+    error terms and their sum, as its selector measured them.
     """
-    by_id = {t.tile_id: t for t in candidates}
     lines = [
         f"method={method}",
         f"error_mode={error_mode}",
@@ -674,17 +674,11 @@ def write_tiling(
         cols = ",".join(map(str, sorted(t.col_set)))
         lines.append(f"tile={t.tile_id} rows={rows} cols={cols} ones={t.n_ones}")
     selections = tuple(selections)
-    # One projection of the chosen tiles, with every candidate as the
-    # coverable universe, serves every selection line.
-    chosen = sorted({tid for sel in selections for tid in sel.tile_ids})
-    terms = _error_scorer(matrix, error_mode, [by_id[tid] for tid in chosen], candidates)
-    position = {tid: i for i, tid in enumerate(chosen)}
     for sel in selections:
-        ones_outside, zeros_inside = terms(position[tid] for tid in sel.tile_ids)
         ids = ",".join(map(str, sel.tile_ids))
         lines.append(
             f"selection={ids} k={len(sel.tile_ids)} "
-            f"ones_outside={ones_outside} zeros_inside={zeros_inside} error={sel.error}"
+            f"ones_outside={sel.ones_outside} zeros_inside={sel.zeros_inside} error={sel.error}"
         )
     lines.append(f"solutions={len(selections)}")
     _write_lines(path, lines)

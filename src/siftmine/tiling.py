@@ -12,7 +12,10 @@ makes the error the Hamming distance between the data and the union.
 Selection comes in two flavors: a greedy loop that keeps adding the tile
 with the largest error decrease (it may fail even when an admissible subset
 exists), and an exact branch-and-bound over all nonempty candidate subsets.
-Both are deterministic, with ties broken by lowest tile id.
+Both are deterministic, with ties broken by lowest tile id. Each selection
+carries the ones outside and zeros inside that its selector measured, and
+its error is their sum, so a tiling report prints them without scoring the
+matrix again; error_terms scores a selection the caller builds.
 
 Internally selections are scored on Python-int bitsets. The matrix keeps
 one mask per column (bit r-1 is cell (r, c)), and scoring projects it onto
@@ -330,24 +333,6 @@ def _project(matrix: BinaryMatrix, mode: str, tiles, universe=None) -> tuple[lis
     return rects, target, zeros, sum(m.bit_count() for m in targets) - inside
 
 
-def _error_scorer(matrix: BinaryMatrix, mode: str, tiles, universe=None):
-    """Project once; returns terms(positions).
-
-    terms gives (ones outside, zeros inside) of the union of the tiles at
-    the given positions. In coverable mode the outside term counts only ones
-    of some universe tile; universe defaults to tiles.
-    """
-    rects, target, zeros, constant = _project(matrix, mode, tiles, universe)
-
-    def terms(positions) -> tuple[int, int]:
-        covered = 0
-        for i in positions:
-            covered |= rects[i]
-        return constant + (target & ~covered).bit_count(), (covered & zeros).bit_count()
-
-    return terms
-
-
 def error_terms(
     matrix: BinaryMatrix,
     tiles: list[Tile],
@@ -360,7 +345,11 @@ def error_terms(
     tile of the candidate universe; candidates defaults to the selection
     itself, so selectors must pass the full candidate list.
     """
-    return _error_scorer(matrix, mode, tiles, candidates)(range(len(tiles)))
+    rects, target, zeros, constant = _project(matrix, mode, tiles, candidates)
+    covered = 0
+    for rect in rects:
+        covered |= rect
+    return constant + (target & ~covered).bit_count(), (covered & zeros).bit_count()
 
 
 def error(
@@ -446,10 +435,15 @@ def generate_candidates(
 
 @dataclass(frozen=True)
 class TileSelection:
-    """Chosen tile ids (ascending) with the recomputed total error."""
+    """Chosen tile ids (ascending) with the error terms its selector measured."""
 
     tile_ids: tuple[int, ...]
-    error: int
+    ones_outside: int
+    zeros_inside: int
+
+    @property
+    def error(self) -> int:
+        return self.ones_outside + self.zeros_inside
 
 
 @dataclass(frozen=True)
@@ -480,7 +474,7 @@ def greedy_select(
     covered = 0
     current = constant + target.bit_count()
     if current <= budget:
-        return TileSelection((), current)
+        return TileSelection((), current, 0)
     remaining = sorted(range(len(candidates)), key=lambda i: candidates[i].tile_id)
     chosen: list[int] = []
     while remaining:
@@ -498,7 +492,8 @@ def greedy_select(
         covered |= rects[best]
         current = best_error
         if current <= budget:
-            return TileSelection(tuple(sorted(chosen)), current)
+            inside = (covered & zeros).bit_count()
+            return TileSelection(tuple(sorted(chosen)), current - inside, inside)
     return None
 
 
@@ -551,15 +546,15 @@ def exact_select(
 
     found: list[TileSelection] = []
     best: TileSelection | None = None
+    cap = budget  # in 'optimal', the best error so far once there is a best
     # The branch pushed last pops first.
     include_first = [mode == "optimal" and (r & target).bit_count() >= (r & zeros).bit_count() for r in rects]
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
         i, chosen_ids, covered = stack.pop()
-        lower = constant + (covered & zeros).bit_count() + (target & ~(covered | suffix[i])).bit_count()
-        if lower > budget:
-            continue
-        if mode == "optimal" and best is not None and lower > best.error:
+        inside = (covered & zeros).bit_count()
+        lower = constant + inside + (target & ~(covered | suffix[i])).bit_count()
+        if lower > cap:
             continue
         if i < n:
             include = (i + 1, chosen_ids + (ids[i],), covered | rects[i])
@@ -569,14 +564,10 @@ def exact_select(
         if not chosen_ids:
             continue
         # At a leaf suffix[n] is empty, so the bound is the exact error.
-        sel = TileSelection(chosen_ids, lower)
+        sel = TileSelection(chosen_ids, lower - inside, inside)
         if mode == "optimal":
-            if best is None or (lower, len(chosen_ids), chosen_ids) < (
-                best.error,
-                len(best.tile_ids),
-                best.tile_ids,
-            ):
-                best = sel
+            if best is None or (lower, len(chosen_ids), chosen_ids) < (cap, len(best.tile_ids), best.tile_ids):
+                best, cap = sel, lower
             continue
         found.append(sel)
         if mode == "first":

@@ -239,6 +239,33 @@ def all_report(mode):
     return "".join(line + "\n" for line in head + tiles + sels + ["solutions=7"])
 
 
+# The CI smoke matrix; at tau 0.5 it gives three candidates.
+SMOKE_MATRIX = "1 1 0 0\n1 1 0 1\n0 1 1 1\n0 0 1 1\n1 1 1 0\n"
+SMOKE_TILES = [
+    "tile=1 rows=1,2,3,4,5 cols=1,2,3,4 ones=13",
+    "tile=2 rows=2,3,4,5 cols=2,3,4 ones=9",
+    "tile=3 rows=1,2,3,5 cols=1,2 ones=7",
+]
+# `tile --tau 0.5 --out` selection lines by (method, threshold); tile 1
+# reaches every one, so both error modes read the same.
+SMOKE_SELECTIONS = {
+    ("greedy", 7): ["selection=1 k=1 ones_outside=0 zeros_inside=7 error=7"],
+    ("first", 7): ["selection=3 k=1 ones_outside=6 zeros_inside=1 error=7"],
+    ("all", 7): [
+        "selection=3 k=1 ones_outside=6 zeros_inside=1 error=7",
+        "selection=2 k=1 ones_outside=4 zeros_inside=3 error=7",
+        "selection=2,3 k=2 ones_outside=0 zeros_inside=4 error=4",
+        "selection=1 k=1 ones_outside=0 zeros_inside=7 error=7",
+        "selection=1,3 k=2 ones_outside=0 zeros_inside=7 error=7",
+        "selection=1,2 k=2 ones_outside=0 zeros_inside=7 error=7",
+        "selection=1,2,3 k=3 ones_outside=0 zeros_inside=7 error=7",
+    ],
+    ("optimal", 7): ["selection=2,3 k=2 ones_outside=0 zeros_inside=4 error=4"],
+    # the budget is met before any tile is added: the empty selection
+    ("greedy", 100): ["selection= k=0 ones_outside=13 zeros_inside=0 error=13"],
+}
+
+
 def noisy_matrix() -> str:
     """Three overlapping noisy blocks in 24x9: seven candidates at tau 0.7."""
     rng = random.Random(2024)
@@ -910,6 +937,21 @@ class TestTile:
         assert code == 0
         matrix = load_matrix(workdir / "noisy.txt")
         assert check_report_terms(report.read_text(), matrix, generate_candidates(matrix, Fraction("0.7")), mode) == 127
+
+    @pytest.mark.parametrize("mode", ["full", "coverable"])
+    @pytest.mark.parametrize("method, threshold", list(SMOKE_SELECTIONS))
+    def test_smoke_matrix_report_bytes(self, run, workdir, method, threshold, mode):
+        (workdir / "smoke.txt").write_text(SMOKE_MATRIX, encoding="utf-8")
+        report = workdir / "smoke.out"
+        code, _, err = run(
+            "tile", "--matrix", "smoke.txt", "--tau", "0.5", "--threshold", str(threshold),
+            "--method", method, "--error-mode", mode, "--out", str(report),
+        )
+        assert (code, err) == (0, "")
+        head = [f"method={method}", f"error_mode={mode}", f"threshold={threshold}", "candidates=3", "status=ok"]
+        sels = SMOKE_SELECTIONS[method, threshold]
+        lines = head + SMOKE_TILES + sels + [f"solutions={len(sels)}"]
+        assert report.read_text() == "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize(
         "extra, digest",

@@ -213,6 +213,11 @@ def assert_exact_modes_match_bruteforce(m, cands, budget, error_mode):
     assert [(s.tile_ids, s.error) for s in results["first"].selections] == in_order[:1]
     best = min(want, key=lambda w: (w[1], len(w[0]), w[0]))
     assert [(s.tile_ids, s.error) for s in results["optimal"].selections] == [best]
+    # each selection carries the oracle's two terms, not only their sum
+    by_id = {t.tile_id: t for t in cands}
+    for result in results.values():
+        for s in result.selections:
+            assert (s.ones_outside, s.zeros_inside) == true_terms(m, [by_id[i] for i in s.tile_ids], error_mode, cands)
 
 
 def true_terms(m, subset, error_mode, universe):
@@ -576,8 +581,14 @@ class TestCutTiles:
             result = exact_select(m, cands[:6], budget, "all", mode)
             assert result == exact_select(m, twins[:6], budget, "all", mode)
             for name, tiles in (("cut", cands), ("twin", twins)):
-                write_tiling(out_dir / name, m, tiles, "all", mode, budget, result.status, result.selections)
-            assert (out_dir / "cut").read_bytes() == (out_dir / "twin").read_bytes()
+                write_tiling(out_dir / name, tiles, "all", mode, budget, result.status, result.selections)
+            report = (out_dir / "cut").read_text()
+            assert report == (out_dir / "twin").read_text()
+            # the selections are of cands[:6], the report lists every candidate: the terms are still their own
+            for line in report.splitlines():
+                if line.startswith("selection="):
+                    fields = dict(field.split("=") for field in line.split())
+                    assert int(fields["ones_outside"]) + int(fields["zeros_inside"]) == int(fields["error"]), line
         assert cands == twins
         assert list(map(hash, cands)) == list(map(hash, twins))
         assert [t.ones for t in cands] == [t.ones for t in twins]
@@ -645,7 +656,7 @@ class TestCutTiles:
         assert cands and all(t.n_ones == len(t.ones) for t in cands)
         # hand-made tiles are checked on the matrix's column masks, not on its set of ones
         fresh = BinaryMatrix(tiling.matrix.cells)
-        assert greedy_select(fresh, tiling.tiles, 3, "full") == TileSelection((1, 3), 2)
+        assert greedy_select(fresh, tiling.tiles, 3, "full") == TileSelection((1, 3), 0, 2)
         assert "ones" not in fresh.__dict__
 
     def test_pipeline_builds_no_set_of_cells(self, tmp_path):
@@ -656,7 +667,7 @@ class TestCutTiles:
         assert 1 < len(cands) <= 20
         greedy_select(m, cands, budget, "full")
         result = exact_select(m, cands, budget, "optimal")
-        write_tiling(tmp_path / "report.txt", m, cands, "optimal", "coverable", budget, result.status, result.selections)
+        write_tiling(tmp_path / "report.txt", cands, "optimal", "coverable", budget, result.status, result.selections)
         assert "ones" not in m.__dict__
         assert not any("ones" in t.__dict__ for t in cands)
 
@@ -694,6 +705,9 @@ class TestGreedySelect:
         got = greedy_select(m, cands, budget, error_mode=error_mode)
         want = greedy_select_bruteforce(m, cands, budget, error_mode)
         assert (None if got is None else (got.tile_ids, got.error)) == want
+        if got is not None:
+            chosen = [t for t in cands if t.tile_id in got.tile_ids]
+            assert (got.ones_outside, got.zeros_inside) == true_terms(m, chosen, error_mode, cands)
 
     def test_greedy_never_beats_optimal(self):
         rng = random.Random(9009)
@@ -832,21 +846,24 @@ class TestConstantTermAndEdges:
             for universe in (cands, None):
                 truth = true_terms(m, sub, error_mode, sub if universe is None else universe)
                 assert error_terms(m, sub, error_mode, universe) == truth
+        by_id = {t.tile_id: t for t in cands}
+        out = tmp_path / "report.txt"
         for budget in range(m.n_rows * m.n_cols + 1):
             got = greedy_select(m, cands, budget, error_mode)
             want = greedy_select_bruteforce(m, cands, budget, error_mode)
             assert (None if got is None else (got.tile_ids, got.error)) == want
             assert_exact_modes_match_bruteforce(m, cands, budget, error_mode)
-        # the report recomputes both terms of every selection it lists
-        sels = [TileSelection(tuple(t.tile_id for t in sub), 0) for sub in subsets]
-        out = tmp_path / "report.txt"
-        write_tiling(out, m, cands, "all", error_mode, 0, "ok", sels)
-        reported = [
-            dict(field.split("=") for field in line.split())
-            for line in out.read_text().splitlines()
-            if line.startswith("selection=")
-        ]
-        assert len(reported) == len(subsets)
-        for fields, sub in zip(reported, subsets):
-            outside, inside = true_terms(m, sub, error_mode, cands)
-            assert (int(fields["ones_outside"]), int(fields["zeros_inside"])) == (outside, inside)
+            sels = [] if got is None else [got]
+            for mode in ("first", "all", "optimal"):
+                sels += exact_select(m, cands, budget, mode, error_mode).selections
+            # each selector's own terms are the oracle's, against its candidates
+            terms = [(sel.ones_outside, sel.zeros_inside) for sel in sels]
+            assert terms == [true_terms(m, [by_id[i] for i in sel.tile_ids], error_mode, cands) for sel in sels]
+            # and the report prints exactly those terms
+            write_tiling(out, cands, "all", error_mode, budget, "ok", sels)
+            reported = [
+                dict(field.split("=") for field in line.split())
+                for line in out.read_text().splitlines()
+                if line.startswith("selection=")
+            ]
+            assert [(int(f["ones_outside"]), int(f["zeros_inside"])) for f in reported] == terms
