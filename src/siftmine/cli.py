@@ -286,56 +286,81 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Command(_Parser):
+    """A subcommand's parser: it adds --threads and its command's options the first time argparse dispatches to it.
+
+    A call runs one command, so the other commands' options are never
+    built. Its help, usage and errors are printed while it parses, after
+    the options are in place, so they read as if built up front.
+    """
+
+    def __init__(self, *args, options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._options is not None:
+            options, self._options = self._options, None
+            self.add_argument(
+                "--threads", type=_int_option, default=1, help="worker hint; output is identical for any value"
+            )
+            options(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _mine_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--type", required=True, choices=_TYPES)
+    p.add_argument("--input", required=True)
+    p.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
+    p.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
+    p.add_argument("--max-edges", type=_int_option, default=None, help="largest general graph pattern")
+    p.add_argument("--out", default=None)
+
+
+def _condense_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--patterns", required=True)
+    p.add_argument("--rep", required=True, choices=[rel.value for rel in DominanceRelation])
+    p.add_argument("--constraints", default=None, help="constraint file path or inline text")
+    p.add_argument("--weights", default=None)
+    p.add_argument("--out", default=None)
+
+
+def _tile_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--threshold", type=_int_option, required=True, help="error budget")
+    p.add_argument("--tau", type=_decimal_option, default=None, help="confidence threshold for candidate generation")
+    p.add_argument("--max-candidates", type=_int_option, default=None)
+    p.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
+    p.add_argument("--method", default="greedy", choices=("greedy", *EXACT_MODES))
+    p.add_argument("--error-mode", default="coverable", choices=ERROR_MODES)
+    p.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
+    p.add_argument("--out", default=None)
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--type", required=True, choices=_TYPES)
+    p.add_argument("--input", required=True)
+    p.add_argument("--minsup", required=True)
+    p.add_argument("--rep", required=True, choices=[rel.value for rel in DominanceRelation])
+    p.add_argument("--constraints", default=None)
+    p.add_argument("--weights", default=None)
+    p.add_argument("--max-len", type=_int_option, default=None)
+    p.add_argument("--max-edges", type=_int_option, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="siftmine",
         description="Mine frequent patterns, condense them under constraints, and tile binary matrices.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_int_option, default=1, help="worker hint; output is identical for any value")
-    sub = parser.add_subparsers(dest="command", required=True)
-    reps = [rel.value for rel in DominanceRelation]
-
-    p_mine = sub.add_parser("mine", parents=[common], help="mine frequent patterns into a pattern file")
-    p_mine.add_argument("--type", required=True, choices=_TYPES)
-    p_mine.add_argument("--input", required=True)
-    p_mine.add_argument("--minsup", required=True, help="integer = absolute count, decimal in (0,1] = relative")
-    p_mine.add_argument("--max-len", type=_int_option, default=None, help="longest sequence pattern")
-    p_mine.add_argument("--max-edges", type=_int_option, default=None, help="largest general graph pattern")
-    p_mine.add_argument("--out", default=None)
-    p_mine.set_defaults(handler=cmd_mine)
-
-    p_cond = sub.add_parser("condense", parents=[common], help="filter a pattern file and condense it")
-    p_cond.add_argument("--patterns", required=True)
-    p_cond.add_argument("--rep", required=True, choices=reps)
-    p_cond.add_argument("--constraints", default=None, help="constraint file path or inline text")
-    p_cond.add_argument("--weights", default=None)
-    p_cond.add_argument("--out", default=None)
-    p_cond.set_defaults(handler=cmd_condense)
-
-    p_tile = sub.add_parser("tile", parents=[common], help="cover a binary matrix with tiles under an error budget")
-    p_tile.add_argument("--matrix", required=True)
-    p_tile.add_argument("--threshold", type=_int_option, required=True, help="error budget")
-    p_tile.add_argument("--tau", type=_decimal_option, default=None, help="confidence threshold for candidate generation")
-    p_tile.add_argument("--max-candidates", type=_int_option, default=None)
-    p_tile.add_argument("--candidates", default=None, help="tile file overriding candidate generation")
-    methods = ("greedy", *EXACT_MODES)
-    p_tile.add_argument("--method", default="greedy", choices=methods)
-    p_tile.add_argument("--error-mode", default="coverable", choices=ERROR_MODES)
-    p_tile.add_argument("--bound", type=_int_option, default=20, help="exact-search candidate limit")
-    p_tile.add_argument("--out", default=None)
-    p_tile.set_defaults(handler=cmd_tile)
-
-    p_ver = sub.add_parser("verify", parents=[common], help="check miners and condensation against brute force")
-    p_ver.add_argument("--type", required=True, choices=_TYPES)
-    p_ver.add_argument("--input", required=True)
-    p_ver.add_argument("--minsup", required=True)
-    p_ver.add_argument("--rep", required=True, choices=reps)
-    p_ver.add_argument("--constraints", default=None)
-    p_ver.add_argument("--weights", default=None)
-    p_ver.add_argument("--max-len", type=_int_option, default=None)
-    p_ver.add_argument("--max-edges", type=_int_option, default=None)
-    p_ver.set_defaults(handler=cmd_verify)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, summary, options, handler in (
+        ("mine", "mine frequent patterns into a pattern file", _mine_options, cmd_mine),
+        ("condense", "filter a pattern file and condense it", _condense_options, cmd_condense),
+        ("tile", "cover a binary matrix with tiles under an error budget", _tile_options, cmd_tile),
+        ("verify", "check miners and condensation against brute force", _verify_options, cmd_verify),
+    ):
+        sub.add_parser(name, help=summary, options=options).set_defaults(handler=handler)
     return parser
 
 

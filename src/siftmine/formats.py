@@ -30,6 +30,9 @@ input like any other. The default edge label "0" is interned at each
 graph record, before that record's own labels, so a file of graph records
 gives it id 0 as load_graphs does. Covers stay checked text from reader
 to writer; a set of tids is built only for a record whose cover is read.
+A matrix row in the canonical layout (0/1 cells joined by single spaces,
+none before or after) is read by slicing out its cells; any other row is
+split into tokens, which names every error.
 """
 
 from __future__ import annotations
@@ -255,16 +258,25 @@ def load_matrix(path) -> BinaryMatrix:
     rows: list[bytes] = []
     width: int | None = None
     with _reading(path) as lines:
-        for lineno, tokens in _token_lines(lines, path):
-            cells = "".join(tokens).encode("ascii", "replace")  # b"?" for a non-ASCII character
-            if len(cells) != len(tokens) or cells.translate(None, b"01"):  # a token longer than 1, or not 0 or 1
-                bad = next(token for token in tokens if token not in ("0", "1"))
-                raise InputError(f"{path}: line {lineno}: non-binary cell {shown(bad)}")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
+        for lineno, line in enumerate(lines, start=1):
+            raw = line.encode()
+            cells = raw[::2]
+            # Canonical: 0/1 at every even offset, and as many spaces as gaps between cells, so one at every odd offset.
+            canonical = len(raw) & 1 and not cells.translate(None, b"01") and raw.count(b" ") == len(cells) - 1
+            if not (canonical and width in (None, len(cells))):
+                tokens = line.split()
+                if not tokens:
+                    raise InputError(f"{path}: line {lineno}: blank line")
+                cells = "".join(tokens).encode("ascii", "replace")  # b"?" for a non-ASCII character
+                if len(cells) != len(tokens) or cells.translate(None, b"01"):  # a token longer than 1, or not 0 or 1
+                    bad = next(token for token in tokens if token not in ("0", "1"))
+                    raise InputError(f"{path}: line {lineno}: non-binary cell {shown(bad)}")
+                if width not in (None, len(cells)):
+                    raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
+            width = len(cells)
             rows.append(cells.translate(_FLAGS))
+        if not rows:
+            raise InputError(f"{path}: empty file")
     return BinaryMatrix._proved(rows)
 
 
@@ -402,10 +414,14 @@ def pattern_lines(
             yield f"pid={pid} kind={kind} support={rec.support} size={rec.size} {body} cover={cover}{tail}"
 
 
+# A comma every few characters defeats the substring search's skip; the compiled search is faster on covers.
+_DOUBLE_COMMA = re.compile(",,").search
+
+
 def _listed(text: str) -> int | None:
     """How many plain decimals text lists, joined by single commas (ASCII `\\d+(?:,\\d+)*`); 0 for "", else None."""
     plain = text.isascii() and not text.encode().translate(None, b"0123456789,")  # ASCII digits and commas only
-    if plain and text[:1].isdigit() and text[-1:].isdigit() and ",," not in text:
+    if plain and text[:1].isdigit() and text[-1:].isdigit() and not _DOUBLE_COMMA(text):
         return text.count(",") + 1
     return 0 if text == "" else None
 

@@ -29,7 +29,9 @@ selection are `(covered & zeros).bit_count()`, and ones outside it are
 every rectangle (in full mode the ones no tile reaches; in coverable mode
 none). Data ones that are not targets count in neither term and get no
 bits. A selection thus costs a few word-parallel operations over the cells
-the tiles touch instead of over n_rows*n_cols.
+the tiles touch instead of over n_rows*n_cols. A loaded matrix holds its
+rows as bytes beside the masks and builds its tuple of cells only when
+read, which no selector does.
 
 Every tile is held in one mask form: a row mask, a column mask, and for
 each of its columns a row mask of its ones there. A tile cut from a matrix
@@ -65,6 +67,16 @@ def _bits(mask: int) -> list[int]:
     return list(compress(count(1), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
+class _LazyCells:
+    """BinaryMatrix.cells: a loaded matrix builds its cells from its row bytes on first read."""
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:
+            raise AttributeError("cells")  # so the dataclass field has no default
+        cells = matrix.__dict__["cells"] = tuple(map(tuple, matrix.__dict__["_rows"]))
+        return cells
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     """Dense 0/1 matrix; rows and columns are addressed 1-based.
@@ -72,10 +84,12 @@ class BinaryMatrix:
     A cell may be any value equal to 0 or 1; one that is not an int (1.0,
     Fraction(1), ...) is stored as the int it equals, so masks and cells
     read the same whatever type the caller used. `col_masks` holds column
-    c's ones at index c-1: bit r-1 is cell (r, c).
+    c's ones at index c-1: bit r-1 is cell (r, c). `n_rows` and `n_cols`
+    are set with the masks. A matrix the loader builds holds its rows as
+    bytes and builds `cells` only when read.
     """
 
-    cells: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[int, ...], ...] = _LazyCells()
 
     def __post_init__(self):
         cells = self.cells
@@ -95,22 +109,16 @@ class BinaryMatrix:
                     raise InputError(f"row {r} contains a non-binary cell")
             object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in cells))
             blob = bytes(chain.from_iterable(self.cells))
-        object.__setattr__(self, "col_masks", _col_masks(blob, width))
+        col_masks = _col_masks(blob, width)
+        self.__dict__.update(n_rows=len(cells), n_cols=len(col_masks), col_masks=col_masks)
 
     @classmethod
     def _proved(cls, rows: list[bytes]) -> BinaryMatrix:
         """The matrix of rows of 0/1 bytes, which the caller proved nonempty and equally long."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(cells=tuple(map(tuple, rows)), col_masks=_col_masks(b"".join(rows), len(rows[0])))
+        col_masks = _col_masks(b"".join(rows), len(rows[0]))
+        matrix.__dict__.update(_rows=rows, n_rows=len(rows), n_cols=len(col_masks), col_masks=col_masks)
         return matrix
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.cells[0])
 
     def cell(self, row: int, col: int) -> int:
         return self.cells[row - 1][col - 1]

@@ -970,6 +970,28 @@ class TestTile:
         assert (code, err) == (0, "")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "extra",
+        [("--tau", "0.7"), ("--tau", "0.7", "--method", "optimal", "--error-mode", "full"),
+         ("--candidates", "tiles.txt", "--method", "all")],
+        ids=["greedy", "optimal", "candidate-file"],
+    )
+    def test_run_never_builds_cells(self, run, workdir, monkeypatch, extra):
+        # The loaded matrix's cells tuple is built on first read; a tile run reads only its masks.
+        (workdir / "noisy.txt").write_text(noisy_matrix(), encoding="utf-8")
+        loaded = []
+
+        def load(path):
+            loaded.append(load_matrix(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_matrix", load)
+        matrix = "matrix.txt" if "--candidates" in extra else "noisy.txt"
+        code, out, err = run("tile", "--matrix", matrix, "--threshold", "40", *extra, "--out", str(workdir / "r.out"))
+        assert (code, err) == (0, "") and "status=ok" in out
+        (m,) = loaded
+        assert "cells" not in m.__dict__
+
     def test_exact_search_deeper_than_recursion_limit(self, run, workdir):
         # 1100 single-cell candidates: one search level per candidate
         (workdir / "tall.txt").write_text("1\n" * 1100, encoding="utf-8")
@@ -1065,6 +1087,142 @@ class TestVerify:
             "--rep", "closed", "--max-len", "3",
         )
         assert code == 2 and "--max-len" in err
+
+
+# `--help` of siftmine and of each command at COLUMNS=80, the same on Python 3.10 to 3.13.
+HELP_80 = {
+    "": """\
+usage: siftmine [-h] {mine,condense,tile,verify} ...
+
+Mine frequent patterns, condense them under constraints, and tile binary
+matrices.
+
+positional arguments:
+  {mine,condense,tile,verify}
+    mine                mine frequent patterns into a pattern file
+    condense            filter a pattern file and condense it
+    tile                cover a binary matrix with tiles under an error budget
+    verify              check miners and condensation against brute force
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "mine": """\
+usage: siftmine mine [-h] [--threads THREADS] --type
+                     {itemset,sequence,graph-unique,graph} --input INPUT
+                     --minsup MINSUP [--max-len MAX_LEN]
+                     [--max-edges MAX_EDGES] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS     worker hint; output is identical for any value
+  --type {itemset,sequence,graph-unique,graph}
+  --input INPUT
+  --minsup MINSUP       integer = absolute count, decimal in (0,1] = relative
+  --max-len MAX_LEN     longest sequence pattern
+  --max-edges MAX_EDGES
+                        largest general graph pattern
+  --out OUT
+""",
+    "condense": """\
+usage: siftmine condense [-h] [--threads THREADS] --patterns PATTERNS --rep
+                         {maximal,closed,free,skyline}
+                         [--constraints CONSTRAINTS] [--weights WEIGHTS]
+                         [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS     worker hint; output is identical for any value
+  --patterns PATTERNS
+  --rep {maximal,closed,free,skyline}
+  --constraints CONSTRAINTS
+                        constraint file path or inline text
+  --weights WEIGHTS
+  --out OUT
+""",
+    "tile": """\
+usage: siftmine tile [-h] [--threads THREADS] --matrix MATRIX --threshold
+                     THRESHOLD [--tau TAU] [--max-candidates MAX_CANDIDATES]
+                     [--candidates CANDIDATES]
+                     [--method {greedy,first,all,optimal}]
+                     [--error-mode {full,coverable}] [--bound BOUND]
+                     [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS     worker hint; output is identical for any value
+  --matrix MATRIX
+  --threshold THRESHOLD
+                        error budget
+  --tau TAU             confidence threshold for candidate generation
+  --max-candidates MAX_CANDIDATES
+  --candidates CANDIDATES
+                        tile file overriding candidate generation
+  --method {greedy,first,all,optimal}
+  --error-mode {full,coverable}
+  --bound BOUND         exact-search candidate limit
+  --out OUT
+""",
+    "verify": """\
+usage: siftmine verify [-h] [--threads THREADS] --type
+                       {itemset,sequence,graph-unique,graph} --input INPUT
+                       --minsup MINSUP --rep {maximal,closed,free,skyline}
+                       [--constraints CONSTRAINTS] [--weights WEIGHTS]
+                       [--max-len MAX_LEN] [--max-edges MAX_EDGES]
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS     worker hint; output is identical for any value
+  --type {itemset,sequence,graph-unique,graph}
+  --input INPUT
+  --minsup MINSUP
+  --rep {maximal,closed,free,skyline}
+  --constraints CONSTRAINTS
+  --weights WEIGHTS
+  --max-len MAX_LEN
+  --max-edges MAX_EDGES
+""",
+}
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    """Each command's options are built when argparse dispatches to it, with help and errors unchanged."""
+
+    @pytest.mark.parametrize("command", list(HELP_80), ids=lambda c: c or "siftmine")
+    def test_help_text(self, run, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(*([command, "--help"] if command else ["--help"]))
+        assert exc.value.code == 0 and capsys.readouterr().out == HELP_80[command]
+
+    def test_one_parser_parses_a_command_twice(self):
+        parser = cli.build_parser()
+        tile = ["tile", "--matrix", "m.txt", "--threshold", "3", "--tau", "0.5"]
+        first = parser.parse_args([*tile, "--threads", "2"])
+        second = parser.parse_args([*tile, "--method", "optimal"])
+        assert (first.threads, first.method, second.threads, second.method) == (2, "greedy", 1, "optimal")
+        assert second.handler is cli.cmd_tile and second.tau == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "argv, filled",
+        [(["--help"], set()), (["frobnicate"], set()), ([], set()),
+         (["condense", "--patterns", "p.pat", "--rep", "closed"], {"condense"})],
+        ids=["help", "unknown", "none", "condense"],
+    )
+    def test_only_the_dispatched_command_is_filled(self, capsys, argv, filled):
+        parser = cli.build_parser()
+        with contextlib.suppress(SystemExit):
+            parser.parse_args(argv)
+        capsys.readouterr()
+        commands = subparsers(parser)
+        assert list(commands) == ["mine", "condense", "tile", "verify"]
+        helps_only = [["-h", "--help"]]
+        assert {name for name, p in commands.items() if [a.option_strings for a in p._actions] != helps_only} == filled
 
 
 class TestThreads:

@@ -1,10 +1,11 @@
 """Tiling: matrices, tiles, error accounting, candidate generation, selection."""
 
+import copy
 import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -275,7 +276,15 @@ class TestProvedMatrix:
     @staticmethod
     def check(m: BinaryMatrix) -> None:
         proved = BinaryMatrix._proved([bytes(row) for row in m.cells])
-        assert proved == m and hash(proved) == hash(m) and proved.col_masks == m.col_masks
+        assert (proved.n_rows, proved.n_cols, proved.col_masks) == (m.n_rows, m.n_cols, m.col_masks)
+        unread = copy.copy(proved)
+        assert "cells" not in proved.__dict__ and "cells" not in unread.__dict__  # built on first read
+        assert proved.cells == m.cells and "cells" in proved.__dict__
+        cells = product(range(1, m.n_rows + 1), range(1, m.n_cols + 1))
+        assert [proved.cell(r, c) for r, c in cells] == list(chain.from_iterable(m.cells))
+        assert proved.ones == m.ones
+        for twin in (proved, unread, copy.copy(proved)):
+            assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m) and twin.cells == m.cells
         assert m.col_masks == tuple(sum(row[c] << r for r, row in enumerate(m.cells)) for c in range(m.n_cols))
 
     @settings(max_examples=200, deadline=None)
