@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .condense import DominanceRelation, condense
 from .constraints import EMPTY_EXPR, _compile, parse_constraints, partition_valid
-from .core import LabeledGraph, MinSupport, SymbolTable, plain_decimal, plain_int
+from .core import MinSupport, SymbolTable, plain_decimal, plain_int
 from .errors import BoundExceededError, InputError, shown
 from .formats import (
     load_graphs,
@@ -34,13 +34,12 @@ from .formats import (
 from .graphs import mine_frequent_graphs_general, mine_frequent_graphs_unique
 from .itemsets import mine_frequent_itemsets
 from .oracle import (
-    _iso_signature,
+    IsoClass,
     brute_force_condense,
-    frequent_graphs_general_bruteforce,
+    frequent_graph_classes_bruteforce,
     frequent_graphs_unique_bruteforce,
     frequent_itemsets_bruteforce,
     frequent_sequences_bruteforce,
-    injective_map_exists,
 )
 from .sequences import mine_frequent_sequences
 from .tiling import ERROR_MODES, EXACT_MODES, exact_select, generate_candidates, greedy_select
@@ -95,29 +94,6 @@ def _emit_patterns(records, symbols, out_path, valid=None, condensed=None) -> No
             print(line)
 
 
-class _IsoClass(tuple):
-    """A graph as (shape, vertices, edges), equal to the key of every graph isomorphic to it.
-
-    verify keys general graphs by it, not by the miner's canonical_code. Keys
-    of equal shape, the oracle's isomorphism signature, compare by its
-    injective_map_exists: between graphs of equal sizes, an injective map is
-    an isomorphism.
-    """
-
-    def __new__(cls, g):
-        return super().__new__(cls, (_iso_signature(g), g.vertices, g.edges))
-
-    def __eq__(self, other):
-        return self[0] == other[0] and injective_map_exists(LabeledGraph(*self[1:]), LabeledGraph(*other[1:]))
-
-    def __hash__(self):
-        return hash(self[0])
-
-
-def _general_graphs_bruteforce(db, sigma, max_edges):
-    return {_IsoClass(rep): cover for rep, cover in frequent_graphs_general_bruteforce(db, sigma, max_edges)}
-
-
 # --type -> (loader, miner, the option the miner and oracle take, oracle, key of a
 # mined pattern in the oracle's map). Functions are named and looked up when
 # called, so that a wrapped or patched module attribute takes effect.
@@ -127,7 +103,8 @@ _TYPES = {
                  lambda p: p.symbols),
     "graph-unique": ("load_graphs", "mine_frequent_graphs_unique", None, "frequent_graphs_unique_bruteforce",
                      lambda p: tuple(sorted(p.label_pairs))),
-    "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "_general_graphs_bruteforce", _IsoClass),
+    "graph": ("load_graphs", "mine_frequent_graphs_general", "max_edges", "frequent_graph_classes_bruteforce",
+              IsoClass),
 }
 
 

@@ -7,10 +7,12 @@ and 1-based line number, and no line is ever silently skipped. Interning is
 deterministic (first appearance order), so loading a file twice yields
 identical id assignments.
 
-Every file is read and written a chunk at a time, so memory follows the
-records a command holds, not the size of its files. The reader still gives
-the lines and errors of the whole file read at once: a bad UTF-8 byte
-anywhere in a file is reported before any malformed line.
+Every input is read through the standard library's text layer, which
+decodes a chunk at a time and ends a line at "\n", "\r\n" or "\r" only,
+and every output is written a line at a time, so memory follows the records
+a command holds, not the size of its files. The reader still gives the lines
+and errors of the whole file read at once: a bad UTF-8 byte anywhere in a
+file or pipe is reported, with its offset, before any malformed line.
 
 Pattern files are line-oriented key=value records. Labels are percent-quoted
 so any non-whitespace token round-trips losslessly; a written file loads
@@ -32,18 +34,19 @@ gives it id 0 as load_graphs does. Covers stay checked text from reader
 to writer; a set of tids is built only for a record whose cover is read.
 A matrix row in the canonical layout (0/1 cells joined by single spaces,
 none before or after) is read by slicing out its cells; any other row is
-split into tokens, which names every error.
+split into tokens, which names every error. Either way the row is kept as
+its ASCII digits.
 """
 
 from __future__ import annotations
 
-import codecs
+import io
 import re
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
@@ -63,7 +66,7 @@ from .core import (
     plain_int,
 )
 from .errors import InputError, shown, shown_number
-from .tiling import _FLAGS, BinaryMatrix, Tile, TileSelection, _cut
+from .tiling import BinaryMatrix, Tile, TileSelection, _cut
 
 
 def read_text(path) -> str:
@@ -79,65 +82,39 @@ def read_text(path) -> str:
 _CHUNK = 1 << 16  # bytes read at a time
 
 
-def _lines(path) -> Iterator[str]:
-    """read_text(path)'s lines, read a chunk at a time, with read_text's errors.
+class _Counted(io.BufferedReader):
+    """A binary file that counts the bytes its read1 has returned."""
 
-    A line ends at "\n", "\r\n" or "\r", or at the end of the file. No
-    other character ends a line: a vertical tab, form feed or other
-    Unicode line separator inside a line is whitespace between its tokens.
-    Only a chunk's last partial line, and a "\r" that ends a chunk and may
-    start "\r\n", wait for the next chunk. An InputError thrown in at a
-    yield, by a reader that met a bad line, decodes the rest of the file
-    first, so that a bad byte anywhere is reported before any line.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = 0
+    handed = 0
 
-    def decode(chunk: bytes) -> str:
-        nonlocal fed
-        try:
-            text = decoder.decode(chunk, final=not chunk)
-        except UnicodeDecodeError as exc:  # exc.start counts from the bytes still pending in the decoder
-            raise InputError(f"{path}: not UTF-8 text (byte {fed - len(decoder.getstate()[0]) + exc.start})") from None
-        fed += len(chunk)
-        return text
-
-    try:
-        with open(path, "rb", buffering=0) as file:  # each read is one chunk, so no buffer is needed
-            chunks = iter(partial(file.read, _CHUNK), b"")
-            tail = ""
-            for chunk in chain(chunks, (b"",)):
-                text = tail + decode(chunk)
-                cr = "\r" if chunk and text.endswith("\r") else ""  # may start "\r\n": it waits for the next chunk
-                if "\r" in text:
-                    text = text[: len(text) - len(cr)].replace("\r\n", "\n").replace("\r", "\n")
-                lines = text.split("\n")
-                tail = lines.pop() + cr  # "" after a line end; at the end of the file, a last line with none
-                if not chunk and tail:
-                    lines.append(tail)
-                try:
-                    yield from lines
-                except InputError:  # thrown in at a bad line: a bad byte in the rest of the file outranks it
-                    for chunk in chunks:
-                        decode(chunk)
-                    decode(b"")
-                    raise
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    def read1(self, size=-1):
+        chunk = super().read1(size)
+        self.handed += len(chunk)
+        return chunk
 
 
 @contextmanager
 def _reading(path) -> Iterator[Iterator[str]]:
-    """_lines(path) for a reader to iterate.
+    """read_text(path)'s lines, read a chunk at a time, with read_text's errors.
 
-    An InputError the reader raises is thrown into _lines, which closes the
-    file and reports instead a bad byte later in the file, if there is one.
+    Universal newlines end a line at "\n", "\r\n" or "\r" only: a vertical
+    tab, form feed or other Unicode line separator is whitespace inside a
+    line. An InputError the reader raises decodes the rest of the file first,
+    so that a bad byte anywhere is reported before any line.
     """
-    lines = _lines(path)
     try:
-        yield lines
-    except InputError as exc:
-        lines.throw(exc)
+        with io.TextIOWrapper(_Counted(open(path, "rb", buffering=0)), encoding="utf-8") as file:
+            file._CHUNK_SIZE = _CHUNK  # each read1 asks for one chunk
+            try:
+                yield map(str.removesuffix, file, repeat("\n"))
+            except InputError:  # met at a bad line: a bad byte in the rest of the file outranks it
+                deque(file, 0)
+                raise
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:  # exc.object is the bytes pending in the decoder and the last chunk read
+        byte = file.buffer.handed - len(exc.object) + exc.start
+        raise InputError(f"{path}: not UTF-8 text (byte {byte})") from None
 
 
 def _token_lines(lines: Iterable[str], path, empty_ok: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -274,7 +251,7 @@ def load_matrix(path) -> BinaryMatrix:
                 if width not in (None, len(cells)):
                     raise InputError(f"{path}: line {lineno}: ragged row ({len(cells)} cells, expected {width})")
             width = len(cells)
-            rows.append(cells.translate(_FLAGS))
+            rows.append(cells)
         if not rows:
             raise InputError(f"{path}: empty file")
     return BinaryMatrix._proved(rows)

@@ -216,6 +216,32 @@ def frequent_graphs_general_bruteforce(
     return [(rep, frozenset(cover)) for _, rep, cover in classes if len(cover) >= sigma]
 
 
+class IsoClass(tuple):
+    """A graph as (shape, vertices, edges), equal to the key of every graph isomorphic to it.
+
+    verify keys general graphs by it, not by the miner's canonical_code. Keys
+    of equal shape, the isomorphism signature, compare by
+    injective_map_exists: between graphs of equal sizes, an injective map is
+    an isomorphism.
+    """
+
+    def __new__(cls, g: LabeledGraph):
+        return super().__new__(cls, (_iso_signature(g), g.vertices, g.edges))
+
+    def __eq__(self, other):
+        return self[0] == other[0] and injective_map_exists(LabeledGraph(*self[1:]), LabeledGraph(*other[1:]))
+
+    def __hash__(self):
+        return hash(self[0])
+
+
+def frequent_graph_classes_bruteforce(
+    db: GraphDB, sigma: int, max_edges: int | None = None
+) -> dict[IsoClass, frozenset[int]]:
+    """frequent_graphs_general_bruteforce as a map from each pattern's IsoClass to its cover."""
+    return {IsoClass(rep): cover for rep, cover in frequent_graphs_general_bruteforce(db, sigma, max_edges)}
+
+
 def _dfs_codes(g: LabeledGraph, root: int):
     """Every DFS code of root's component that starts at root, one per traversal, with repeats.
 

@@ -30,8 +30,8 @@ every rectangle (in full mode the ones no tile reaches; in coverable mode
 none). Data ones that are not targets count in neither term and get no
 bits. A selection thus costs a few word-parallel operations over the cells
 the tiles touch instead of over n_rows*n_cols. A loaded matrix holds its
-rows as bytes beside the masks and builds its tuple of cells only when
-read, which no selector does.
+rows as ASCII digits beside the masks and builds its tuple of cells only
+when read, which no selector does.
 
 Every tile is held in one mask form: a row mask, a column mask, and for
 each of its columns a row mask of its ones there. A tile cut from a matrix
@@ -67,14 +67,20 @@ def _bits(mask: int) -> list[int]:
     return list(compress(count(1), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
-class _LazyCells:
-    """BinaryMatrix.cells: a loaded matrix builds its cells from its row bytes on first read."""
+class _Lazy:
+    """A dataclass field with no default that build(instance) makes on first read, then stores under its name."""
 
-    def __get__(self, matrix, owner=None):
-        if matrix is None:
-            raise AttributeError("cells")  # so the dataclass field has no default
-        cells = matrix.__dict__["cells"] = tuple(map(tuple, matrix.__dict__["_rows"]))
-        return cells
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = instance.__dict__[self.name] = self.build(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,12 @@ class BinaryMatrix:
     read the same whatever type the caller used. `col_masks` holds column
     c's ones at index c-1: bit r-1 is cell (r, c). `n_rows` and `n_cols`
     are set with the masks. A matrix the loader builds holds its rows as
-    bytes and builds `cells` only when read.
+    ASCII digits and builds `cells` only when read.
     """
 
-    cells: tuple[tuple[int, ...], ...] = _LazyCells()
+    cells: tuple[tuple[int, ...], ...] = _Lazy(
+        lambda matrix: tuple(tuple(row.translate(_FLAGS)) for row in matrix._rows)
+    )
 
     def __post_init__(self):
         cells = self.cells
@@ -109,12 +117,12 @@ class BinaryMatrix:
                     raise InputError(f"row {r} contains a non-binary cell")
             object.__setattr__(self, "cells", tuple(tuple(int(v == 1) for v in row) for row in cells))
             blob = bytes(chain.from_iterable(self.cells))
-        col_masks = _col_masks(blob, width)
+        col_masks = _col_masks(blob.translate(_DIGITS), width)
         self.__dict__.update(n_rows=len(cells), n_cols=len(col_masks), col_masks=col_masks)
 
     @classmethod
     def _proved(cls, rows: list[bytes]) -> BinaryMatrix:
-        """The matrix of rows of 0/1 bytes, which the caller proved nonempty and equally long."""
+        """The matrix of rows of ASCII 0/1 digits, which the caller proved nonempty and equally long."""
         matrix = object.__new__(cls)
         col_masks = _col_masks(b"".join(rows), len(rows[0]))
         matrix.__dict__.update(_rows=rows, n_rows=len(rows), n_cols=len(col_masks), col_masks=col_masks)
@@ -129,21 +137,10 @@ class BinaryMatrix:
         return frozenset(compress(cells, chain.from_iterable(self.cells)))
 
 
-def _col_masks(blob: bytes, width: int) -> tuple[int, ...]:
-    """The column masks of the row-major 0/1 cells in blob, one strided slice each."""
-    digits = blob[::-1].translate(_DIGITS)  # the last row first: a mask's high bits
+def _col_masks(digits: bytes, width: int) -> tuple[int, ...]:
+    """The column masks of the row-major ASCII 0/1 digits, one strided slice each."""
+    digits = digits[::-1]  # the last row first: a mask's high bits
     return tuple(int(digits[j::width], 2) for j in range(width - 1, -1, -1))
-
-
-class _LazyOnes:
-    """Tile.ones: a cut tile lists its ones from its masks on first read."""
-
-    def __get__(self, tile, owner=None):
-        if tile is None:
-            raise AttributeError("ones")  # so the dataclass field has no default
-        col_ones = tile.__dict__["_masks"][2]
-        ones = tile.__dict__["ones"] = frozenset((r, j + 1) for j, rows in col_ones for r in _bits(rows))
-        return ones
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,9 @@ class Tile:
     tile_id: int
     row_set: frozenset[int]
     col_set: frozenset[int]
-    ones: frozenset[tuple[int, int]] = _LazyOnes()
+    ones: frozenset[tuple[int, int]] = _Lazy(
+        lambda tile: frozenset((r, j + 1) for j, rows in tile._masks[2] for r in _bits(rows))
+    )
 
     def __post_init__(self):
         if not self.row_set or not self.col_set:

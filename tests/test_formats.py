@@ -1,5 +1,6 @@
 """File formats: loaders, the pattern-line codec, and the tiling report."""
 
+import os
 import random
 import re
 import tempfile
@@ -472,6 +473,60 @@ class TestChunkedReader:
             with pytest.raises(InputError, match="^unknown symbol id 5$"):
                 write_patterns(records, path, SymbolTable(["a"]))
         assert not new.exists() and old.read_text() == "kept\n"
+
+
+def test_the_text_layer_reads_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """TestChunkedReader's small chunks cross decoder boundaries only if each read is one chunk."""
+    sizes = []
+    read1 = formats._Counted.read1
+
+    def recording_read1(self, size=-1):
+        chunk = read1(self, size)
+        sizes.append(len(chunk))
+        return chunk
+
+    monkeypatch.setattr(formats._Counted, "read1", recording_read1)
+    monkeypatch.setattr(formats, "_CHUNK", 3)
+    db = load_transactions(write(tmp_path, "t.txt", "a b\nc d\n"))
+    assert db.transactions == ((0, 1), (2, 3)) and sizes == [3, 3, 2, 0]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+class TestPipedInput:
+    """A loader reads a pipe, which cannot seek, to the lines and the errors of a file."""
+
+    @staticmethod
+    def piped(load, data: bytes):
+        """load of a pipe holding data, which stays under a pipe's buffer, so one thread writes it whole."""
+        r, w = os.pipe()
+        try:
+            with open(w, "wb") as end:
+                end.write(data)
+            return load(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    @pytest.mark.parametrize("chunk", [3, formats._CHUNK])
+    @pytest.mark.parametrize("load, good, bad, message, empty_ok", ALL_LOADERS)
+    def test_a_bad_byte_keeps_its_offset_and_outranks_a_bad_line(self, load, good, bad, message, empty_ok, chunk):
+        text = f"{good}\n{bad}\n".encode()
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            with pytest.raises(InputError, match=rf"^/dev/fd/\d+: line 2: {re.escape(message)}"):
+                self.piped(load, text)
+            with pytest.raises(InputError, match=rf"^/dev/fd/\d+: not UTF-8 text \(byte {len(text)}\)$"):
+                self.piped(load, text + b"\xff\n")
+
+    def test_a_bad_byte_on_the_second_line(self):
+        with pytest.raises(InputError, match=r"^/dev/fd/\d+: not UTF-8 text \(byte 4\)$"):
+            self.piped(load_transactions, b"a b\n\xff\n")
+
+    @pytest.mark.parametrize("chunk", [1, formats._CHUNK])
+    def test_cr_and_crlf_read_as_lf(self, tmp_path, chunk):
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            db = self.piped(load_transactions, b"a b c\ra b\r\nb c")
+            twin = load_transactions(write(tmp_path, "t.txt", "a b c\na b\nb c\n"))
+            assert (db.transactions, db.symbols.labels) == (twin.transactions, twin.symbols.labels)
+            assert self.piped(load_matrix, b"1 0\r0 1\r\n1 1") == load_matrix(write(tmp_path, "m.txt", "1 0\n0 1\n1 1\n"))
 
 
 class TestMemory:

@@ -275,7 +275,7 @@ class TestProvedMatrix:
 
     @staticmethod
     def check(m: BinaryMatrix) -> None:
-        proved = BinaryMatrix._proved([bytes(row) for row in m.cells])
+        proved = BinaryMatrix._proved(["".join(map(str, row)).encode() for row in m.cells])
         assert (proved.n_rows, proved.n_cols, proved.col_masks) == (m.n_rows, m.n_cols, m.col_masks)
         unread = copy.copy(proved)
         assert "cells" not in proved.__dict__ and "cells" not in unread.__dict__  # built on first read
