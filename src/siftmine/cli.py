@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from .condense import DominanceRelation, condense
-from .constraints import EMPTY_EXPR, _compile, parse_constraints, partition_valid
-from .core import MinSupport, SymbolTable, plain_decimal, plain_int
+from .constraints import EMPTY_EXPR, compile_constraints, parse_constraints, partition_valid
+from .core import MinSupport, SymbolTable, check_mine_args, plain_decimal, plain_int
 from .errors import BoundExceededError, InputError, shown
 from .formats import (
     load_graphs,
@@ -116,19 +116,18 @@ def _misplaced_option(args, verb: str) -> str | None:
     return None
 
 
-def _mine(args, minsup: MinSupport):
-    """Load args.input and mine it: (db, records, the value of the miner's option, if it has one)."""
-    load, mine, option, _, _ = _TYPES[args.type]
-    db = globals()[load](args.input)
-    extra = () if option is None else (getattr(args, option),)
-    return db, globals()[mine](db, minsup, *extra), extra
+def _load(args):
+    """Load args.input: (db, the miner's size limit by name, as the miner and oracle take it, if it has one)."""
+    load, _, option, _, _ = _TYPES[args.type]
+    return globals()[load](args.input), {} if option is None else {option: getattr(args, option)}
 
 
 def cmd_mine(args) -> int:
     if problem := _misplaced_option(args, "mining"):
         return _usage(problem)
     minsup = MinSupport.parse(args.minsup)
-    db, records, _ = _mine(args, minsup)
+    db, limit = _load(args)
+    records = globals()[_TYPES[args.type][1]](db, minsup, **limit)
     _emit_patterns(records, db.symbols, args.out)
     print(f"mined {len(records)} patterns (effective minimum support {minsup.effective(len(db))})")
     return 0
@@ -153,7 +152,7 @@ def cmd_condense(args) -> int:
     held = None
     try:
         expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
-        holds = _compile(expr, _label_costs(args.weights, symbols) if args.weights else None, symbols)
+        holds = compile_constraints(expr, _label_costs(args.weights, symbols) if args.weights else None, symbols)
     except InputError as exc:
         held = exc
     read = 0
@@ -239,10 +238,14 @@ def cmd_verify(args) -> int:
     minsup = MinSupport.parse(args.minsup)
     rel = DominanceRelation.parse(args.rep)
     expr = _constraints_from_arg(args.constraints) if args.constraints else EMPTY_EXPR
-    db, records, extra = _mine(args, minsup)
-    oracle, key = _TYPES[args.type][3:]
-    expected = globals()[oracle](db, minsup.effective(len(db)), *extra)
-    mined = {key(rec.pattern): rec.cover for rec in records}  # after the oracle's bound checks
+    db, limit = _load(args)
+    _, mine, _, oracle, key = _TYPES[args.type]
+    # The miner's argument checks, then the oracle's bounds, then the miner:
+    # an input too large for the oracle may be too large to mine at all.
+    check_mine_args(db, **limit)
+    expected = globals()[oracle](db, minsup.effective(len(db)), **limit)
+    records = globals()[mine](db, minsup, **limit)
+    mined = {key(rec.pattern): rec.cover for rec in records}
     problems = _diff_maps(mined, expected)
     weights = load_weights(args.weights, db.symbols) if args.weights else None
     valid, _ = partition_valid(records, expr, weights, symbols=db.symbols)

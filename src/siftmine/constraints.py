@@ -237,7 +237,9 @@ def _compile_atom(atom: ConstraintAtom, cost_of, symbols: SymbolTable | None) ->
     return order_holds
 
 
-def _compile(expr: ConstraintExpr, cost_of, symbols: SymbolTable | None) -> Callable[[PatternRecord], bool]:
+def compile_constraints(
+    expr: ConstraintExpr, cost_of, symbols: SymbolTable | None
+) -> Callable[[PatternRecord], bool]:
     """expr as one test per record: clauses in order, each atom in order until one holds.
 
     cost_of gives a symbol id's weight, or is None without a weight table.
@@ -272,7 +274,7 @@ def evaluate(
     weights is required when expr has a cost atom; symbols is required when
     any atom names a symbol. Symbols absent from the table never match.
     """
-    return _compile(expr, None if weights is None else weights.cost_of, symbols)(rec)
+    return compile_constraints(expr, None if weights is None else weights.cost_of, symbols)(rec)
 
 
 def partition_valid(
@@ -283,7 +285,7 @@ def partition_valid(
     symbols: SymbolTable | None = None,
 ) -> tuple[list[PatternRecord], list[PatternRecord]]:
     """Split records into (valid, invalid), both preserving input order; expr is compiled once per call."""
-    holds = _compile(expr, None if weights is None else weights.cost_of, symbols)
+    holds = compile_constraints(expr, None if weights is None else weights.cost_of, symbols)
     valid: list[PatternRecord] = []
     invalid: list[PatternRecord] = []
     for rec in records:

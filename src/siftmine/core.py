@@ -152,20 +152,29 @@ class MinSupport:
         return max(1, math.ceil(exact * db_size))
 
 
-def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[PatternRecord]:
-    """The frame of every miner: checks, threshold, then search's finds as records in canonical order.
+def check_mine_args(db, **limit: int | None) -> None:
+    """Every miner's argument checks.
 
     An empty db, then a size limit below 1 (passed by name, e.g. max_len),
-    raise InputError. An effective threshold above the database size yields
-    an empty list. Otherwise search(db, sigma, **limit) returns flat
-    (size, key, pattern, support, cover) entries, one per frequent pattern
-    with a distinct key; they are sorted by (size, key) and numbered 1..n.
+    raise InputError.
     """
     if len(db) == 0:
         raise InputError("database must be nonempty")
     for name, value in limit.items():
         if value is not None and value < 1:
             raise InputError(f"{name} must be positive")
+
+
+def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[PatternRecord]:
+    """The frame of every miner: checks, threshold, then search's finds as records in canonical order.
+
+    check_mine_args runs first. An effective threshold above the database
+    size yields an empty list. Otherwise search(db, sigma, **limit) returns
+    flat (size, key, pattern, support, cover) entries, one per frequent
+    pattern with a distinct key; they are sorted by (size, key) and
+    numbered 1..n.
+    """
+    check_mine_args(db, **limit)
     sigma = minsup.effective(len(db))
     if sigma > len(db):
         return []

@@ -22,16 +22,20 @@ mine_frequent_graphs_general), or that the pattern or an ancestor found
 infrequent, since the pattern plus it contains the ancestor plus it.
 
 A DFS code is the edge list of one depth-first traversal, each edge written
-as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices; the canonical
-code, the public canonical form and the miner's output order, is the
-smallest one over all traversals in plain tuple order. Growth cannot use
-that order: a prefix of a plain-minimum code need not be minimal itself,
-so the miner's test (_is_min_code) uses gSpan's order instead. Two graphs
-share a canonical code exactly when they are isomorphic, since the code
-reconstructs the graph up to renaming. canonical_code finds it in one
-search per component over sorted adjacency rows: a state is the DFS stack,
-the discovery indices, the emitted edges as an int bitmask and the code so
-far; only ties on the smallest next tuple branch, and the growing code is
+as the 5-tuple (i, j, l_i, l_e, l_j) over discovery indices. The miner's
+test (_is_min_code) keeps a code only when it is the minimum in gSpan's
+order, so the code a class is grown from is unique to that class, and the
+miner orders its output by (edge count, that code), the codes compared as
+plain tuples; it computes no other canonical form. The canonical code, the
+public canonical form, is the smallest code over all traversals in plain
+tuple order, per component. Growth cannot use that order: a prefix of a
+plain-minimum code need not be minimal itself. Two graphs share a canonical
+code exactly when they are isomorphic, since the code reconstructs the
+graph up to renaming, so it serves as an isomorphism key. canonical_code,
+public API that the miner does not call, finds it in one search per
+component over sorted adjacency rows: a state is the DFS stack, the
+discovery indices, the emitted edges as an int bitmask and the code so far;
+only ties on the smallest next tuple branch, and the growing code is
 compared with the best complete code tuple by tuple, a paused branch
 rechecking its whole prefix when it resumes.
 """
@@ -300,13 +304,15 @@ def _rightmost_extensions(code: tuple[CodeEdge, ...], steps: dict[int, list[tupl
 
 
 def _class_entry(code: tuple[CodeEdge, ...], gids, tids: TidTable) -> tuple:
-    """mine_patterns' (edges, canonical code, graph, support, cover) entry of the class code stands for, found in gids.
+    """mine_patterns' (edges, code, graph, support, cover) entry of the class code stands for, found in gids.
 
-    Pattern vertex i is the i-th vertex code discovers.
+    code is the class's minimum DFS code in gSpan's order, so it is unique
+    per class and serves as the sort key as it stands. Pattern vertex i is
+    the i-th vertex code discovers.
     """
     labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
     pat = LabeledGraph(tuple(enumerate(labels)), tuple(sorted((min(i, j), max(i, j), el) for i, j, _, el, _ in code)))
-    return len(code), canonical_code(pat), pat, len(gids), Cover(mask_at(gids, len(tids)), tids)
+    return len(code), code, pat, len(gids), Cover(mask_at(gids, len(tids)), tids)
 
 
 def mine_frequent_graphs_general(
@@ -335,8 +341,8 @@ def mine_frequent_graphs_general(
     is grown once, and only then are its lists built in full, unless it has
     max_edges edges and is never extended. Pattern
     vertex i is the i-th vertex its minimum code discovers. Results come
-    ordered by (edge count, canonical_code) with pids 1..n; covers stay
-    packed graph-id masks.
+    ordered by (edge count, minimum DFS code in gSpan's order, compared as
+    plain tuples) with pids 1..n; covers stay packed graph-id masks.
     """
     return mine_patterns(db, minsup, _grow_patterns, max_edges=max_edges)
 

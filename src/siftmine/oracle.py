@@ -219,7 +219,7 @@ def frequent_graphs_general_bruteforce(
 class IsoClass(tuple):
     """A graph as (shape, vertices, edges), equal to the key of every graph isomorphic to it.
 
-    verify keys general graphs by it, not by the miner's canonical_code. Keys
+    verify keys general graphs by it, not by canonical_code or the miner's code. Keys
     of equal shape, the isomorphism signature, compare by
     injective_map_exists: between graphs of equal sizes, an injective map is
     an isomorphism.

@@ -18,7 +18,6 @@ from siftmine import (
     PatternRecord,
     Sequence,
     SymbolTable,
-    canonical_code,
     cover_itemset,
     edge_itemize,
     find_embedding,
@@ -35,6 +34,7 @@ from siftmine.oracle import (
     embedding_exists,
     frequent_graphs_unique_bruteforce,
     injective_map_exists,
+    min_dfs_code_gspan_bruteforce,
 )
 
 
@@ -229,7 +229,9 @@ class TestCover:
 MINERS = [
     pytest.param(mine_frequent_itemsets, None, "toy_items", "db", lambda p: p.items, id="itemset"),
     pytest.param(mine_frequent_sequences, "max_len", "toy_seqs", "db", lambda p: p.symbols, id="sequence"),
-    pytest.param(mine_frequent_graphs_general, "max_edges", "demo_graphs", "db123", canonical_code, id="graph"),
+    pytest.param(
+        mine_frequent_graphs_general, "max_edges", "demo_graphs", "db123", min_dfs_code_gspan_bruteforce, id="graph"
+    ),
 ]
 LIMITED = [param for param in MINERS if param.values[1] is not None]
 

@@ -387,10 +387,15 @@ class TestGeneralMiner:
                     assert by_code[code] >= r.support
 
     def test_canonical_order_and_pids(self, demo_graphs):
-        recs = mine_frequent_graphs_general(demo_graphs.db123, MinSupport.absolute(2))
-        assert [r.pid for r in recs] == list(range(1, len(recs) + 1))
-        keys = [(r.pattern.edge_count, canonical_code(r.pattern)) for r in recs]
-        assert keys == sorted(keys)
+        # Records come ordered by (edges, minimum DFS code in gSpan's order),
+        # the codes compared as plain tuples, and numbered 1..n in that order.
+        rng = random.Random(3131)
+        cases = [(demo_graphs.db123, 2, None)] + [(random_graph_db(rng), 1, 4) for _ in range(12)]
+        for db, sigma, max_edges in cases:
+            recs = mine_frequent_graphs_general(db, MinSupport.absolute(sigma), max_edges)
+            assert [r.pid for r in recs] == list(range(1, len(recs) + 1))
+            keys = [(r.size, min_dfs_code_gspan_bruteforce(r.pattern)) for r in recs]
+            assert keys == sorted(keys)
 
     def test_oracle_equivalence_seeded(self):
         rng = random.Random(60601)

@@ -38,6 +38,7 @@ ALLOWED = {
 UNREAD_BINDINGS = {
     ("siftmine.graphs", "subgraph_isomorphic"): ALLOWED["siftmine.graphs.subgraph_isomorphic"],
     ("siftmine.tiling", "error"): "greedy_select scores trials on masks, so tiling.greedy_error_calls reads 0",
+    ("siftmine.graphs", "canonical_code"): "the general miner sorts by the minimum DFS code it grew, so graphs.canon_calls reads 0",
 }
 
 
