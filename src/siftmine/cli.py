@@ -4,7 +4,8 @@ The pipeline is two explicit steps (mine writes a pattern file, condense
 filters and condenses it) so a pattern set mined once can be re-condensed
 under different constraints without re-mining. Exit codes are a stable
 contract: 0 success, 1 unsatisfiable or verification diff, 2 usage errors
-and exceeded search bounds, 3 malformed input.
+and exceeded search bounds, 3 malformed input, an output that cannot be
+written, or a standard output closed early.
 """
 
 from __future__ import annotations
@@ -344,12 +345,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output at os.devnull, so the interpreter's last flush drops what a closed pipe refused.
+
+    A standard output without a file descriptor, an in-process caller's
+    stream, is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         return _usage("--threads must be at least 1")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed early is met here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early (`siftmine mine ... | head -1`): exit 3, printing nothing.
+        _stdout_to_devnull()
+        return 3
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,21 +169,22 @@ def mine_patterns(db, minsup: MinSupport, search, **limit: int | None) -> list[P
     """The frame of every miner: checks, threshold, then search's finds as records in canonical order.
 
     check_mine_args runs first. An effective threshold above the database
-    size yields an empty list. Otherwise search(db, sigma, **limit) returns
-    flat (size, key, pattern, support, cover) entries, one per frequent
-    pattern with a distinct key; they are sorted by (size, key) and
-    numbered 1..n.
+    size yields an empty list and starts no search. Otherwise search(db,
+    sigma, **limit) yields (size, key, pattern, support, mask) entries, one
+    per frequent pattern with a distinct key and bit t of mask for tid t;
+    each mask becomes a Cover over the run's one TidTable, and the entries
+    are sorted by (size, key) and numbered 1..n.
     """
     check_mine_args(db, **limit)
     sigma = minsup.effective(len(db))
     if sigma > len(db):
         return []
-    found = search(db, sigma, **limit)
-    found.sort(key=operator.itemgetter(0, 1))
-    # Pids count from 1, each support is its cover's count, and each size is the search's own count.
+    tids = TidTable(range(len(db) + 1))
+    found = sorted(search(db, sigma, **limit), key=operator.itemgetter(0, 1))
+    # Pids count from 1, each support is its mask's count, and each size is the search's own count.
     return [
-        PatternRecord._proved(pid, pattern, support, cover, size)
-        for pid, (size, _, pattern, support, cover) in enumerate(found, start=1)
+        PatternRecord._proved(pid, pattern, support, Cover(mask, tids), size)
+        for pid, (size, _, pattern, support, mask) in enumerate(found, start=1)
     ]
 
 

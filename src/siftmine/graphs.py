@@ -15,7 +15,8 @@ frequent candidate whose code passes the minimum-code test, and that will
 itself be extended, has its lists built in full. New vertices come from a
 per-host typed neighbor index, keyed by (edge label, neighbor label) first
 and vertex second, so a candidate looks up one dict per host. Pattern
-vertex i is the i-th vertex its minimum code discovers.
+vertex i is the i-th vertex its minimum code discovers. Both miners yield
+each find to the miner frame, mine_patterns, with mask bit g for graph g.
 
 No candidate is probed that gSpan's rightmost-path rules rule out (see
 mine_frequent_graphs_general), or that the pattern or an ancestor found
@@ -34,10 +35,10 @@ code exactly when they are isomorphic, since the code reconstructs the
 graph up to renaming, so it serves as an isomorphism key. canonical_code,
 public API that the miner does not call, finds it in one search per
 component over sorted adjacency rows: a state is the DFS stack, the
-discovery indices, the emitted edges as an int bitmask and the code so far;
-only ties on the smallest next tuple branch, and the growing code is
-compared with the best complete code tuple by tuple, a paused branch
-rechecking its whole prefix when it resumes.
+discovery indices and the code so far; only ties on the smallest next
+tuple branch, and the growing code is compared with the best complete code
+tuple by tuple, a paused branch rechecking its whole prefix when it
+resumes.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ from typing import Iterator
 
 from .core import (
     DEFAULT_EDGE_LABEL,
-    Cover,
     GraphDB,
     LabeledGraph,
     MinSupport,
     PatternRecord,
     SymbolTable,
-    TidTable,
     TransactionDB,
     mask_at,
     mine_patterns,
@@ -81,9 +80,11 @@ def canonical_code(g: LabeledGraph) -> tuple:
     and sorting makes the component multiset order-free.
 
     One search per component finds its minimum code. A search state is
-    (DFS vertex stack, discovery indices, emitted edges as a bitmask, code so
-    far). A newly discovered vertex first emits its backward edges, forced,
-    in ascending discovery index of the target; then the top of the stack
+    (DFS vertex stack, discovery indices, code so far). A newly discovered
+    vertex first emits its backward edges, forced, in ascending discovery
+    index of the target: its edges to discovered vertices other than its
+    parent, the vertex below it on the stack, since the tree edge from the
+    parent is the only edge at it already emitted. Then the top of the stack
     steps forward along its smallest (edge label, neighbor label) to an
     undiscovered neighbor, or is popped when it has none. Ties on that pair
     branch, because their futures differ: the search goes on with the first
@@ -99,12 +100,12 @@ def canonical_code(g: LabeledGraph) -> tuple:
     when it was pushed, because best may have shrunk in between.
     """
     label = dict(g.vertices)
-    # Per vertex, (edge label, neighbor label, neighbor, edge bit), sorted:
-    # the first undiscovered entry is the smallest forward step.
-    rows: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in label}
-    for i, (u, v, el) in enumerate(g.edges):
-        rows[u].append((el, label[v], v, 1 << i))
-        rows[v].append((el, label[u], u, 1 << i))
+    # Per vertex, (edge label, neighbor label, neighbor), sorted: the first
+    # undiscovered entry is the smallest forward step.
+    rows: dict[int, list[tuple[int, int, int]]] = {v: [] for v in label}
+    for u, v, el in g.edges:
+        rows[u].append((el, label[v], v))
+        rows[v].append((el, label[u], u))
     for row in rows.values():
         row.sort()
 
@@ -116,7 +117,7 @@ def canonical_code(g: LabeledGraph) -> tuple:
         placed.add(root)
         comp = [root]
         for v in comp:
-            for _, _, w, _ in rows[v]:
+            for _, _, w in rows[v]:
                 if w not in placed:
                     placed.add(w)
                     comp.append(w)
@@ -126,9 +127,9 @@ def canonical_code(g: LabeledGraph) -> tuple:
         n_edges = sum(len(rows[v]) for v in comp) // 2
         first = min((label[v], *rows[v][0][:2]) for v in comp)
         best: list[tuple] | None = None
-        pending = [([v], {v: 0}, 0, []) for v in reversed(comp) if (label[v], *rows[v][0][:2]) == first]
+        pending = [([v], {v: 0}, []) for v in reversed(comp) if (label[v], *rows[v][0][:2]) == first]
         while pending:
-            stack, disc, emitted, code = pending.pop()
+            stack, disc, code = pending.pop()
             if best is None:
                 smaller = True
             else:
@@ -137,15 +138,14 @@ def canonical_code(g: LabeledGraph) -> tuple:
                     continue
                 smaller = code < head
             while True:
-                w = stack[-1]  # just discovered
-                back = [(disc[x], el, lx, bit) for el, lx, x, bit in rows[w] if x in disc and not emitted & bit]
+                w = stack[-1]  # just discovered; its one emitted edge is the tree edge from its parent
+                parent = stack[-2] if len(stack) > 1 else None
+                back = [(disc[x], el, lx) for el, lx, x in rows[w] if x in disc and x != parent]
                 if back:
                     back.sort()
                     k = len(code)
                     dw, lw = disc[w], label[w]
-                    code += [(dw, dx, lw, el, lx) for dx, el, lx, _ in back]
-                    for *_, bit in back:
-                        emitted |= bit
+                    code += [(dw, dx, lw, el, lx) for dx, el, lx in back]
                     if not smaller:
                         head, tail = best[k : len(code)], code[k:]
                         if tail > head:
@@ -159,7 +159,7 @@ def canonical_code(g: LabeledGraph) -> tuple:
                 while True:
                     u = stack[-1]
                     rest = iter(rows[u])
-                    for el, lv, v, bit in rest:
+                    for el, lv, v in rest:
                         if v not in disc:
                             break
                     else:
@@ -173,16 +173,15 @@ def canonical_code(g: LabeledGraph) -> tuple:
                         break
                     smaller = t < b
                 ties = []  # they follow the chosen entry in its sorted row
-                for el2, lv2, v2, bit2 in rest:
+                for el2, lv2, v2 in rest:
                     if el2 != el or lv2 != lv:
                         break
                     if v2 not in disc:
-                        ties.append((stack + [v2], {**disc, v2: len(disc)}, emitted | bit2, code + [t]))
+                        ties.append((stack + [v2], {**disc, v2: len(disc)}, code + [t]))
                 pending += reversed(ties)
                 code.append(t)
                 disc[v] = len(disc)
                 stack.append(v)
-                emitted |= bit
         assert best is not None
         codes.append(tuple(best))
     codes.sort()
@@ -303,8 +302,8 @@ def _rightmost_extensions(code: tuple[CodeEdge, ...], steps: dict[int, list[tupl
     return [ext for ext in exts if ext[2:] >= least and (ext[4], ext[3], ext[2]) >= least]
 
 
-def _class_entry(code: tuple[CodeEdge, ...], gids, tids: TidTable) -> tuple:
-    """mine_patterns' (edges, code, graph, support, cover) entry of the class code stands for, found in gids.
+def _class_entry(code: tuple[CodeEdge, ...], gids, n_bits: int) -> tuple:
+    """mine_patterns' (edges, code, graph, support, gid mask) entry of the class code stands for, found in gids.
 
     code is the class's minimum DFS code in gSpan's order, so it is unique
     per class and serves as the sort key as it stands. Pattern vertex i is
@@ -312,7 +311,7 @@ def _class_entry(code: tuple[CodeEdge, ...], gids, tids: TidTable) -> tuple:
     """
     labels = [code[0][2]] + [lj for i, j, _, _, lj in code if i < j]
     pat = LabeledGraph(tuple(enumerate(labels)), tuple(sorted((min(i, j), max(i, j), el) for i, j, _, el, _ in code)))
-    return len(code), code, pat, len(gids), Cover(mask_at(gids, len(tids)), tids)
+    return len(code), code, pat, len(gids), mask_at(gids, n_bits)
 
 
 def mine_frequent_graphs_general(
@@ -342,13 +341,13 @@ def mine_frequent_graphs_general(
     max_edges edges and is never extended. Pattern
     vertex i is the i-th vertex its minimum code discovers. Results come
     ordered by (edge count, minimum DFS code in gSpan's order, compared as
-    plain tuples) with pids 1..n; covers stay packed graph-id masks.
+    plain tuples) with pids 1..n; covers go to the frame as gid masks.
     """
     return mine_patterns(db, minsup, _grow_patterns, max_edges=max_edges)
 
 
-def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple]:
-    """Every connected pattern with support >= sigma, as mine_patterns' (edges, code, graph, support, cover) entries."""
+def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> Iterator[tuple]:
+    """Every connected pattern with support >= sigma, as mine_patterns' (edges, code, graph, support, gid mask) entries."""
     # One scan of the host edges gives every embedding of every one-edge
     # pattern (la, lb, el) with la <= lb: both orientations when la == lb.
     # The same scan builds each host's typed neighbor index; edges come
@@ -372,8 +371,7 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
 
     # Vertex label -> (edge label, other end's label) of every frequent edge type at it, sorted.
     steps: dict[int, list[tuple[int, int]]] = {}
-    tids = TidTable(range(len(db) + 1))
-    collected = []
+    n_bits = len(db) + 1
     # A stack entry is (code, its occurrence lists, the extensions an ancestor found infrequent).
     stack: list[tuple[tuple[CodeEdge, ...], Occurrences, set]] = []
     for (la, lb, el), occ in sorted(seeds.items(), reverse=True):
@@ -382,7 +380,7 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
             if la != lb:
                 steps.setdefault(lb, []).append((el, la))
             code = ((0, 1, la, el, lb),)
-            collected.append(_class_entry(code, occ, tids))
+            yield _class_entry(code, occ, n_bits)
             if max_edges != 1:
                 stack.append((code, occ, set()))
     for row in steps.values():
@@ -415,14 +413,12 @@ def _grow_patterns(db: GraphDB, sigma: int, max_edges: int | None) -> list[tuple
                 continue
             if not _is_min_code(child := code + (ext,)):
                 continue
-            collected.append(_class_entry(child, [gid for gid, _, _ in hits], tids))
+            yield _class_entry(child, [gid for gid, _, _ in hits], n_bits)
             # A pattern of max_edges edges is never extended, so its lists are
             # never built. Every child shares this node's infrequent set, which
             # is complete before any child is popped, and copies it then.
             if len(child) != max_edges:
                 stack.append((child, {gid: [first, *found] for gid, first, found in hits}, infrequent))
-
-    return collected
 
 
 def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -431,7 +427,7 @@ def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[Pattern
     Each graph becomes the itemset of its label-pair edges; the itemset
     search enumerates frequent pair sets in the miner frame, mine_patterns,
     and each maps back to a graph whose vertices are exactly the labels its
-    edges touch. Covers stay packed tid masks. Patterns may be
+    edges touch, with the search's tid mask as its cover. Patterns may be
     disconnected. An edgeless graph contributes an empty transaction but still
     counts toward the database size. Raises when any input graph is not
     unique-labeled, naming the offending graph.
@@ -443,17 +439,15 @@ def mine_frequent_graphs_unique(db: GraphDB, minsup: MinSupport) -> list[Pattern
     return mine_patterns(db, minsup, _pair_sets)
 
 
-def _pair_sets(db: GraphDB, sigma: int) -> list[tuple]:
+def _pair_sets(db: GraphDB, sigma: int) -> Iterator[tuple]:
     """Eclat over the graphs' label pairs, each frequent pair set as mine_patterns' entry for its graph."""
     # Pair ids in first appearance, each graph's pairs in sorted order: the ids fix the miner's output order.
     pair_table = SymbolTable()
     transactions = tuple(tuple(sorted(pair_table.intern_all(sorted(g.label_pairs)))) for g in db.graphs)
     pairs_by_id = pair_table.labels
-    found = []
-    for size, ids, _, support, cover in _eclat(TransactionDB(transactions, pair_table), sigma):
+    for size, ids, _, support, mask in _eclat(TransactionDB(transactions, pair_table), sigma):
         pairs = [pairs_by_id[i] for i in ids]
         labels = sorted({lbl for pair in pairs for lbl in pair})
         vid_of = {lbl: vid for vid, lbl in enumerate(labels)}
         edges = tuple(sorted((vid_of[a], vid_of[b], DEFAULT_EDGE_LABEL) for a, b in pairs))
-        found.append((size, ids, LabeledGraph(tuple(enumerate(labels)), edges), support, cover))
-    return found
+        yield size, ids, LabeledGraph(tuple(enumerate(labels)), edges), support, mask

@@ -10,13 +10,15 @@ transactions, instead of a set intersection over Python objects (Zaki,
 
 The search is depth-first over the item lattice on an explicit stack.
 Support is anti-monotone, so a prefix is only extended by the items that
-were frequent beside it under its parent, in item order. A frequent
-itemset's record keeps its mask as a Cover, rendered a byte at a time.
+were frequent beside it under its parent, in item order. Each frequent
+itemset is yielded to the miner frame, mine_patterns, with its tid mask.
 """
 
 from __future__ import annotations
 
-from .core import Cover, Itemset, MinSupport, PatternRecord, TidTable, TransactionDB, mask_at, mine_patterns
+from typing import Iterator
+
+from .core import Itemset, MinSupport, PatternRecord, TransactionDB, mask_at, mine_patterns
 
 
 def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[PatternRecord]:
@@ -29,19 +31,18 @@ def mine_frequent_itemsets(db: TransactionDB, minsup: MinSupport) -> list[Patter
     return mine_patterns(db, minsup, _eclat)
 
 
-def _eclat(db: TransactionDB, sigma: int) -> list[tuple]:
-    """Every itemset with support >= sigma, as mine_patterns' (size, items, Itemset, support, cover) entries."""
+def _eclat(db: TransactionDB, sigma: int) -> Iterator[tuple]:
+    """Every itemset with support >= sigma, as mine_patterns' (size, items, Itemset, support, tid mask) entries."""
     tidlists: dict[int, set[int]] = {}
     for tid, txn in db.records():
         for item in txn:
             tidlists.setdefault(item, set()).add(tid)
-    tids = TidTable(range(len(db) + 1))
-    bits = {item: mask_at(t, len(tids)) for item, t in tidlists.items() if len(t) >= sigma}
+    n_bits = len(db) + 1
+    bits = {item: mask_at(t, n_bits) for item, t in tidlists.items() if len(t) >= sigma}
 
     # A stack entry is a frequent prefix, its tid mask, and the items that
     # may extend it: those after its last item that were frequent beside it.
-    found = []
-    stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << len(tids)) - 2, sorted(bits))]
+    stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), (1 << n_bits) - 2, sorted(bits))]
     while stack:
         prefix, prefix_mask, tail = stack.pop()
         kids = []
@@ -50,10 +51,9 @@ def _eclat(db: TransactionDB, sigma: int) -> list[tuple]:
             support = mask.bit_count()
             if support >= sigma:
                 items = prefix + (item,)  # increasing: item comes after prefix's last in tail
-                found.append((len(items), items, Itemset._proved(items), support, Cover(mask, tids)))
+                yield len(items), items, Itemset._proved(items), support, mask
                 kids.append((items, mask))
         kid_items = [items[-1] for items, _ in kids]
         # Pushed last to first, so the first kid is extended first.
         for k in range(len(kids) - 2, -1, -1):
             stack.append((*kids[k], kid_items[k + 1 :]))
-    return found

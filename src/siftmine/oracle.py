@@ -412,7 +412,7 @@ def exact_selections_bruteforce(
 
 
 def generate_candidates_bruteforce(
-    matrix: BinaryMatrix, tau: Fraction, max_candidates: int | None = None
+    matrix: BinaryMatrix, tau: Fraction | float, max_candidates: int | None = None
 ) -> list[Tile]:
     """Candidate tiles from association confidences, on row sets and Fractions.
 
@@ -426,6 +426,8 @@ def generate_candidates_bruteforce(
         raise InputError("tau must lie in (0, 1]")
     if max_candidates is not None and max_candidates < 1:
         raise InputError("max_candidates must be positive")
+    if isinstance(tau, float):
+        tau = Fraction(str(tau))  # the decimal it prints, as MinSupport reads a float
     col_rows = {
         c: frozenset(r for r in range(1, matrix.n_rows + 1) if matrix.cell(r, c))
         for c in range(1, matrix.n_cols + 1)

@@ -20,9 +20,10 @@ bits below it; no borrow leaves a segment, since each holds a set bit. A
 segment whose first hit is its guard does not contain the extension, so
 the support is n - popcount(upto & guards), the extension's projection is
 the complement of upto with the guards put back, and its cover is the
-segments whose guard bit is not in upto, kept as a Cover whose packed mask
-has bit k for sequence k + 1: the guard bytes, left once every other byte
-is set to 0x01 and deleted, read as binary digits. One extension
+segments whose guard bit is not in upto, yielded as every miner's masks
+are, bit k + 1 for sequence k + 1: the guard bytes, left once every other
+byte is set to 0x01 and deleted, read as binary digits with a 0 appended
+for bit 0. One extension
 costs a handful of operations over the D bytes of the database, about D/8
 machine words each, instead of a scan of every supporting sequence (Ayres,
 Flannick, Gehrke & Yiu, "Sequential PAttern Mining using a Bitmap
@@ -35,8 +36,9 @@ supporting sequences, never embeddings.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterator
 
-from .core import Cover, MinSupport, PatternRecord, Sequence, SequenceDB, TidTable, mask_at, mine_patterns
+from .core import MinSupport, PatternRecord, Sequence, SequenceDB, mask_at, mine_patterns
 
 # A cover's guard bytes, 0x80 for a supporting sequence and 0 otherwise, as the digits of its mask.
 _GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -53,8 +55,8 @@ def mine_frequent_sequences(
     return mine_patterns(db, minsup, _spam, max_len=max_len)
 
 
-def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
-    """Every sequence with support >= sigma, as mine_patterns' (size, symbols, Sequence, support, cover) entries."""
+def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> Iterator[tuple]:
+    """Every sequence with support >= sigma, as mine_patterns' (size, symbols, Sequence, support, tid mask) entries."""
     counts = Counter(sym for seq in db.sequences for sym in set(seq))
     symbols = sorted(sym for sym, count in counts.items() if count >= sigma)
     at: dict[int, list[int]] = {sym: [] for sym in symbols}
@@ -68,7 +70,7 @@ def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
         starts_at.append(base)
         base += 8 * (len(seq) // 8 + 1)
         guards_at.append(base - 1)
-    n, n_bytes, sids = len(db), base // 8, TidTable(range(1, len(db) + 1))
+    n, n_bytes = len(db), base // 8
     starts, guards = mask_at(starts_at, base), mask_at(guards_at, base)
     # The guards ride in every position mask and projection: (a|G) & (b|G) = (a & b) | G.
     pos = {sym: mask_at(bits, base) | guards for sym, bits in at.items()}
@@ -77,7 +79,6 @@ def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
     filler = int.from_bytes(b"\x01" * n_bytes, "little") ^ guards >> 7
 
     # A stack entry: a frequent prefix, its projection, its parent's frequent extensions.
-    found = []
     stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), full, symbols)]
     while stack:
         prefix, proj, tail = stack.pop()
@@ -91,11 +92,9 @@ def _spam(db: SequenceDB, sigma: int, max_len: int | None) -> list[tuple]:
             if support >= sigma:
                 pattern = prefix + (sym,)
                 digits = (guards ^ missed | filler).to_bytes(n_bytes, "little").translate(_GUARD_DIGITS, b"\x01")
-                found.append((len(pattern), pattern, Sequence._proved(pattern), support, Cover(int(digits[::-1], 2), sids)))
+                yield len(pattern), pattern, Sequence._proved(pattern), support, int(digits[::-1] + b"0", 2)
                 if grow:
                     kids.append((pattern, full ^ upto | guards))
         kid_syms = [pattern[-1] for pattern, _ in kids]
         # Pushed last to first, so the first kid is extended first.
         stack.extend((pattern, kid_proj, kid_syms) for pattern, kid_proj in reversed(kids))
-
-    return found

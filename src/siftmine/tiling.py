@@ -384,7 +384,7 @@ def _rows_at_least(planes: list[int], k: int, all_rows: int) -> int:
 
 
 def generate_candidates(
-    matrix: BinaryMatrix, tau: Fraction, max_candidates: int | None = None
+    matrix: BinaryMatrix, tau: Fraction | float, max_candidates: int | None = None
 ) -> list[Tile]:
     """Candidate tiles from association confidences.
 
@@ -396,14 +396,17 @@ def generate_candidates(
     then truncated to max_candidates.
 
     Columns are row masks, and confidence is compared exactly against tau,
-    a Fraction or an int, by integer cross-multiplication. Each row's count
-    of ones within B_i is kept bit-sliced: the columns of B_i are added into
-    planes of a ripple-carry counter, so all rows are counted together.
+    a Fraction, an int, or a float read as the decimal it prints, by integer
+    cross-multiplication. Each row's count of ones within B_i is kept
+    bit-sliced: the columns of B_i are added into planes of a ripple-carry
+    counter, so all rows are counted together.
     """
     if not 0 < tau <= 1:
         raise InputError("tau must lie in (0, 1]")
     if max_candidates is not None and max_candidates < 1:
         raise InputError("max_candidates must be positive")
+    if isinstance(tau, float):
+        tau = Fraction(str(tau))  # the decimal it prints, as MinSupport reads a float
     num, den = tau.numerator, tau.denominator
     col_rows = matrix.col_masks
     all_rows = (1 << matrix.n_rows) - 1

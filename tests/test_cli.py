@@ -814,6 +814,49 @@ class TestPipeline:
         assert [l.split(" ", 1)[1] for l in once_lines] == [l.split(" ", 1)[1] for l in twice_lines]
 
 
+class TestClosedStdout:
+    """A standard output its reader closed early (`siftmine mine ... | head -1`) exits 3 with nothing on stderr."""
+
+    # 800 single-item patterns with 300-character labels: about 260 KiB of
+    # pattern lines, far more than a pipe holds, so writes go on after the
+    # reader has gone.
+    LABELS = [f"{'x' * 300}{k}" for k in range(800)]
+
+    @pytest.mark.parametrize("command", ["mine", "condense"])
+    def test_reader_closes_after_one_line(self, command, tmp_path):
+        txns, pats = tmp_path / "txns.txt", tmp_path / "pats.txt"
+        txns.write_text("".join(f"{label}\n" for label in self.LABELS), encoding="utf-8")
+        pats.write_text(
+            "".join(
+                f"pid={k} kind=itemset support=1 size=1 elements={label} cover={k}\n"
+                for k, label in enumerate(self.LABELS, start=1)
+            ),
+            encoding="utf-8",
+        )
+        argv = {
+            "mine": ["mine", "--type", "itemset", "--input", str(txns), "--minsup", "1"],
+            "condense": ["condense", "--patterns", str(pats), "--rep", "closed"],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(siftmine.__file__).resolve().parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "siftmine", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith(b"pid=1 kind=itemset support=1 size=1 elements=xxx")
+        assert (code, err) == (3, b"")
+
+    def test_in_process_stdout_without_descriptor(self, workdir, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["mine", "--type", "itemset", "--input", str(workdir / "txns.txt"), "--minsup", "2"]) == 3
+
+
 class TestTile:
     def test_greedy_with_candidate_file(self, run):
         code, out, err = run(

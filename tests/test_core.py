@@ -18,6 +18,7 @@ from siftmine import (
     PatternRecord,
     Sequence,
     SymbolTable,
+    TransactionDB,
     cover_itemset,
     edge_itemize,
     find_embedding,
@@ -28,7 +29,7 @@ from siftmine import (
     mine_frequent_sequences,
     subgraph_isomorphic,
 )
-from siftmine.core import Cover, TidTable
+from siftmine.core import Cover, TidTable, mine_patterns
 from siftmine.oracle import (
     all_embeddings,
     embedding_exists,
@@ -289,6 +290,43 @@ class TestMinerFrame:
         order = [(rec.size, key(rec.pattern)) for rec in records]
         assert len(records) > 1 and order == sorted(set(order))
         assert [rec.pid for rec in records] == list(range(1, len(records) + 1))
+
+
+class TestFrameContract:
+    """mine_patterns runs a search that yields (size, key, pattern, support, mask) entries, bit t for tid t."""
+
+    DB = TransactionDB(tuple((t % 3,) for t in range(1, 13)), SymbolTable())
+    # Out of order, with masks that reach past the first byte of tids.
+    FINDS = [
+        (2, (0, 2), Itemset((0, 2)), 2, 1 << 3 | 1 << 12),
+        (1, (2,), Itemset((2,)), 4, 1 << 2 | 1 << 5 | 1 << 8 | 1 << 11),
+        (1, (0,), Itemset((0,)), 1, 1 << 9),
+        (2, (0, 1), Itemset((0, 1)), 3, 0b111 << 7),
+        (1, (1,), Itemset((1,)), 2, 1 << 1 | 1 << 4),
+    ]
+
+    def search(self, db, sigma, **limit):
+        self.started.append((sigma, limit))
+        yield from self.FINDS
+
+    def setup_method(self):
+        self.started = []
+
+    def test_entries_sorted_numbered_and_wrapped(self):
+        records = mine_patterns(self.DB, MinSupport.absolute(1), self.search, max_len=2)
+        assert self.started == [(1, {"max_len": 2})]
+        want = sorted(self.FINDS, key=lambda find: find[:2])
+        assert [(r.pid, r.size, r.pattern, r.support) for r in records] == [
+            (pid, size, pattern, support) for pid, (size, _, pattern, support, _) in enumerate(want, start=1)
+        ]
+        for rec, (*_, mask) in zip(records, want):
+            tids = [t for t in range(len(self.DB) + 1) if mask >> t & 1]
+            assert rec.cover_text() == ",".join(map(str, tids))
+            assert rec.cover == frozenset(tids)
+
+    def test_threshold_above_db_size_never_starts_search(self):
+        assert mine_patterns(self.DB, MinSupport.absolute(len(self.DB) + 1), self.search) == []
+        assert self.started == []
 
 
 class TestCoverItemset:

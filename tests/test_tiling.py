@@ -504,6 +504,20 @@ class TestGenerateCandidates:
             m, tau, max_candidates
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=candidate_matrices(),
+        tau=st.one_of(
+            st.sampled_from([1.0, 1e-9, 0.1, 0.28, 0.3, 0.5, 0.7, 0.8, 2 / 3]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        ),
+        max_candidates=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_float_tau_reads_as_its_decimal(self, m, tau, max_candidates):
+        got = generate_candidates(m, tau, max_candidates)
+        assert got == generate_candidates(m, decimal_tau(tau), max_candidates)
+        assert got == generate_candidates_bruteforce(m, tau, max_candidates)
+
     # Shrinking a 70x40 example through the oracle takes minutes; the
     # narrow test above shrinks well, so this one reports what it drew.
     @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -537,6 +551,8 @@ class TestGenerateCandidates:
         cands = generate_candidates(m, Fraction("0.28"))
         assert cands == generate_candidates_bruteforce(m, Fraction("0.28"))
         assert any(t.col_set == {1, 2} for t in cands)
+        # The float 0.28 lies just above 7/25; it is read as the decimal it prints.
+        assert generate_candidates(m, 0.28) == generate_candidates_bruteforce(m, 0.28) == cands
 
     def test_tau_is_exact(self):
         # conf(1=>2) = 7/25: a tau a hair above it drops column 2 from B_1, a hair below keeps it
